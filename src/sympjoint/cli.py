@@ -340,7 +340,7 @@ def main(argv=None):
     except GenericityError as exc:
         _emit({"error": "genericity", "detail": str(exc)})
         return EXIT_INPUT
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

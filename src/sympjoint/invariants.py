@@ -175,6 +175,14 @@ def config_to_dict(config: PointConfig):
     return {"n": config.n, "points": [[rat_str(c) for c in p] for p in config.points]}
 
 
+def _half_dimension(obj):
+    """The "n" of a configuration object, which must be a JSON integer."""
+    n = obj["n"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    return n
+
+
 def config_from_dict(obj):
     """Parse the configuration JSON object {"n": ..., "points": [[...], ...]}.
 
@@ -182,7 +190,7 @@ def config_from_dict(obj):
     """
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError("configuration must be an object with 'n' and 'points'")
-    return PointConfig(int(obj["n"]), tuple(tuple(rat(c) for c in p) for p in obj["points"]))
+    return PointConfig(_half_dimension(obj), tuple(tuple(rat(c) for c in p) for p in obj["points"]))
 
 
 def load_config(path):

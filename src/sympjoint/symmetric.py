@@ -4,19 +4,21 @@ The Reynolds operator averages a polynomial in the pairwise invariants over
 all m! index permutations (a transposition of two points flips the sign of
 their mutual invariant, so all linear terms die).  Graded dimensions of the
 symmetrized algebra are computed as exact ranks of evaluation matrices at
-random configurations, which automatically accounts for the Pfaffian
+random integer configurations, which automatically accounts for the Pfaffian
 relations; a degree-truncated scan of symmetrized monomials then recovers a
-generating set without any Groebner machinery.
+generating set without any Groebner machinery.  Every monomial in an S_m
+orbit symmetrizes to the same polynomial up to sign, so each orbit gives one
+integer row, and ranks are taken by fraction-free integer elimination.
 """
 
 import random
 from itertools import combinations_with_replacement, permutations
-from math import comb, factorial, gcd
+from math import factorial, gcd, lcm, prod
 
 from .exact import Rat, rat
 from .field_generators import _symp_gradients, basic_set, dim_d
-from .invariants import GramTable, gram, random_config
-from .poly import MultiPoly, avar
+from .invariants import gram, random_config
+from .poly import MultiPoly, avar, evaluate
 
 _MAX_GRADED_DEGREE = 10
 _MAX_GRADED_POINTS = 4
@@ -48,18 +50,24 @@ def _permute_monomial(mono, images):
     return tuple(sorted(exps.items())), sign
 
 
+def _relabeling_sum(terms, m):
+    """m! times the Reynolds image of {monomial: coefficient}, as a dict that
+    keeps cancelled monomials (coefficient 0); int input gives int output."""
+    total = {}
+    for images in permutations(range(1, m + 1)):
+        lookup = dict(zip(range(1, m + 1), images))
+        for mono, c in terms.items():
+            new, sign = _permute_monomial(mono, lookup)
+            total[new] = total.get(new, 0) + sign * c
+    return total
+
+
 def reynolds(p: MultiPoly, m) -> MultiPoly:
     """Average over all m! point relabelings: the projection onto S_m-invariants."""
     if _pairwise_indices(p) > m:
         raise ValueError("polynomial mentions a point index beyond m")
-    total = {}
-    for images in permutations(range(1, m + 1)):
-        lookup = dict(zip(range(1, m + 1), images))
-        for mono, c in p.terms.items():
-            new, sign = _permute_monomial(mono, lookup)
-            total[new] = total.get(new, 0) + sign * c
     scale = rat(1, factorial(m))
-    return MultiPoly({mono: c * scale for mono, c in total.items()})
+    return MultiPoly({mono: c * scale for mono, c in _relabeling_sum(p.terms, m).items()})
 
 
 def poincare_coeffs(maxdeg):
@@ -99,50 +107,30 @@ def verify_R8() -> bool:
     return r8.is_zero()
 
 
-def _permuted_tables(g: GramTable, m):
-    """All m! relabelings of a Gram table (table of the relabeled config)."""
-    out = []
-    for images in permutations(range(1, m + 1)):
-        vals = {}
-        for i in range(1, m + 1):
-            for j in range(i + 1, m + 1):
-                vi, vj = images[i - 1], images[j - 1]
-                vals[(i, j)] = g.value(vi, vj)
-        out.append(GramTable(m, vals))
-    return out
+class _IntRowSpace:
+    """Incremental exact integer row space: insert returns True on rank increase.
 
-
-def _mono_value(mono, table):
-    v = Rat(1)
-    for (_, i, j), e in mono:
-        v *= table.value(i, j) ** e
-    return v
-
-
-def _symmetrized_value(mono, tables, m):
-    total = Rat(0)
-    for t in tables:
-        total += _mono_value(mono, t)
-    return total / factorial(m)
-
-
-class _RowSpace:
-    """Incremental exact row space: insert returns True on rank increase."""
+    Fraction-free: a new row is cleared at each stored pivot by integer
+    cross-multiplication; a surviving row is stored divided by its content.
+    """
 
     def __init__(self):
-        self.rows = []  # reduced rows with leading entry 1
+        self.rows = []
         self.pivots = []
 
     def insert(self, vec):
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
+            f = v[p]
+            if f:
+                r = row[p]
+                g = gcd(f, r)
+                f, r = f // g, r // g
+                v = [r * x - f * y for x, y in zip(v, row)]
         for p, x in enumerate(v):
-            if x != 0:
-                inv = x
-                self.rows.append([y / inv for y in v])
+            if x:
+                content = gcd(*v)
+                self.rows.append([y // content for y in v])
                 self.pivots.append(p)
                 return True
         return False
@@ -152,13 +140,23 @@ class _RowSpace:
         return len(self.rows)
 
 
-def _sample_tables(m, n, count, rng):
-    """Random evaluation configurations and their permuted Gram tables."""
+def _integer_tables(m, n, count, rng):
+    """Gram tables {a_ij: int} of random integer configurations."""
     out = []
     for _ in range(count):
         g = gram(random_config(n, m, rng, lo=-20, hi=20))
-        out.append(_permuted_tables(g, m))
+        out.append({avar(i, j): int(v) for (i, j), v in g.values.items()})
     return out
+
+
+def _int_value(terms, table):
+    """Value of {monomial: int coefficient} at an integer Gram table."""
+    total = 0
+    for mono, c in terms.items():
+        for var, e in mono:
+            c *= table[var] ** e
+        total += c
+    return total
 
 
 def _degree_monomials(m, k):
@@ -174,12 +172,30 @@ def _degree_monomials(m, k):
     return monos
 
 
+def _orbit_sums(monos, m):
+    """(first monomial, signed orbit sum) per S_m orbit with a nonzero sum, in
+    scan order; the other monomials of an orbit symmetrize to +- the same."""
+    seen = set()
+    out = []
+    for mono in monos:
+        if mono in seen:
+            continue
+        total = _relabeling_sum({mono: 1}, m)
+        seen.update(total)
+        orbit = {x: c for x, c in total.items() if c}
+        if orbit:
+            out.append((mono, orbit))
+    return out
+
+
 def graded_dim(m, n, k, seed=0):
     """Dimension of the degree-k piece of the symmetrized invariant algebra.
 
     Exact rank of the matrix of all symmetrized degree-k monomials evaluated
-    at random integer configurations (three independent batches, so a false
-    drop in rank would need a measure-zero triple coincidence).
+    at 3 * (#monomials + 5) random integer configurations (three independent
+    batches, so a false drop in rank would need a measure-zero triple
+    coincidence).  Each S_m orbit of monomials gives one integer row, its
+    signed orbit sum; the rank is exact, by fraction-free elimination.
     """
     if k > _MAX_GRADED_DEGREE or m > _MAX_GRADED_POINTS:
         raise ValueError(f"cost guard: need k <= {_MAX_GRADED_DEGREE} and m <= {_MAX_GRADED_POINTS}")
@@ -187,10 +203,10 @@ def graded_dim(m, n, k, seed=0):
         return 1
     monos = _degree_monomials(m, k)
     rng = random.Random(seed)
-    samples = _sample_tables(m, n, 3 * (len(monos) + 5), rng)
-    space = _RowSpace()
-    for mono in monos:
-        space.insert([_symmetrized_value(mono, tabs, m) for tabs in samples])
+    tables = _integer_tables(m, n, 3 * (len(monos) + 5), rng)
+    space = _IntRowSpace()
+    for _, orbit in _orbit_sums(monos, m):
+        space.insert([_int_value(orbit, t) for t in tables])
     return space.rank
 
 
@@ -248,7 +264,7 @@ def q_sequence(m, n, seed=0):
         for q in polys:
             partials = {}
             for var in q.variables():
-                val = _eval_poly(q.derivative(var), g)
+                val = evaluate(q.derivative(var), g)
                 partials[(var[1], var[2])] = val
             row = [Rat(0)] * (2 * n * m)
             for (i, j), dq in partials.items():
@@ -267,17 +283,12 @@ def q_sequence(m, n, seed=0):
 
 
 def _rank_rows(rows):
-    space = _RowSpace()
+    """Exact rank of rational rows, each scaled to integers by its common denominator."""
+    space = _IntRowSpace()
     for r in rows:
-        space.insert(r)
+        den = lcm(*(x.denominator for x in r))
+        space.insert([x.numerator * (den // x.denominator) for x in r])
     return space.rank
-
-
-def _eval_poly(p: MultiPoly, g: GramTable) -> Rat:
-    total = Rat(0)
-    for mono, c in p.terms.items():
-        total += c * _mono_value(mono, g)
-    return total
 
 
 def generator_search(m, n, maxdeg, seed=0):
@@ -286,38 +297,27 @@ def generator_search(m, n, maxdeg, seed=0):
     Monomials are visited by increasing total degree (lex within degree); a
     symmetrized monomial is kept iff it falls outside the linear span of the
     degree-matched products of previously kept generators, decided by exact
-    evaluation rank at random configurations.  Every scanned degree ends up
-    saturated by construction; no claim is made beyond maxdeg.
+    evaluation rank at 3 * (#monomials + 5) random integer configurations per
+    degree.  Only the first monomial of each S_m orbit is tested (the others
+    symmetrize to the same image up to sign), as one integer row, with
+    fraction-free elimination.  Every scanned degree ends up saturated by
+    construction; no claim is made beyond maxdeg.
     """
     if m > _MAX_SEARCH_POINTS or maxdeg > _MAX_SEARCH_DEGREE:
         raise ValueError(f"cost guard: need m <= {_MAX_SEARCH_POINTS} and maxdeg <= {_MAX_SEARCH_DEGREE}")
     rng = random.Random(seed)
-    kept = []  # (poly, degree)
+    kept = []  # (poly, degree, {monomial: int coefficient})
     for k in range(1, maxdeg + 1):
         monos = _degree_monomials(m, k)
-        samples = _sample_tables(m, n, 3 * (len(monos) + 5), rng)
-        space = _RowSpace()
-        for product in _degree_products(kept, k):
-            space.insert([_eval_poly(product, tabs[0]) for tabs in samples])
-        for mono in monos:
-            row = [_symmetrized_value(mono, tabs, m) for tabs in samples]
-            if space.insert(row):
-                kept.append((_content_normalized(reynolds(MultiPoly({mono: 1}), m)), k))
-    return [p for p, _ in kept]
-
-
-def _degree_products(kept, k):
-    """Products of kept generators with total degree exactly k."""
-    out = []
-
-    def rec(start, degree, acc):
-        if degree == k:
-            out.append(acc)
-            return
-        for idx in range(start, len(kept)):
-            p, d = kept[idx]
-            if degree + d <= k:
-                rec(idx, degree + d, acc * p)
-
-    rec(0, 0, MultiPoly.constant(1))
-    return out
+        tables = _integer_tables(m, n, 3 * (len(monos) + 5), rng)
+        values = [[_int_value(terms, t) for t in tables] for _, _, terms in kept]
+        space = _IntRowSpace()
+        for size in range(1, k + 1):  # products of kept generators of total degree k
+            for product in combinations_with_replacement(range(len(kept)), size):
+                if sum(kept[i][1] for i in product) == k:
+                    space.insert([prod(col) for col in zip(*(values[i] for i in product))])
+        for mono, orbit in _orbit_sums(monos, m):
+            if space.insert([_int_value(orbit, t) for t in tables]):
+                p = _content_normalized(reynolds(MultiPoly({mono: 1}), m))
+                kept.append((p, k, {x: int(c) for x, c in p.terms.items()}))
+    return [p for p, _, _ in kept]

@@ -18,7 +18,7 @@ from math import comb
 
 from .exact import ExactMatrix, Rat, rat, rat_str
 from .field_generators import basic_set
-from .invariants import GenericityError, GramTable
+from .invariants import GenericityError, GramTable, _half_dimension
 from .normal_form import Signature
 
 
@@ -246,7 +246,7 @@ def contact_config_from_dict(obj):
     pts = tuple(
         ContactPoint(tuple(p["x"]), tuple(p["y"]), p["u"]) for p in obj["points"]
     )
-    return ContactConfig(int(obj["n"]), pts)
+    return ContactConfig(_half_dimension(obj), pts)
 
 
 def load_contact_config(path):

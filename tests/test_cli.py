@@ -179,3 +179,29 @@ def test_output_is_deterministic(sample_config, capsys):
     _, s1 = run(capsys, "--seed", "5", "symmetrize", "--m", "3", "--n", "1", "--maxdeg", "4")
     _, s2 = run(capsys, "--seed", "5", "symmetrize", "--m", "3", "--n", "1", "--maxdeg", "4")
     assert s1 == s2
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"n": 1, "points": [[1.5, 0], [0, 1]]},  # float coordinate
+        {"n": 1.9, "points": [[1, 0], [0, 1]]},  # fractional n, not truncated to 1
+        {"n": True, "points": [[1, 0], [0, 1]]},
+    ],
+)
+def test_malformed_config_is_input_error(tmp_path, capsys, obj):
+    code = main(["invariants", write_json(tmp_path / "bad.json", obj)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_fractional_n_contact_config_is_input_error(tmp_path, capsys):
+    bad = {"n": 1.9, "points": [{"x": [1], "y": [2], "u": 3}, {"x": [0], "y": [1], "u": 1}]}
+    path = write_json(tmp_path / "bad.json", bad)
+    code = main(["equiv", path, path, "--group", "contact"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "'n' must be an integer" in err
+    assert "Traceback" not in err

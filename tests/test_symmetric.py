@@ -1,13 +1,18 @@
 import random
+from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
-from sympjoint.exact import rat
+from sympjoint.exact import ExactMatrix, rank, rat
 from sympjoint.invariants import gram, random_config
 from sympjoint.poly import MultiPoly, avar, evaluate
 from sympjoint.symmetric import (
     _content_normalized,
+    _degree_monomials,
+    _IntRowSpace,
+    _rank_rows,
     generator_search,
     graded_dim,
     named_generators,
@@ -107,6 +112,55 @@ def test_graded_dim_examples():
         graded_dim(5, 1, 2)
     with pytest.raises(ValueError):
         graded_dim(3, 1, 11)
+
+
+def reference_graded_dim(m, k, seed):
+    """Rank of the Reynolds images of all degree-k monomials, evaluated one by
+    one with rational arithmetic at random configurations."""
+    images = [reynolds(MultiPoly({mono: 1}), m) for mono in _degree_monomials(m, k)]
+    rng = random.Random(seed)
+    tables = [gram(random_config(1, m, rng, lo=-20, hi=20)) for _ in range(len(images) + 5)]
+    return rank(ExactMatrix([[evaluate(p, g) for g in tables] for p in images]))
+
+
+@pytest.mark.parametrize("m,top", [(3, 6), (4, 3)])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+def test_graded_dim_matches_reference_rank(m, top, seed):
+    for k in range(1, top + 1):
+        assert graded_dim(m, 1, k, seed=seed) == reference_graded_dim(m, k, seed + 100)
+
+
+def test_graded_dim_four_points():
+    assert graded_dim(4, 1, 3) == 2
+    for seed in (0, 7):
+        assert graded_dim(4, 1, 4, seed=seed) == 8
+
+
+def test_int_row_space_known_rank():
+    rows = [
+        [2, 4, 6, 8],
+        [1, 2, 3, 4],  # 1/2 of the first row
+        [-3, -6, -9, -12],  # -3/2 of the first row
+        [0, 0, 0, 0],
+        [0, 3, 3, 0],
+        [2, 5, 7, 8],  # first row + third of the fifth
+        [5, 0, 0, 1],
+        [7, 4, 6, 9],  # first row + last row
+    ]
+    space = _IntRowSpace()
+    assert [space.insert(r) for r in rows] == [True, False, False, False, True, False, True, False]
+    assert space.rank == 3 == rank(ExactMatrix(rows))
+    # stored rows are integer rows divided by their content
+    assert space.rows[0] == [1, 2, 3, 4]
+    assert all(isinstance(x, int) for r in space.rows for x in r)
+    assert all(gcd(*r) == 1 for r in space.rows)
+
+
+def test_rank_rows_clears_denominators():
+    F = Fraction
+    assert _rank_rows([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]) == 1
+    assert _rank_rows([[F(1, 2), F(1, 3), F(0)], [F(1, 7), F(-2, 5), F(4, 9)], [F(9, 14), F(-1, 15), F(4, 9)]]) == 2
+    assert _rank_rows([[F(0), F(0)], [F(0), F(5, 3)]]) == 1
 
 
 def test_named_generators_displayed():
