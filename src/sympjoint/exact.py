@@ -269,37 +269,47 @@ def solve_vector(A, b):
     return tuple(x.data[i][0] for i in range(A.rows))
 
 
-def pfaffian(S):
-    """Pfaffian of a skew table by recursive first-row expansion.
-
-    Odd dimension returns 0 (matching det of an odd skew matrix).  Sub-Pfaffians
-    are memoized per index subset, which keeps dims up to ~12 cheap.
+def _pf_expand(labels, entry, zero, add=sum):
+    """Pfaffian of the skew table ``entry(i, j)`` on ``labels`` (i before j),
+    over any commutative ring with ``+ - *`` and int addition (``Rat``, int,
+    ``MultiPoly``): ``add(terms, zero)`` sums a list (the builtin ``sum`` by
+    default).  First-row expansion that skips zero entries and memoizes
+    sub-Pfaffians per label subset; odd length gives ``zero``, empty gives one.
     """
-    if S.dim % 2:
-        return Rat(0)
-    if S.dim == 0:
-        return Rat(1)
+    if len(labels) % 2:
+        return zero
+    if not labels:
+        return zero + 1
     memo = {}
 
     def pf(idx):
         if len(idx) == 2:
-            return S.entry(idx[0], idx[1])
+            return entry(idx[0], idx[1])
         got = memo.get(idx)
         if got is not None:
             return got
         i0 = idx[0]
         rest = idx[1:]
-        total = Rat(0)
-        sign = 1
+        terms = []
         for p, j in enumerate(rest):
-            aij = S.entry(i0, j)
-            if aij != 0:
-                total += sign * aij * pf(rest[:p] + rest[p + 1 :])
-            sign = -sign
-        memo[idx] = total
+            aij = entry(i0, j)
+            if aij != zero:
+                terms.append((-aij if p % 2 else aij) * pf(rest[:p] + rest[p + 1 :]))
+        memo[idx] = total = add(terms, zero)
         return total
 
-    return pf(tuple(range(S.dim)))
+    total = pf(tuple(labels))
+    memo.clear()  # the recursive closure is a cycle: free the minors now, not at a full collection
+    return total
+
+
+def pfaffian(S):
+    """Pfaffian of a skew table by memoized first-row expansion (``_pf_expand``).
+
+    Odd dimension returns 0 (matching det of an odd skew matrix); the subset
+    memo keeps dims up to ~12 cheap.
+    """
+    return _pf_expand(range(S.dim), S.entry, Rat(0))
 
 
 def symplectic_J(n):

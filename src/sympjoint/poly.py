@@ -8,13 +8,18 @@ Variables are tagged tuples totally ordered by tuple comparison:
   ("u", k)         contact-point variable (u-coordinate of point k)
   ("z", name...)   auxiliary variable (coordinates, group parameters)
 A monomial is a sorted tuple of (variable, exponent) pairs; a polynomial maps
-monomials to nonzero rational coefficients.
+monomials to nonzero coefficients, stored as Python ints when integral and as
+``Rat`` otherwise.  Symbolic Pfaffians come from the one memoized first-row
+expansion ``exact._pf_expand``; symbolic determinants from the same kernel on
+the block table [[0, A], [-A^T, 0]], which is a Laplace expansion memoized over
+column subsets (no division, unlike the numeric Bareiss ``exact.det``).
 """
 
 import math
+from bisect import bisect_left
 from itertools import permutations
 
-from .exact import Rat, rat, rat_str
+from .exact import Rat, _pf_expand, rat, rat_str
 
 
 def avar(i, j):
@@ -43,37 +48,93 @@ def var_name(var):
 
 
 def _mono_mul(m1, m2):
-    exps = dict(m1)
+    """Product of sorted monomials: the shorter one's factors are bisect-inserted."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    out = list(m1)
     for v, e in m2:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+        k = bisect_left(out, (v,))
+        if k < len(out) and out[k][0] == v:
+            out[k] = (v, out[k][1] + e)
+        else:
+            out.insert(k, (v, e))
+    return tuple(out)
 
 
 def _mono_degree(mono):
     return sum(e for _, e in mono)
 
 
+def _coef(c):
+    """A coefficient as stored: int when integral, Rat otherwise."""
+    if type(c) is not int:
+        c = rat(c)
+        if c.denominator == 1:
+            c = int(c.numerator)
+    return c
+
+
+def _wrap(terms):
+    """A MultiPoly over a dict of nonzero coefficients (integral Rats become int)."""
+    for mono, c in terms.items():
+        if type(c) is not int and c.denominator == 1:
+            terms[mono] = int(c.numerator)
+    res = MultiPoly.__new__(MultiPoly)
+    res.terms = terms
+    return res
+
+
+def _add_into(out, terms):
+    """out += terms in place, dropping monomials that cancel."""
+    for mono, c in terms.items():
+        s = out.get(mono, 0) + c
+        if s:
+            out[mono] = s
+        else:
+            del out[mono]
+
+
+def _sum(polys, start):
+    """sum(polys, start) added into one dict, not one copy of the total per term."""
+    out = dict(start.terms)
+    for p in polys:
+        _add_into(out, p.terms)
+    return _wrap(out)
+
+
 class MultiPoly:
-    """Sparse polynomial: dict from monomial to exact rational coefficient."""
+    """Sparse polynomial: dict from monomial to nonzero exact coefficient.
+
+    A coefficient is stored as a Python int when integral and as ``Rat``
+    otherwise, so the +-1 coefficients of the Pfaffian and determinant
+    expansions multiply as ints; equality, hashing and printing cannot tell
+    (an int equals and hashes like the equal ``Rat``).  The constructor merges
+    repeated variables within a monomial, drops zero exponents and sums the
+    coefficients of keys that coincide after that.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        out = {}
         for mono, c in (terms or {}).items():
-            c = rat(c)
-            if c != 0:
-                clean[tuple(sorted(mono))] = c
-        self.terms = clean
+            exps = {}
+            for v, e in mono:
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponent must be a nonnegative int, got {e!r}")
+                exps[v] = exps.get(v, 0) + e
+            c = _coef(c)
+            if c:
+                _add_into(out, {tuple(sorted((v, e) for v, e in exps.items() if e)): c})
+        self.terms = _wrap(out).terms
 
     @classmethod
     def constant(cls, c):
-        c = rat(c)
-        return cls({(): c}) if c != 0 else cls()
+        return cls({(): c})
 
     @classmethod
     def variable(cls, var):
-        return cls({((var, 1),): Rat(1)})
+        return _wrap({((var, 1),): 1})
 
     def is_zero(self):
         return not self.terms
@@ -100,22 +161,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other)
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+        _add_into(out, other.terms)
+        return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -127,38 +179,32 @@ class MultiPoly:
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            c = rat(other)
-            if c == 0:
-                return MultiPoly()
-            res = MultiPoly.__new__(MultiPoly)
-            res.terms = {m: c * v for m, v in self.terms.items()}
-            return res
+            c = _coef(other)
+            return _wrap({m: c * v for m, v in self.terms.items()} if c else {})
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
                 s = out.get(mono, 0) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
+                if s:
                     out[mono] = s
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = out
-        return res
+                else:
+                    del out[mono]
+        return _wrap(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("only nonnegative integer powers")
-        result = MultiPoly.constant(1)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return MultiPoly.constant(1) if result is None else result
 
     def derivative(self, var):
         out = {}
@@ -171,26 +217,38 @@ class MultiPoly:
                 del exps[var]
             else:
                 exps[var] = e - 1
-            new = tuple(sorted(exps.items()))
-            out[new] = out.get(new, 0) + c * e
-        res = MultiPoly.__new__(MultiPoly)
-        res.terms = {m: c for m, c in out.items() if c != 0}
-        return res
+            out[tuple(sorted(exps.items()))] = c * e
+        return _wrap(out)
 
     def substitute(self, mapping):
-        """Replace variables by polynomials/rationals; others stay symbolic."""
-        total = MultiPoly()
+        """Replace variables by polynomials/rationals; others stay symbolic.
+
+        Each power rep**e is computed once per (variable, exponent), scalar
+        replacements fold into the coefficient, and the terms add into one dict.
+        """
+        powers = {}
+        out = {}
         for mono, c in self.terms.items():
-            term = MultiPoly.constant(c)
+            kept, factors = [], []
             for v, e in mono:
                 rep = mapping.get(v)
                 if rep is None:
-                    rep = MultiPoly.variable(v)
-                elif not isinstance(rep, MultiPoly):
-                    rep = MultiPoly.constant(rep)
-                term = term * rep**e
-            total = total + term
-        return total
+                    kept.append((v, e))
+                    continue
+                pw = powers.get((v, e))
+                if pw is None:
+                    pw = powers[(v, e)] = rep**e if isinstance(rep, MultiPoly) else _coef(rep) ** e
+                if isinstance(pw, MultiPoly):
+                    factors.append(pw)
+                else:
+                    c = c * pw
+            if not c:
+                continue
+            term = _wrap({tuple(kept): c})
+            for f in factors:
+                term = term * f
+            _add_into(out, term.terms)
+        return _wrap(out)
 
     def __str__(self):
         if not self.terms:
@@ -222,27 +280,18 @@ class MultiPoly:
 def _avar_signed(i, j):
     """a_ij as a polynomial for arbitrary i != j, using a_ji = -a_ij."""
     if i < j:
-        return MultiPoly.variable(avar(i, j))
-    return -MultiPoly.variable(avar(j, i))
+        return _wrap({((avar(i, j), 1),): 1})
+    return _wrap({((avar(j, i), 1),): -1})
+
+
+def _check_labels(idx):
+    if list(idx) != sorted(set(idx)) or any(i < 1 for i in idx):
+        raise ValueError(f"indices must be ascending, distinct and positive, got {idx}")
 
 
 def _pf_poly(idx):
     """Symbolic Pfaffian of the sub-table on idx (any order, distinct labels)."""
-    k = len(idx)
-    if k % 2:
-        return MultiPoly()
-    if k == 0:
-        return MultiPoly.constant(1)
-    if k == 2:
-        return _avar_signed(idx[0], idx[1])
-    i0 = idx[0]
-    rest = idx[1:]
-    total = MultiPoly()
-    sign = 1
-    for p, j in enumerate(rest):
-        total = total + sign * _avar_signed(i0, j) * _pf_poly(rest[:p] + rest[p + 1 :])
-        sign = -sign
-    return total
+    return _pf_expand(idx, _avar_signed, MultiPoly(), _sum)
 
 
 def pfaffian_poly(idx, n):
@@ -250,8 +299,7 @@ def pfaffian_poly(idx, n):
     idx = tuple(idx)
     if len(idx) != 2 * n + 2:
         raise ValueError(f"expected tuple of length {2 * n + 2}, got {len(idx)}")
-    if list(idx) != sorted(set(idx)) or idx[0] < 1:
-        raise ValueError(f"indices must be ascending positive, got {idx}")
+    _check_labels(idx)
     return _pf_poly(idx)
 
 
@@ -261,21 +309,26 @@ def q_poly(idx, n):
     k = 2 * n + 1
     if len(idx) != 4 * n + 2:
         raise ValueError(f"expected tuple of length {4 * n + 2}, got {len(idx)}")
-    rows = [[_avar_signed(idx[s], idx[t + k]) for t in range(k)] for s in range(k)]
-    return _det_poly(rows)
+    _check_labels(idx)
+    return _det_poly([[_avar_signed(idx[s], idx[t + k]) for t in range(k)] for s in range(k)])
 
 
 def _det_poly(rows):
+    """Determinant of a k x k table of polynomials, without division.
+
+    det(A) = (-1)^(k(k-1)/2) Pf([[0, A], [-A^T, 0]]), and the Pfaffian kernel's
+    zero-skipping, memoized expansion of that block table is the Laplace
+    expansion of A along its rows, memoized over column subsets: 2^k minors
+    instead of k! cofactor calls.
+    """
     k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    total = MultiPoly()
-    sign = 1
-    for j in range(k):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        total = total + sign * rows[0][j] * _det_poly(minor)
-        sign = -sign
-    return total
+    zero = MultiPoly()
+
+    def entry(s, t):  # s < t: only a row label against a column label is nonzero
+        return rows[s][t - k] if s < k <= t else zero
+
+    pf = _pf_expand(range(2 * k), entry, zero, _sum)
+    return -pf if k * (k - 1) // 2 % 2 else pf
 
 
 def evaluate(p: MultiPoly, g) -> Rat:
@@ -412,7 +465,7 @@ def _c_elt(i):
         if j == i:
             continue
         key = tuple(k for k in range(1, 6) if k != j)
-        comps[key] = Rat(-1) ** j * _avar_signed(i, j)
+        comps[key] = (-1) ** j * _avar_signed(i, j)
     return FreeModuleElt(comps)
 
 
@@ -448,7 +501,7 @@ def verify_resolution_tower(m):
     d = FreeModuleElt()
     for i in range(1, 6):
         complement = tuple(k for k in range(1, 6) if k != i)
-        coeff = Rat(-1) ** (i + 1) * _pf_poly(complement)
+        coeff = (-1) ** (i + 1) * _pf_poly(complement)
         d = d + _c_elt(i).scale(coeff)
     checks["d components all zero"] = d.is_zero()
 

@@ -1,11 +1,12 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympjoint.exact import Rat
-from sympjoint.invariants import GramTable, gram, random_config
+from sympjoint.exact import Rat, SkewMatrix, _pf_expand, pfaffian, rat
+from sympjoint.invariants import GramTable, gram, q_value, random_config
 from sympjoint.poly import (
     MultiPoly,
     _pf_poly,
@@ -84,6 +85,112 @@ def test_derivative():
     assert p.derivative(avar(2, 3)).is_zero()
 
 
+def test_constructor_merges_repeated_variables():
+    v, w = avar(1, 2), avar(1, 3)
+    x = MultiPoly.variable(v)
+    assert MultiPoly({((v, 1), (v, 1)): 1}) == x**2
+    assert MultiPoly({((v, 1), (w, 2), (v, 2)): 1}) == x**3 * MultiPoly.variable(w) ** 2
+
+
+def test_constructor_drops_zero_exponents():
+    v = avar(1, 2)
+    assert MultiPoly({((v, 0),): 1}) == MultiPoly.constant(1)
+    assert MultiPoly({((v, 0),): 1}).terms == {(): 1}
+
+
+def test_constructor_sums_colliding_keys():
+    v, w = avar(1, 2), avar(1, 3)
+    vw = MultiPoly.variable(v) * MultiPoly.variable(w)
+    assert MultiPoly({((v, 1), (w, 1)): 1, ((w, 1), (v, 1)): 1}) == 2 * vw
+    assert MultiPoly({((v, 1), (w, 1)): 1, ((w, 1), (v, 1)): -1}).is_zero()
+    assert MultiPoly({((v, 1),): 1, ((v, 1), (w, 0)): rat(1, 2)}) == rat(3, 2) * MultiPoly.variable(v)
+
+
+@pytest.mark.parametrize("e", [-1, 1.0, True, "2"])
+def test_constructor_rejects_bad_exponent(e):
+    with pytest.raises(ValueError):
+        MultiPoly({((avar(1, 2), e),): 1})
+
+
+# --- coefficient contract: int when integral, Rat otherwise --------------------
+
+
+def test_integral_coefficient_is_stored_as_int():
+    p = MultiPoly.constant(Rat(4, 2))
+    assert type(p.terms[()]) is int and p.terms[()] == Rat(2)
+    half = MultiPoly.constant(rat(1, 2)) * MultiPoly.variable(avar(1, 2))
+    doubled = 2 * half
+    assert type(doubled.terms[((avar(1, 2), 1),)]) is int
+    assert all(type(c) is int for c in pfaffian_poly(tuple(range(1, 9)), 3).terms.values())
+    assert all(type(c) is int for c in q_poly(tuple(range(1, 7)), 1).terms.values())
+
+
+def test_fractional_coefficient_stays_rat():
+    p = MultiPoly.constant(rat(1, 2)) * MultiPoly.variable(avar(1, 2)) + 1
+    assert isinstance(p.terms[((avar(1, 2), 1),)], Rat)
+    assert p.terms[((avar(1, 2), 1),)] == rat(1, 2)
+    assert str(p) == "1/2*a12 + 1"
+
+
+def test_int_and_rat_valued_copies_agree():
+    p = pfaffian_poly((1, 2, 3, 4, 5, 6), 2) * 3 - 1
+    q = MultiPoly.__new__(MultiPoly)
+    q.terms = {mono: Rat(c) for mono, c in p.terms.items()}
+    assert p.terms == q.terms
+    assert p == q and hash(p) == hash(q) and str(p) == str(q)
+    g = random_table(6, random.Random(24))
+    assert isinstance(evaluate(p, g), Rat)
+    assert evaluate(p, g) == evaluate(q, g)
+
+
+# --- powers and substitution -------------------------------------------------
+
+
+@given(polys())
+@settings(max_examples=30, deadline=None)
+def test_power_equals_repeated_multiplication(p):
+    for k in (0, 1, 2, 5):
+        expected = MultiPoly.constant(1)
+        for _ in range(k):
+            expected = expected * p
+        assert p**k == expected
+
+
+def _substitute_reference(p, mapping):
+    """Term by term, one factor at a time: the textbook definition."""
+    total = MultiPoly()
+    for mono, c in p.terms.items():
+        term = MultiPoly.constant(c)
+        for v, e in mono:
+            rep = mapping.get(v, MultiPoly.variable(v))
+            for _ in range(e):
+                term = term * rep
+        total = total + term
+    return total
+
+
+@given(polys())
+@settings(max_examples=30, deadline=None)
+def test_substitute_matches_reference(p):
+    a12, a13 = MultiPoly.variable(avar(1, 2)), MultiPoly.variable(avar(1, 3))
+    x = MultiPoly.variable(aux_var("x"))
+    mapping = {avar(1, 2): x - 2 * a13, avar(2, 3): rat(2, 3)}
+    assert p.substitute(mapping) == _substitute_reference(p, mapping)
+    assert p.substitute({avar(1, 3): 0, avar(2, 3): a12}) == _substitute_reference(
+        p, {avar(1, 3): MultiPoly(), avar(2, 3): a12}
+    )
+
+
+def test_substitute_powers_and_scalars():
+    a12, a13, a23 = (MultiPoly.variable(avar(*ij)) for ij in ((1, 2), (1, 3), (2, 3)))
+    x = MultiPoly.variable(aux_var("x"))
+    p = a12**3 * a13**2 + 2 * a12 * a23**2 + a13**2
+    got = p.substitute({avar(1, 2): x + 1, avar(1, 3): rat(1, 2), avar(2, 3): 3})
+    assert got == rat(1, 4) * (x + 1) ** 3 + 18 * (x + 1) + rat(1, 4)
+    assert p.substitute({avar(1, 2): 1, avar(1, 3): 1, avar(2, 3): 1}) == MultiPoly.constant(4)
+    assert p.substitute({}) == p
+
+
 # --- symbolic Pfaffians ----------------------------------------------------
 
 
@@ -111,6 +218,68 @@ def test_pfaffian_poly_rejects_malformed():
         pfaffian_poly((1, 2, 3), 1)
     with pytest.raises(ValueError):
         pfaffian_poly((2, 1, 3, 4), 1)
+
+
+@pytest.mark.parametrize(
+    "idx", [(0, 1, 2, 3, 4, 5), (1, 1, 2, 3, 4, 5), (6, 5, 4, 3, 2, 1), (1, 2, 4, 3, 5, 6)]
+)
+def test_q_poly_rejects_malformed(idx):
+    with pytest.raises(ValueError):
+        q_poly(idx, 1)
+    with pytest.raises(ValueError):
+        q_value(random_table(6, random.Random(25)), idx, 1)
+
+
+def _matchings(labels):
+    if not labels:
+        yield []
+        return
+    first, rest = labels[0], labels[1:]
+    for p, j in enumerate(rest):
+        for tail in _matchings(rest[:p] + rest[p + 1 :]):
+            yield [(first, j)] + tail
+
+
+def _crossings(matching):
+    return sum(1 for (a, b) in matching for (c, d) in matching if a < c < b < d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pfaffian_poly_matches_matching_expansion(n):
+    # Pf = sum over perfect matchings of (-1)^crossings * prod a_ij
+    idx = tuple(sorted(random.Random(30 + n).sample(range(1, 2 * n + 6), 2 * n + 2)))
+    expected = {}
+    for matching in _matchings(idx):
+        mono = tuple(sorted((avar(i, j), 1) for i, j in matching))
+        expected[mono] = (-1) ** _crossings(matching)
+    assert pfaffian_poly(idx, n).terms == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_q_poly_matches_permutation_expansion(n):
+    # det = sum over permutations sigma of sign(sigma) * prod_s a_{r_s, c_sigma(s)}
+    k = 2 * n + 1
+    idx = tuple(sorted(random.Random(40 + n).sample(range(1, 4 * n + 6), 4 * n + 2)))
+    rows, cols = idx[:k], idx[k:]
+    expected = {}
+    for sigma in permutations(range(k)):
+        mono = tuple(sorted((avar(rows[s], cols[sigma[s]]), 1) for s in range(k)))
+        inversions = sum(1 for s in range(k) for t in range(s + 1, k) if sigma[s] > sigma[t])
+        expected[mono] = (-1) ** inversions
+    assert q_poly(idx, n).terms == expected
+
+
+def test_pfaffian_kernel_over_int_matches_exact_pfaffian():
+    rng = random.Random(26)
+    for dim in (0, 2, 5, 8, 10):
+        upper = {(i, j): rng.choice([0, 0, rng.randint(-9, 9)]) for i in range(dim) for j in range(i + 1, dim)}
+
+        def entry(i, j):
+            return upper[(i, j)] if i < j else -upper[(j, i)]
+
+        got = _pf_expand(range(dim), entry, 0)
+        assert type(got) is int
+        assert got == pfaffian(SkewMatrix(dim, upper))
 
 
 def test_pfaffian_poly_matches_numeric_pfaffian():
