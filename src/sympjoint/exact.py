@@ -1,34 +1,17 @@
 """Exact rational scalars and exact linear algebra kernels.
 
-Every computation in this module is exact: scalars are arbitrary-precision
-rationals, eliminations divide exactly, and no rounding ever occurs.  The
-ground type is gmpy2's C-implemented ``mpq`` when importable and the stdlib
-``Fraction`` otherwise; set ``SYMPJOINT_RAT_BACKEND=fraction`` (or ``gmpy2``)
-to force a backend.  Both types expose identical arithmetic, so everything
-downstream is backend-agnostic.
+Every computation in this module is exact: there is one scalar type, the
+stdlib ``Fraction`` (exported as ``Rat``), and no rounding ever occurs.  Every
+elimination (rank, nullspace, solve, inverse, determinant) runs fraction-free
+on integer rows, each exact row scaled by its common denominator; division
+happens only when an exact output is built.
 """
 
-import os
 import random
+from fractions import Fraction as Rat
+from math import gcd, lcm, prod
 
-_requested = os.environ.get("SYMPJOINT_RAT_BACKEND", "").strip().lower()
-if _requested in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as Rat
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        from fractions import Fraction as Rat
-
-        BACKEND = "fraction"
-elif _requested in ("fraction", "pure"):
-    from fractions import Fraction as Rat
-
-    BACKEND = "fraction"
-else:
-    raise RuntimeError(f"unknown SYMPJOINT_RAT_BACKEND {_requested!r}")
+BACKEND = "fraction"
 
 
 def rat(value, den=None):
@@ -165,16 +148,89 @@ class SkewMatrix:
         return ExactMatrix([[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)])
 
 
+def _integer_row(row):
+    """An exact row scaled to integers by its common denominator: (ints, den).
+
+    Entries go through ``rat``, so a float raises TypeError.
+    """
+    row = [rat(x) for x in row]
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _clear(v, row, p):
+    """v with column p cleared by integer cross-multiplication with row (row[p] != 0)."""
+    f, r = v[p], row[p]
+    g = gcd(f, r)
+    f, r = f // g, r // g
+    return [r * x - f * y for x, y in zip(v, row)]
+
+
+class _IntRowSpace:
+    """Incremental exact integer row space: insert returns True on rank increase.
+
+    Fraction-free: a new row is cleared at each stored pivot by integer
+    cross-multiplication; a surviving row is stored divided by its content.
+    """
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def insert(self, vec):
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if v[p]:
+                v = _clear(v, row, p)
+        for p, x in enumerate(v):
+            if x:
+                content = gcd(*v)
+                self.rows.append([y // content for y in v])
+                self.pivots.append(p)
+                return True
+        return False
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def reduced(self):
+        """(pivot column, integer row) pairs in pivot order, each row zero in
+        every other pivot column: dividing each row by its pivot entry gives
+        the reduced row echelon form.
+
+        A stored row is already zero in the pivot columns of the rows stored
+        before it, so clearing each pivot column from the earlier rows, last
+        row first, disturbs no column cleared before.
+        """
+        rows = list(self.rows)
+        for i in reversed(range(len(rows))):
+            p = self.pivots[i]
+            for j in range(i):
+                if rows[j][p]:
+                    rows[j] = _clear(rows[j], rows[i], p)
+        return sorted(zip(self.pivots, rows))
+
+
+def _row_space(data):
+    """The integer row space of exact rows."""
+    space = _IntRowSpace()
+    for row in data:
+        space.insert(_integer_row(row)[0])
+    return space
+
+
 def det(M):
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination on integer rows."""
     if M.rows != M.cols:
         raise ValueError(f"det of non-square {M.rows}x{M.cols} matrix")
     n = M.rows
     if n == 0:
         return Rat(1)
-    a = [[rat(x) for x in row] for row in M.data]
+    scaled = [_integer_row(row) for row in M.data]
+    a = [row for row, _ in scaled]
     sign = 1
-    prev = Rat(1)
+    prev = 1
     for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
@@ -187,62 +243,28 @@ def det(M):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # Bareiss one-step condensation; the division is exact
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) / prev
-            a[i][k] = Rat(0)
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _rref(data):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols)."""
-    a = [[rat(x) for x in row] for row in data]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][c]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return a, pivots
+    return Rat(sign * a[n - 1][n - 1], prod(den for _, den in scaled))
 
 
 def rank(M):
     """Exact rank."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    _, pivots = _rref(M.data)
-    return len(pivots)
+    return _row_space(M.data).rank
 
 
 def nullspace(M):
     """Exact basis of the right kernel, one vector (tuple) per free column."""
-    if M.rows == 0 or M.cols == 0:
-        return [tuple(Rat(1) if i == f else Rat(0) for i in range(M.cols)) for f in range(M.cols)]
-    a, pivots = _rref(M.data)
-    pivot_set = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivot_set]
+    pivot_rows = dict(_row_space(M.data).reduced())
     basis = []
-    for f in free:
+    for f in range(M.cols):
+        if f in pivot_rows:
+            continue
         v = [Rat(0)] * M.cols
         v[f] = Rat(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
+        for c, row in pivot_rows.items():
+            v[c] = Rat(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
@@ -253,11 +275,10 @@ def solve(A, B):
         raise ValueError("solve needs a square matrix")
     if B.rows != A.rows:
         raise ValueError("right-hand side row mismatch")
-    aug = [list(ra) + list(rb) for ra, rb in zip(A.data, B.data)]
-    red, pivots = _rref(aug)
-    if pivots != list(range(A.cols)):
+    reduced = _row_space(list(ra) + list(rb) for ra, rb in zip(A.data, B.data)).reduced()
+    if [p for p, _ in reduced] != list(range(A.cols)):
         raise ValueError("singular matrix")
-    return ExactMatrix([row[A.cols:] for row in red[: A.rows]])
+    return ExactMatrix([[Rat(x, row[p]) for x in row[A.cols :]] for p, row in reduced])
 
 
 def inverse(M):

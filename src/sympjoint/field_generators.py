@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .exact import ExactMatrix, Rat, pfaffian, rank
+from .exact import ExactMatrix, Rat, _pf_expand, rank, rat
 from .invariants import GenericityError, GramTable, PointConfig, random_config
 
 
@@ -66,20 +66,12 @@ def eliminate_entry(known, k, l, n):
             return -table[(j, i)]
 
     idx = tuple(range(1, 2 * n + 1)) + (k, l)
-    size = len(idx)
-    kpos, lpos = size - 2, size - 1
 
     def pf_with(akl):
-        upper = {}
-        for p in range(size):
-            for q in range(p + 1, size):
-                if (p, q) == (kpos, lpos):
-                    upper[(p, q)] = akl
-                else:
-                    upper[(p, q)] = lookup(idx[p], idx[q])
-        from .exact import SkewMatrix
+        def entry(i, j):
+            return akl if (i, j) == (k, l) else rat(lookup(i, j))
 
-        return pfaffian(SkewMatrix(size, upper))
+        return _pf_expand(idx, entry, Rat(0))
 
     const = pf_with(Rat(0))
     coeff = pf_with(Rat(1)) - const

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import Rat, SkewMatrix, det, ExactMatrix, rat, rat_str, symp
+from .exact import Rat, SkewMatrix, det, ExactMatrix, pfaffian, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -138,8 +138,6 @@ def syzygy_value(g: GramTable, idx, n=None):
     if n is not None and len(idx) != 2 * n + 2:
         raise ValueError(f"tuple length {len(idx)} != 2n+2 = {2 * n + 2}")
     idx = _check_tuple(idx, g.m, len(idx))
-    from .exact import pfaffian
-
     return pfaffian(g.subtable(idx))
 
 

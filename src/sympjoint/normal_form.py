@@ -19,6 +19,7 @@ from .exact import (
     Rat,
     inverse,
     is_symplectic,
+    nullspace,
     pfaffian,
     solve_vector,
     symp,
@@ -193,6 +194,31 @@ def _sp_values(config):
     return tuple(g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs)
 
 
+def _relations(config):
+    """The linear relations among the points, flattened: the canonical (RREF)
+    nullspace basis of the 2n x m point matrix when m < 2n, else empty.
+
+    By Witt's extension theorem the Gram table together with these relations
+    determines the Sp orbit; for m >= 2n a passing chain makes the first 2n
+    points a basis, so the Gram table alone does.
+    """
+    if config.m >= 2 * config.n:
+        return ()
+    return tuple(x for v in nullspace(ExactMatrix.from_columns(config.points)) for x in v)
+
+
+def _linear_values(key, config):
+    """Signature values of a generic configuration under Sp or CSp: the
+    basic-set values (CSp: sign(a12) and the ratios), then the relations."""
+    if key == "CSp":
+        from .variants import csp_signature
+
+        values = csp_signature(gram(config), config.n).values
+    else:
+        values = _sp_values(config)
+    return values + _relations(config)
+
+
 def _translated(config):
     if config.m < 2:
         raise ValueError("affine signature needs at least two points")
@@ -210,6 +236,8 @@ def signature(config, group) -> Signature:
     Sp: the basic-set values; CSp: sign(a12) then ratios a_ij/a12; ASp: the
     Sp signature of the configuration translated by -A_1; Contact: the
     absolute contact invariants (configuration must be a ContactConfig).
+    For Sp, CSp and ASp with fewer than 2n (translated) points, the flattened
+    canonical basis of the linear relations among the points follows.
     If the leading pair degenerates, the points are relabeled once (the first
     nonzero pair moves to the front) before giving up.
     """
@@ -220,17 +248,11 @@ def signature(config, group) -> Signature:
         if not isinstance(config, ContactConfig):
             raise ValueError("the contact signature takes a ContactConfig")
         return contact_absolute(config)
-    if key == "Sp":
-        cfg, _ = _genericize(config)
-        return Signature("Sp", _sp_values(cfg))
-    if key == "CSp":
-        from .variants import csp_signature
-
-        cfg, _ = _genericize(config)
-        return csp_signature(gram(cfg), cfg.n)
-    # ASp: translation removes the base point, then the linear theory applies
-    cfg, _ = _genericize(_translated(config))
-    return Signature("ASp", _sp_values(cfg))
+    if key == "ASp":
+        # translation removes the base point, then the linear theory applies
+        config = _translated(config)
+    cfg, _ = _genericize(config)
+    return Signature(key, _linear_values(key, cfg))
 
 
 def equivalent(A, B, group) -> bool:
@@ -255,10 +277,4 @@ def equivalent(A, B, group) -> bool:
         raise GenericityError(
             "second configuration non-generic: " + ", ".join(rep.failed_predicates)
         )
-    if key == "CSp":
-        from .variants import csp_signature
-
-        sig_a = csp_signature(gram(cfg_a), cfg_a.n)
-        sig_b = csp_signature(gram(cfg_b), cfg_b.n)
-        return sig_a == sig_b
-    return _sp_values(cfg_a) == _sp_values(cfg_b)
+    return _linear_values(key, cfg_a) == _linear_values(key, cfg_b)

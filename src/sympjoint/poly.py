@@ -70,7 +70,7 @@ def _coef(c):
     if type(c) is not int:
         c = rat(c)
         if c.denominator == 1:
-            c = int(c.numerator)
+            c = c.numerator
     return c
 
 
@@ -78,7 +78,7 @@ def _wrap(terms):
     """A MultiPoly over a dict of nonzero coefficients (integral Rats become int)."""
     for mono, c in terms.items():
         if type(c) is not int and c.denominator == 1:
-            terms[mono] = int(c.numerator)
+            terms[mono] = c.numerator
     res = MultiPoly.__new__(MultiPoly)
     res.terms = terms
     return res
@@ -331,20 +331,31 @@ def _det_poly(rows):
     return -pf if k * (k - 1) // 2 % 2 else pf
 
 
+def _value(terms, values):
+    """Value of {monomial: coefficient} at {variable: value}; integer
+    coefficients and values give an int."""
+    total = 0
+    for mono, c in terms.items():
+        for var, e in mono:
+            c *= values[var] ** e
+        total += c
+    return total
+
+
 def evaluate(p: MultiPoly, g) -> Rat:
     """Substitute a Gram table into a polynomial in pairwise variables."""
-    total = Rat(0)
-    for mono, c in p.terms.items():
-        term = c
-        for v, e in mono:
+    values = {}
+    for mono in p.terms:
+        for v, _ in mono:
+            if v in values:
+                continue
             if v[0] != "a":
                 raise ValueError(f"cannot evaluate non-pairwise variable {var_name(v)}")
             _, i, j = v
             if j > g.m:
                 raise ValueError(f"variable a{i}{j} out of range for m={g.m}")
-            term *= g.value(i, j) ** e
-        total += term
-    return total
+            values[v] = g.value(i, j)
+    return Rat(_value(p.terms, values))
 
 
 def _perm_sign(images):

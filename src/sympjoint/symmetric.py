@@ -15,10 +15,10 @@ import random
 from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
-from .exact import Rat, rat
+from .exact import ExactMatrix, Rat, _IntRowSpace, rank, rat
 from .field_generators import _symp_gradients, basic_set, dim_d
 from .invariants import gram, random_config
-from .poly import MultiPoly, avar, evaluate
+from .poly import MultiPoly, _value, avar, evaluate
 
 _MAX_GRADED_DEGREE = 10
 _MAX_GRADED_POINTS = 4
@@ -107,39 +107,6 @@ def verify_R8() -> bool:
     return r8.is_zero()
 
 
-class _IntRowSpace:
-    """Incremental exact integer row space: insert returns True on rank increase.
-
-    Fraction-free: a new row is cleared at each stored pivot by integer
-    cross-multiplication; a surviving row is stored divided by its content.
-    """
-
-    def __init__(self):
-        self.rows = []
-        self.pivots = []
-
-    def insert(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            f = v[p]
-            if f:
-                r = row[p]
-                g = gcd(f, r)
-                f, r = f // g, r // g
-                v = [r * x - f * y for x, y in zip(v, row)]
-        for p, x in enumerate(v):
-            if x:
-                content = gcd(*v)
-                self.rows.append([y // content for y in v])
-                self.pivots.append(p)
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def _integer_tables(m, n, count, rng):
     """Gram tables {a_ij: int} of random integer configurations."""
     out = []
@@ -147,16 +114,6 @@ def _integer_tables(m, n, count, rng):
         g = gram(random_config(n, m, rng, lo=-20, hi=20))
         out.append({avar(i, j): int(v) for (i, j), v in g.values.items()})
     return out
-
-
-def _int_value(terms, table):
-    """Value of {monomial: int coefficient} at an integer Gram table."""
-    total = 0
-    for mono, c in terms.items():
-        for var, e in mono:
-            c *= table[var] ** e
-        total += c
-    return total
 
 
 def _degree_monomials(m, k):
@@ -206,7 +163,7 @@ def graded_dim(m, n, k, seed=0):
     tables = _integer_tables(m, n, 3 * (len(monos) + 5), rng)
     space = _IntRowSpace()
     for _, orbit in _orbit_sums(monos, m):
-        space.insert([_int_value(orbit, t) for t in tables])
+        space.insert([_value(orbit, t) for t in tables])
     return space.rank
 
 
@@ -218,13 +175,8 @@ def _content_normalized(p: MultiPoly) -> MultiPoly:
     """
     if p.is_zero():
         return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        d = int(c.denominator)
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, abs(int(c.numerator) * denom_lcm // int(c.denominator)))
+    denom_lcm = lcm(*(c.denominator for c in p.terms.values()))
+    num_gcd = gcd(*(c.numerator * denom_lcm // c.denominator for c in p.terms.values()))
     scaled = p * rat(denom_lcm, num_gcd)
     variables = sorted(scaled.variables())
 
@@ -276,19 +228,10 @@ def q_sequence(m, n, seed=0):
                     for c in range(2 * n):
                         row[base + c] += dq * grad[c]
             rows.append(row)
-        best = max(best, _rank_rows(rows))
+        best = max(best, rank(ExactMatrix(rows)))
         if best == d:
             break
     return {"polys": polys, "rank": best, "expected": d, "independent": best == d}
-
-
-def _rank_rows(rows):
-    """Exact rank of rational rows, each scaled to integers by its common denominator."""
-    space = _IntRowSpace()
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        space.insert([x.numerator * (den // x.denominator) for x in r])
-    return space.rank
 
 
 def generator_search(m, n, maxdeg, seed=0):
@@ -306,18 +249,18 @@ def generator_search(m, n, maxdeg, seed=0):
     if m > _MAX_SEARCH_POINTS or maxdeg > _MAX_SEARCH_DEGREE:
         raise ValueError(f"cost guard: need m <= {_MAX_SEARCH_POINTS} and maxdeg <= {_MAX_SEARCH_DEGREE}")
     rng = random.Random(seed)
-    kept = []  # (poly, degree, {monomial: int coefficient})
+    kept = []  # (poly with int coefficients, degree)
     for k in range(1, maxdeg + 1):
         monos = _degree_monomials(m, k)
         tables = _integer_tables(m, n, 3 * (len(monos) + 5), rng)
-        values = [[_int_value(terms, t) for t in tables] for _, _, terms in kept]
+        values = [[_value(p.terms, t) for t in tables] for p, _ in kept]
         space = _IntRowSpace()
         for size in range(1, k + 1):  # products of kept generators of total degree k
             for product in combinations_with_replacement(range(len(kept)), size):
                 if sum(kept[i][1] for i in product) == k:
                     space.insert([prod(col) for col in zip(*(values[i] for i in product))])
         for mono, orbit in _orbit_sums(monos, m):
-            if space.insert([_int_value(orbit, t) for t in tables]):
+            if space.insert([_value(orbit, t) for t in tables]):
                 p = _content_normalized(reynolds(MultiPoly({mono: 1}), m))
-                kept.append((p, k, {x: int(c) for x, c in p.terms.items()}))
-    return [p for p, _, _ in kept]
+                kept.append((p, k))
+    return [p for p, _ in kept]

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from sympjoint.exact import (
     Rat,
     SkewMatrix,
     det,
+    inverse,
     is_symplectic,
     nullspace,
     pfaffian,
@@ -16,6 +18,7 @@ from sympjoint.exact import (
     rank,
     rat,
     rat_str,
+    solve,
     symp,
     symplectic_J,
 )
@@ -160,3 +163,75 @@ def test_symp_bilinear_antisymmetric(u, v, w, c):
     assert symp(u, u) == 0
     cu_plus_w = tuple(c * a + b for a, b in zip(u, w))
     assert symp(cu_plus_w, v) == c * symp(u, v) + symp(w, v)
+
+
+# --- elimination kernels against independent references -------------------
+
+small_rat = st.builds(Rat, st.integers(-5, 5), st.integers(1, 4))
+
+
+@st.composite
+def rat_matrices(draw, rows=None, cols=None):
+    """Small rational matrices, often rank-deficient (a product through a
+    random inner dimension) and often sparse."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 4))
+        left = [[draw(small_rat) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(small_rat) for _ in range(cols)] for _ in range(inner)]
+        return ExactMatrix(
+            [[sum((left[i][t] * right[t][j] for t in range(inner)), Rat(0)) for j in range(cols)] for i in range(rows)]
+        )
+    entry = st.one_of(st.just(Rat(0)), small_rat)
+    return ExactMatrix([[draw(entry) for _ in range(cols)] for _ in range(rows)])
+
+
+def largest_nonzero_minor(M):
+    for k in range(min(M.rows, M.cols), 0, -1):
+        for rs in combinations(range(M.rows), k):
+            for cs in combinations(range(M.cols), k):
+                if det(ExactMatrix([[M.data[i][j] for j in cs] for i in rs])) != 0:
+                    return k
+    return 0
+
+
+@given(rat_matrices())
+@settings(max_examples=80, deadline=None)
+def test_rank_is_largest_nonzero_minor(M):
+    assert rank(M) == largest_nonzero_minor(M)
+
+
+@given(rat_matrices())
+@settings(max_examples=80, deadline=None)
+def test_nullspace_is_kernel_of_full_dimension(M):
+    kernel = nullspace(M)
+    assert len(kernel) == M.cols - rank(M)
+    for v in kernel:
+        assert len(v) == M.cols
+        assert all(x == 0 for x in M.apply(v))
+
+
+@given(st.integers(0, 4).flatmap(lambda k: st.tuples(rat_matrices(k, k), rat_matrices(k, None))))
+@settings(max_examples=80, deadline=None)
+def test_solve_and_inverse(pair):
+    A, B = pair
+    if det(A) == 0:
+        for call in (lambda: solve(A, B), lambda: inverse(A)):
+            with pytest.raises(ValueError, match="^singular matrix$"):
+                call()
+        return
+    assert A @ solve(A, B) == B
+    assert inverse(A) @ A == ExactMatrix.identity(A.rows)
+
+
+@given(st.integers(0, 5).flatmap(lambda k: rat_matrices(k, k)))
+@settings(max_examples=80, deadline=None)
+def test_det_of_rational_matrix_matches_cofactor_oracle(M):
+    assert det(M) == (det_cofactor(M) if M.rows else 1)
+
+
+@pytest.mark.parametrize("kernel", [rank, nullspace, det])
+def test_float_entry_is_refused(kernel):
+    with pytest.raises(TypeError):
+        kernel(ExactMatrix([[1, 0.5], [Rat(1, 3), 2]]))

@@ -180,3 +180,52 @@ def test_relabeling_congruence():
     b = a.transform(random_symplectic(1, 8, seed=3))
     perm = [3, 1, 4, 2]
     assert equivalent(a, b, "sp") == equivalent(a.permute(perm), b.permute(perm), "sp")
+
+
+# (e1, f1, e1) against (e1, f1, e1 + e2) in R^4: equal Gram tables and passing
+# chains, but A_3 = A_1 while B_3 != B_1, so no linear map takes A to B.
+DEPENDENT = PointConfig(2, ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)))
+INDEPENDENT = PointConfig(2, ((1, 0, 0, 0), (0, 0, 1, 0), (1, 1, 0, 0)))
+
+
+def _based(cfg, shift):
+    """The configuration with the origin prepended, all points translated by shift."""
+    return PointConfig(cfg.n, ((0,) * 2 * cfg.n,) + cfg.points).translate(shift)
+
+
+@pytest.mark.parametrize("group", ["sp", "csp"])
+def test_dependent_points_are_not_equivalent(group):
+    assert gram(DEPENDENT) == gram(INDEPENDENT)
+    assert not equivalent(DEPENDENT, INDEPENDENT, group)
+    assert not equivalent(INDEPENDENT, DEPENDENT, group)
+    assert signature(DEPENDENT, group) != signature(INDEPENDENT, group)
+
+
+def test_dependent_points_are_not_affinely_equivalent():
+    shift = (2, -1, 3, 5)
+    a, b = _based(DEPENDENT, shift), _based(INDEPENDENT, shift)
+    assert not equivalent(a, b, "asp")
+    assert signature(a, "asp") != signature(b, "asp")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dependent_points_stay_equivalent_to_their_image(seed):
+    M = random_symplectic(2, 6, seed)
+    moved = DEPENDENT.transform(M)
+    assert equivalent(DEPENDENT, moved, "sp")
+    assert equivalent(DEPENDENT, moved.scale(3), "csp")
+    assert signature(DEPENDENT, "sp") == signature(moved, "sp")
+    based = _based(DEPENDENT, (1, 0, -2, 4))
+    assert equivalent(based, based.transform(M).translate((3, 1, 0, -1)), "asp")
+
+
+def test_relations_follow_the_gram_values_below_2n():
+    sig = signature(DEPENDENT, "sp")
+    # a12, a13, a23, then the relation A_1 - A_3 = 0 as the RREF nullspace vector
+    assert sig.values == (Rat(1), Rat(0), Rat(-1), Rat(-1), Rat(0), Rat(1))
+    rng = random.Random(43)
+    cfg = generic_sample(2, 5, rng)  # m >= 2n: the Gram values alone
+    g = gram(cfg)
+    assert signature(cfg, "sp").values == tuple(
+        g.value(i, j) for i in range(1, 5) for j in range(i + 1, 6)
+    )

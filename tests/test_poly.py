@@ -66,6 +66,18 @@ def test_evaluate_is_ring_homomorphism(p, q):
     assert evaluate(p + q, g) == evaluate(p, g) + evaluate(q, g)
 
 
+@given(polys(), st.integers(0, 1000))
+@settings(max_examples=50, deadline=None)
+def test_evaluate_matches_full_substitution(p, seed):
+    p = p * MultiPoly.constant(rat(1, 3)) + MultiPoly.constant(rat(2, 7))
+    rng = random.Random(seed)
+    g = GramTable(3, {(i, j): Rat(rng.randint(-9, 9), rng.randint(1, 5)) for (i, j) in ((1, 2), (1, 3), (2, 3))})
+    left = p.substitute({avar(i, j): g.value(i, j) for (i, j) in g.pairs()})
+    assert set(left.terms) <= {()}
+    assert evaluate(p, g) == left.terms.get((), 0)
+    assert type(evaluate(p, g)) is Rat
+
+
 def test_evaluate_basics():
     g = GramTable(4, {(1, 2): 5, (1, 3): 0, (1, 4): 0, (2, 3): 0, (2, 4): 0, (3, 4): 3})
     assert evaluate(MultiPoly.constant(7), g) == 7

@@ -5,14 +5,12 @@ from math import gcd
 
 import pytest
 
-from sympjoint.exact import ExactMatrix, rank, rat
+from sympjoint.exact import ExactMatrix, _IntRowSpace, rank, rat
 from sympjoint.invariants import gram, random_config
 from sympjoint.poly import MultiPoly, avar, evaluate
 from sympjoint.symmetric import (
     _content_normalized,
     _degree_monomials,
-    _IntRowSpace,
-    _rank_rows,
     generator_search,
     graded_dim,
     named_generators,
@@ -158,9 +156,9 @@ def test_int_row_space_known_rank():
 
 def test_rank_rows_clears_denominators():
     F = Fraction
-    assert _rank_rows([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]]) == 1
-    assert _rank_rows([[F(1, 2), F(1, 3), F(0)], [F(1, 7), F(-2, 5), F(4, 9)], [F(9, 14), F(-1, 15), F(4, 9)]]) == 2
-    assert _rank_rows([[F(0), F(0)], [F(0), F(5, 3)]]) == 1
+    assert rank(ExactMatrix([[F(1, 2), F(1, 3)], [F(3, 2), F(1)]])) == 1
+    assert rank(ExactMatrix([[F(1, 2), F(1, 3), F(0)], [F(1, 7), F(-2, 5), F(4, 9)], [F(9, 14), F(-1, 15), F(4, 9)]])) == 2
+    assert rank(ExactMatrix([[F(0), F(0)], [F(0), F(5, 3)]])) == 1
 
 
 def test_named_generators_displayed():
