@@ -9,6 +9,7 @@ discretization reports.
 
 import argparse
 import json
+import math
 import sys
 from itertools import combinations
 
@@ -261,27 +262,26 @@ def cmd_discretize(args):
     if not isinstance(model, expected_kind):
         raise ValueError(f"curve {curve_name!r} does not fit case {args.case!r}")
     at = tuple(float(v) for v in args.at.split(",")) if args.at else cases[curve_name]["at"]
+    if not all(math.isfinite(v) for v in at):
+        raise ValueError(f"evaluation point must be finite, got {args.at!r}")
     steps = (
         tuple(float(v) for v in args.steps.split(",")) if args.steps else disc.DEFAULT_STEPS
     )
     quantities = _discretize_reports(args.case, model, at, steps)
     reports = {}
-    rows = []
     for name, (est, target) in quantities.items():
-        report = disc.convergence_order(est, target, steps)
-        reports[name] = report.to_dict()
+        reports[name] = disc.convergence_order(est, target, steps).to_dict()
         reports[name]["target"] = list(target) if isinstance(target, tuple) else target
-        for h, err in zip(report.steps, report.errors):
-            value = est(h)
-            value_str = (
-                ";".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
-            )
-            rows.append((name, h, value_str, err))
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("quantity,h,estimate,error\n")
-            for name, h, value, err in rows:
-                fh.write(f"{name},{h!r},{value},{err!r}\n")
+            for name, (est, _) in quantities.items():
+                for h, err in zip(reports[name]["steps"], reports[name]["errors"]):
+                    value = est(h)
+                    value_str = (
+                        ";".join(repr(v) for v in value) if isinstance(value, tuple) else repr(value)
+                    )
+                    fh.write(f"{name},{h!r},{value_str},{err!r}\n")
     _emit({"case": args.case, "curve": curve_name, "at": list(at), "reports": reports})
     return EXIT_OK if all(r["passed"] for r in reports.values()) else EXIT_FAIL
 
@@ -340,7 +340,7 @@ def main(argv=None):
     except GenericityError as exc:
         _emit({"error": "genericity", "detail": str(exc)})
         return EXIT_INPUT
-    except (OSError, ValueError, TypeError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

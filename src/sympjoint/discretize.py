@@ -9,9 +9,8 @@ derivatives of the test curves, never from the estimates themselves.
 """
 
 import math
+import statistics
 from dataclasses import dataclass, field
-
-import numpy as np
 
 DEFAULT_STEPS = (1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3)
 
@@ -300,16 +299,18 @@ def _error(value, target):
 
 
 def convergence_order(estimator, target, steps=DEFAULT_STEPS, min_order=0.9):
-    """Fit the slope of log error against log step size.
+    """Fit the slope of log error against log step size by ordinary least squares.
 
     `estimator` maps a step size to a float (or a vector, compared in the sup
-    norm).  At least four strictly decreasing steps spanning a ratio >= 2 are
-    required.  All-zero errors report as exact; otherwise the report passes
-    when the fitted slope reaches `min_order`.
+    norm).  At least four finite, positive, strictly decreasing steps spanning
+    a ratio >= 2 are required.  All-zero errors report as exact; otherwise the
+    report passes when the fitted slope reaches `min_order`.
     """
     steps = tuple(steps)
     if len(steps) < 4:
         raise ValueError("need at least 4 step sizes")
+    if not all(math.isfinite(h) and h > 0 for h in steps):
+        raise ValueError("step sizes must be finite and positive")
     if any(b >= a for a, b in zip(steps, steps[1:])):
         raise ValueError("step sizes must be strictly decreasing")
     if steps[0] / steps[-1] < 2:
@@ -329,7 +330,9 @@ def convergence_order(estimator, target, steps=DEFAULT_STEPS, min_order=0.9):
         return ConvergenceReport(steps, tuple(errors), None, True, True)
     if min(errors) <= floor:
         return ConvergenceReport(steps, tuple(errors), None, False, errors[-1] <= floor)
-    slope = float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+    slope = statistics.linear_regression(
+        [math.log(h) for h in steps], [math.log(e) for e in errors]
+    ).slope
     return ConvergenceReport(steps, tuple(errors), slope, False, slope >= min_order)
 
 

@@ -19,7 +19,7 @@ from math import comb
 from .exact import ExactMatrix, Rat, rat, rat_str
 from .field_generators import basic_set
 from .invariants import GenericityError, GramTable, _half_dimension
-from .normal_form import Signature
+from .normal_form import Signature, _chain
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,20 @@ def _absolute_values(config: ContactConfig):
     def rij(i, j):
         return r_ij[(i, j)] if i < j else -r_ij[(j, i)]
 
-    if _eliminated_pairs(m, config.n) and rij(1, 2) == 0:
+    eliminated = _eliminated_pairs(m, config.n)
+    if eliminated and rij(1, 2) == 0:
         raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
     t_k = tuple(r_k[k - 1] / rm for k in range(1, m))
-    t_ij = tuple(rij(i, j) / rm for (i, j) in basic_set(m, config.n).pairs)
-    return t_k + t_ij
+    t_ij = {(i, j): rij(i, j) / rm for (i, j) in basic_set(m, config.n).pairs}
+    values = t_k + tuple(t_ij.values())
+    if eliminated:
+        # the elimination divides by every link b_{1..2k}(T) of the leading
+        # chain; where one vanishes the basic set does not determine the
+        # eliminated T_ij, so they join the signature (each is invariant)
+        head = GramTable(2 * config.n, {p: v for p, v in t_ij.items() if p[1] <= 2 * config.n})
+        if any(v == 0 for _, v in _chain(head, config.n)):
+            values += tuple(rij(i, j) / rm for (i, j) in eliminated)
+    return values
 
 
 def _rotate_if_needed(config: ContactConfig):
@@ -199,6 +208,8 @@ def contact_absolute(config: ContactConfig) -> Signature:
     """The reduced generating set Tbar = {T_k (k < m)} + {T_ij on the basic set}.
 
     Cardinality is (2n+1)m - n(2n+1) - 1 for m >= 2n (3m - 4 when n = 1).
+    When a leading Pfaffian b_{1..2k}(T) vanishes, the basic set does not
+    determine the eliminated T_ij, and they follow in `_eliminated_pairs` order.
     The last point's R is the reference denominator; when it vanishes a single
     cyclic relabeling is attempted before rejecting.
     """

@@ -205,3 +205,40 @@ def test_fractional_n_contact_config_is_input_error(tmp_path, capsys):
     assert code == 2
     assert "'n' must be an integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--at", "nan"],
+        ["--at", "inf"],
+        ["--at", "0"],  # the three samples are collinear with the origin
+        ["--steps", "0.1,0.05,0.025,0"],
+        ["--steps", "0.1,0.05,0.025,nan"],
+    ],
+)
+def test_discretize_malformed_input_is_input_error(capsys, extra):
+    code = main(["discretize", "--case", "planar-i2", *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import sympjoint
+
+    src = os.path.dirname(os.path.dirname(sympjoint.__file__))
+    probe = "import sys, sympjoint.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -250,3 +250,36 @@ def test_convergence_order_exact_estimator():
     assert report.passed
     assert report.fitted_order is None
     assert all(e == 0.0 for e in report.errors)
+
+
+def test_convergence_order_rejects_non_finite_or_non_positive_steps():
+    for steps in (
+        (1e-1, 5e-2, 2.5e-2, 0.0),
+        (1e-1, 5e-2, 2.5e-2, -1e-2),
+        (1e-1, 5e-2, 2.5e-2, math.nan),
+        (math.inf, 5e-2, 2.5e-2, 1e-2),
+    ):
+        with pytest.raises(ValueError):
+            convergence_order(lambda h: h, 0.0, steps)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_fitted_order_of_a_power_law(p):
+    report = convergence_order(lambda h: 3.0 * h**p, 0.0, DEFAULT_STEPS, min_order=p - 0.1)
+    assert abs(report.fitted_order - p) <= 1e-12
+    assert report.passed and not report.exact
+
+
+def test_fitted_order_is_the_least_squares_slope():
+    from fractions import Fraction
+
+    errors = dict(zip(DEFAULT_STEPS, (0.3, 0.11, 0.05, 0.013, 0.007)))
+    report = convergence_order(errors.__getitem__, 0.0, DEFAULT_STEPS)
+    xs = [Fraction(math.log(h)) for h in DEFAULT_STEPS]
+    ys = [Fraction(math.log(e)) for e in errors.values()]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
+        (x - x_bar) ** 2 for x in xs
+    )
+    assert abs(report.fitted_order - float(slope)) <= 1e-12 * abs(float(slope))
+    assert report.errors == tuple(errors.values())

@@ -274,3 +274,52 @@ def test_contact_signature_via_group_dispatch():
     assert sig == contact_absolute(cfg)
     with pytest.raises(ValueError):
         signature(PointConfig(1, ((1, 0), (0, 1))), "contact")
+
+
+def _chain_degenerate_pair():
+    """Points e1, f1, e2, 2e2, f2 (so b_1234(T) = 0), then a sixth point that
+    differs between the two configurations only in T_56; every R_k is 1."""
+    e1, e2, f1, f2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+
+    def contact(last):
+        pts = []
+        for p in (e1, f1, e2, (0, 2, 0, 0), f2, last):
+            x, y = p[:2], p[2:]
+            pts.append(ContactPoint(x, y, Rat(x[0] * y[0] + x[1] * y[1] - 1, 2)))
+        return ContactConfig(2, tuple(pts))
+
+    return contact((1, 1, 1, 1)), contact((1, 2, 1, 1))
+
+
+def test_contact_vanishing_chain_link_is_not_equivalent():
+    from sympjoint.normal_form import equivalent
+
+    A, B = _chain_degenerate_pair()
+    assert contact_relative(A)["R_k"] == contact_relative(B)["R_k"] == [1] * 6
+    assert not contact_equivalent(A, B)
+    assert not equivalent(A, B, "contact")
+    sig_a, sig_b = contact_absolute(A), contact_absolute(B)
+    # the eliminated T_56 follows the basic-set values: -1 against -2
+    assert len(sig_a.values) == len(sig_b.values) == dim_bbar(6, 2) + 1
+    assert sig_a.values[:-1] == sig_b.values[:-1]
+    assert (sig_a.values[-1], sig_b.values[-1]) == (-1, -2)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_contact_vanishing_chain_link_stays_equivalent_to_its_lift(seed):
+    A, _ = _chain_degenerate_pair()
+    moved = contact_lift_symplectic(random_symplectic(2, 10, seed=seed), A)
+    assert contact_equivalent(A, moved)
+    assert contact_absolute(A) == contact_absolute(moved)
+
+
+def test_generic_contact_signature_has_no_eliminated_values():
+    rng = random.Random(80)
+    while True:
+        cfg = random_contact(2, 6, rng)
+        try:
+            sig = contact_absolute(cfg)
+            break
+        except GenericityError:
+            continue
+    assert len(sig.values) == dim_bbar(6, 2)
