@@ -8,6 +8,7 @@ discretization reports.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -169,6 +170,8 @@ def cmd_equiv(args):
 
 
 def cmd_symmetrize(args):
+    if args.maxdeg < 0:
+        raise ValueError(f"--maxdeg must be >= 0, got {args.maxdeg}")
     out = {
         "m": args.m,
         "n": args.n,
@@ -222,34 +225,38 @@ _CASE_KINDS = {
 }
 
 
-def _discretize_reports(case, model, at, steps):
+def _discretize_reports(case, model, at):
+    """{quantity: (estimator, target)}; the estimators share one cache of the
+    case's estimates keyed by step size, so each step is evaluated once."""
     if case == "planar-i2":
         x = at[0]
-        target = disc.planar_i2_target(model, x)
-        est = lambda h: disc.planar_I2_estimate(model, x, h, h)
-        return {"I2": (est, target)}
-    if case == "general-i2":
+        estimates = lambda h: {"I2": disc.planar_I2_estimate(model, x, h, h)}
+        targets = {"I2": disc.planar_i2_target(model, x)}
+    elif case == "general-i2":
         t = at[0]
-        return {"I2": (lambda h: disc.general_I2_estimate(model, t, h, h), disc.general_i2_target(model, t))}
-    if case == "derivation":
+        estimates = lambda h: {"I2": disc.general_I2_estimate(model, t, h, h)}
+        targets = {"I2": disc.general_i2_target(model, t)}
+    elif case == "derivation":
         t = at[0]
-        return {"grad": (lambda h: disc.derivation_estimate(model, t, h), model.derivation_target(t))}
-    if case == "contact":
+        estimates = lambda h: {"grad": disc.derivation_estimate(model, t, h)}
+        targets = {"grad": model.derivation_target(t)}
+    elif case == "contact":
         x = at[0]
-        return {
-            "I1": (lambda h: disc.contact_estimates(model, x, h, h)["I1"], model.i1(x)),
-            "I2": (lambda h: disc.contact_estimates(model, x, h, h)["I2"], model.i2(x)),
-            "grad": (lambda h: disc.contact_estimates(model, x, h, h)["grad"], model.grad_target(x)),
+        estimates = lambda h: disc.contact_estimates(model, x, h, h)
+        targets = {"I1": model.i1(x), "I2": model.i2(x), "grad": model.grad_target(x)}
+    else:
+        if len(at) != 2:
+            raise ValueError("the function case needs a base point --at x,y")
+        x, y = at
+        estimates = lambda h: disc.function_estimates(model, x, y, h, h)
+        targets = {
+            "I1": model.i1(x, y),
+            "grad1": (x, y),
+            "grad2": model.grad2_target(x, y),
+            "I2c": model.i2c(x, y),
         }
-    if len(at) != 2:
-        raise ValueError("the function case needs a base point --at x,y")
-    x, y = at
-    return {
-        "I1": (lambda h: disc.function_estimates(model, x, y, h, h)["I1"], model.i1(x, y)),
-        "grad1": (lambda h: disc.function_estimates(model, x, y, h, h)["grad1"], (x, y)),
-        "grad2": (lambda h: disc.function_estimates(model, x, y, h, h)["grad2"], model.grad2_target(x, y)),
-        "I2c": (lambda h: disc.function_estimates(model, x, y, h, h)["I2c"], model.i2c(x, y)),
-    }
+    cached = functools.cache(estimates)  # one evaluation per step size
+    return {name: (lambda h, name=name: cached(h)[name], target) for name, target in targets.items()}
 
 
 def cmd_discretize(args):
@@ -267,7 +274,7 @@ def cmd_discretize(args):
     steps = (
         tuple(float(v) for v in args.steps.split(",")) if args.steps else disc.DEFAULT_STEPS
     )
-    quantities = _discretize_reports(args.case, model, at, steps)
+    quantities = _discretize_reports(args.case, model, at)
     reports = {}
     for name, (est, target) in quantities.items():
         reports[name] = disc.convergence_order(est, target, steps).to_dict()

@@ -3,15 +3,20 @@
 The Reynolds operator averages a polynomial in the pairwise invariants over
 all m! index permutations (a transposition of two points flips the sign of
 their mutual invariant, so all linear terms die).  Graded dimensions of the
-symmetrized algebra are computed as exact ranks of evaluation matrices at
-random integer configurations, which automatically accounts for the Pfaffian
-relations; a degree-truncated scan of symmetrized monomials then recovers a
-generating set without any Groebner machinery.  Every monomial in an S_m
-orbit symmetrizes to the same polynomial up to sign, so each orbit gives one
-integer row, and ranks are taken by fraction-free integer elimination.
+symmetrized algebra are exact coefficients of its Molien series: the
+invariant ring is C[a_ij] modulo the (2n+2)-Pfaffians, free for m <= 2n+1
+and cut out by one Pfaffian (of character sgn) for m = 2n+2, and S_m acts on
+the a_ij by signed permutations, so the series is a sum over S_m of
+products of (1 - s z^L) over the signed cycles on the pairs.  A
+degree-truncated scan of symmetrized monomials then recovers a generating
+set without any Groebner machinery, by exact evaluation ranks at random
+integer configurations: every monomial in an S_m orbit symmetrizes to the
+same polynomial up to sign, so each orbit gives one integer row, and ranks
+are taken by fraction-free integer elimination.
 """
 
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
@@ -21,7 +26,7 @@ from .invariants import gram, random_config
 from .poly import MultiPoly, _value, avar, evaluate
 
 _MAX_GRADED_DEGREE = 10
-_MAX_GRADED_POINTS = 4
+_MAX_GRADED_POINTS = 6
 _MAX_SEARCH_POINTS = 3
 _MAX_SEARCH_DEGREE = 8
 
@@ -70,17 +75,47 @@ def reynolds(p: MultiPoly, m) -> MultiPoly:
     return MultiPoly({mono: c * scale for mono, c in _relabeling_sum(p.terms, m).items()})
 
 
+def _molien_coeffs(m, n, maxdeg):
+    """Coefficients 0..maxdeg of the Hilbert series of the S_m-invariants of
+    C[a_ij] / (2n+2-Pfaffians), m <= 2n+2, by Molien's formula
+
+        H(z) = (1/m!) sum_sigma (1 - [m = 2n+2] sgn(sigma) z^(n+1)) / det(I - z rho(sigma)),
+
+    where rho(sigma) is the signed permutation `_permute_monomial` applies to
+    the pairs.  det(I - z rho(sigma)) is the product of (1 - s z^L) over the
+    cycles of sigma on the pairs (L the length, s the product of the signs),
+    and sgn(sigma) is the product of all those signs (one per inversion).
+    """
+    pairs = [avar(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    classes = Counter()
+    for images in permutations(range(1, m + 1)):
+        lookup = dict(zip(range(1, m + 1), images))
+        cycles = []
+        seen = set()
+        for start in pairs:
+            length, sign, var = 0, 1, start
+            while var not in seen:
+                seen.add(var)
+                (((var, _),), s) = _permute_monomial(((var, 1),), lookup)
+                length, sign = length + 1, sign * s
+            if length:
+                cycles.append((length, sign))
+        classes[tuple(sorted(cycles))] += 1
+    total = [0] * (maxdeg + 1)
+    for cycles, count in classes.items():
+        series = [count] + [0] * maxdeg
+        if m == 2 * n + 2 and n + 1 <= maxdeg:
+            series[n + 1] = -count * prod(s for _, s in cycles)
+        for length, sign in cycles:  # divide by (1 - sign z^length)
+            for k in range(length, maxdeg + 1):
+                series[k] += sign * series[k - length]
+        total = [t + c for t, c in zip(total, series)]
+    return [t // factorial(m) for t in total]
+
+
 def poincare_coeffs(maxdeg):
-    """Taylor coefficients of (1 + z^4) / ((1 - z^2)^2 (1 - z^3))."""
-    num = [1, 0, 0, 0, 1]
-    den = [1, 0, -2, -1, 1, 2, 0, -1]  # (1 - z^2)^2 (1 - z^3) expanded
-    out = []
-    for k in range(maxdeg + 1):
-        c = num[k] if k < len(num) else 0
-        for j in range(1, min(k, len(den) - 1) + 1):
-            c -= den[j] * out[k - j]
-        out.append(c)
-    return out
+    """Taylor coefficients of the three-point series (1 + z^4) / ((1 - z^2)^2 (1 - z^3))."""
+    return _molien_coeffs(3, 1, maxdeg)
 
 
 def named_generators():
@@ -145,26 +180,25 @@ def _orbit_sums(monos, m):
     return out
 
 
+def _check_sizes(m, n, k):
+    if m < 1 or n < 1 or k < 0:
+        raise ValueError(f"need m >= 1, n >= 1 and a degree >= 0, got m={m}, n={n}, degree {k}")
+
+
 def graded_dim(m, n, k, seed=0):
     """Dimension of the degree-k piece of the symmetrized invariant algebra.
 
-    Exact rank of the matrix of all symmetrized degree-k monomials evaluated
-    at 3 * (#monomials + 5) random integer configurations (three independent
-    batches, so a false drop in rank would need a measure-zero triple
-    coincidence).  Each S_m orbit of monomials gives one integer row, its
-    signed orbit sum; the rank is exact, by fraction-free elimination.
+    The exact coefficient of z^k in the Molien series (`_molien_coeffs`): no
+    sampling and no elimination.  `seed` is accepted for compatibility and
+    ignored.  Defined for m <= 2n+2; m >= 2n+3 is refused, as its ring is cut
+    out by more than one Pfaffian.
     """
-    if k > _MAX_GRADED_DEGREE or m > _MAX_GRADED_POINTS:
-        raise ValueError(f"cost guard: need k <= {_MAX_GRADED_DEGREE} and m <= {_MAX_GRADED_POINTS}")
-    if k == 0:
-        return 1
-    monos = _degree_monomials(m, k)
-    rng = random.Random(seed)
-    tables = _integer_tables(m, n, 3 * (len(monos) + 5), rng)
-    space = _IntRowSpace()
-    for _, orbit in _orbit_sums(monos, m):
-        space.insert([_value(orbit, t) for t in tables])
-    return space.rank
+    _check_sizes(m, n, k)
+    if k > _MAX_GRADED_DEGREE or m > min(_MAX_GRADED_POINTS, 2 * n + 2):
+        raise ValueError(
+            f"cost guard: need k <= {_MAX_GRADED_DEGREE}, m <= {_MAX_GRADED_POINTS} and m <= 2n+2"
+        )
+    return _molien_coeffs(m, n, k)[k]
 
 
 def _content_normalized(p: MultiPoly) -> MultiPoly:
@@ -246,6 +280,7 @@ def generator_search(m, n, maxdeg, seed=0):
     fraction-free elimination.  Every scanned degree ends up saturated by
     construction; no claim is made beyond maxdeg.
     """
+    _check_sizes(m, n, maxdeg)
     if m > _MAX_SEARCH_POINTS or maxdeg > _MAX_SEARCH_DEGREE:
         raise ValueError(f"cost guard: need m <= {_MAX_SEARCH_POINTS} and maxdeg <= {_MAX_SEARCH_DEGREE}")
     rng = random.Random(seed)

@@ -242,3 +242,54 @@ def test_cli_import_does_not_load_numpy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_symmetrize_four_points_to_degree_ten(capsys):
+    code, out = run(capsys, "symmetrize", "--m", "4", "--n", "1", "--maxdeg", "10")
+    assert code == 0
+    data = json.loads(out)
+    assert data["graded_dims"] == [1, 0, 2, 2, 8, 6, 21, 20, 43, 48, 85]
+    assert data["generators"] is None
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--m", "3", "--n", "1", "--maxdeg", "-1"],
+        ["--m", "3", "--n", "0", "--maxdeg", "0"],
+        ["--m", "-2", "--n", "1", "--maxdeg", "0"],
+        ["--m", "0", "--n", "1", "--maxdeg", "2"],
+        ["--m", "5", "--n", "1", "--maxdeg", "2"],  # m = 2n+3 stays refused
+    ],
+)
+def test_symmetrize_bad_sizes_are_input_errors(capsys, args):
+    code = main(["symmetrize", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case,name", [("contact", "contact_estimates"), ("function", "function_estimates")])
+@pytest.mark.parametrize("with_csv", [False, True])
+def test_discretize_evaluates_each_step_once(tmp_path, capsys, monkeypatch, case, name, with_csv):
+    from sympjoint import discretize
+
+    calls = []
+    original = getattr(discretize, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(discretize, name, counted)
+    extra = ["--csv", str(tmp_path / "rows.csv")] if with_csv else []
+    code, out = run(capsys, "discretize", "--case", case, *extra)
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert len(calls) == len(discretize.DEFAULT_STEPS)
+    assert sorted(args[-1] for args in calls) == sorted(discretize.DEFAULT_STEPS)
+    if with_csv:
+        rows = (tmp_path / "rows.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(reports) * len(discretize.DEFAULT_STEPS)

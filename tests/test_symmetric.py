@@ -5,12 +5,15 @@ from math import gcd
 
 import pytest
 
+from sympjoint import symmetric
 from sympjoint.exact import ExactMatrix, _IntRowSpace, rank, rat
 from sympjoint.invariants import gram, random_config
-from sympjoint.poly import MultiPoly, avar, evaluate
+from sympjoint.poly import MultiPoly, _value, avar, evaluate
 from sympjoint.symmetric import (
     _content_normalized,
     _degree_monomials,
+    _integer_tables,
+    _orbit_sums,
     generator_search,
     graded_dim,
     named_generators,
@@ -236,3 +239,73 @@ def test_generator_search_cost_guard():
         generator_search(4, 1, 4)
     with pytest.raises(ValueError):
         generator_search(3, 1, 9)
+
+
+def orbit_rank_dims(m, n, top, seed=0):
+    """Degrees 0..top by the evaluation rank graded dimensions were once
+    computed by: one integer row per S_m orbit of degree-k monomials (its
+    signed orbit sum) at 3 * (#monomials + 5) random integer configurations,
+    exact rank by fraction-free elimination.  A lower bound on the true
+    dimension.  Degree k reads the first configurations of one stream, the
+    same ones a fresh random.Random(seed) per degree would draw."""
+    monos = [_degree_monomials(m, k) for k in range(top + 1)]
+    stream = _integer_tables(m, n, 3 * (len(monos[-1]) + 5), random.Random(seed))
+    dims = []
+    for degree_monos in monos:
+        tables = stream[: 3 * (len(degree_monos) + 5)]
+        space = _IntRowSpace()
+        for _, orbit in _orbit_sums(degree_monos, m):
+            space.insert([_value(orbit, t) for t in tables])
+        dims.append(space.rank)
+    return dims
+
+
+@pytest.mark.parametrize("m,n,top", [(4, 1, 5), (4, 2, 5), (3, 2, 6), (5, 2, 3), (6, 2, 3)])
+def test_graded_dim_matches_orbit_rank(m, n, top):
+    assert [graded_dim(m, n, k) for k in range(top + 1)] == orbit_rank_dims(m, n, top)
+
+
+def test_four_point_series_pinned():
+    assert [graded_dim(4, 1, k) for k in range(11)] == [1, 0, 2, 2, 8, 6, 21, 20, 43, 48, 85]
+    assert [graded_dim(4, 2, k) for k in range(11)] == [1, 0, 2, 2, 9, 8, 26, 28, 65, 76, 141]
+
+
+def test_poincare_coeffs_match_closed_form():
+    # Taylor coefficients of (1 + z^4) / ((1 - z^2)^2 (1 - z^3)), term by term
+    top = 30
+    series = [1 if k in (0, 4) else 0 for k in range(top + 1)]
+    for step in (2, 2, 3):
+        for k in range(step, top + 1):
+            series[k] += series[k - step]
+    assert poincare_coeffs(top) == series
+    assert [graded_dim(3, 1, k) for k in range(11)] == series[:11]
+
+
+def test_graded_dim_never_samples(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("graded_dim sampled or eliminated")
+
+    monkeypatch.setattr(symmetric, "_integer_tables", refuse)
+    monkeypatch.setattr(symmetric, "_IntRowSpace", refuse)
+    assert graded_dim(4, 1, 10) == 85
+    assert graded_dim(6, 2, 10) == graded_dim(6, 2, 10, seed=123)
+    assert [graded_dim(2, 1, k) for k in range(5)] == [1, 0, 1, 0, 1]
+    assert [graded_dim(1, 3, k) for k in range(3)] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("m,n,k", [(5, 1, 2), (6, 1, 2), (5, 1, 0), (7, 3, 1), (4, 1, 11)])
+def test_graded_dim_guard(m, n, k):
+    with pytest.raises(ValueError, match="cost guard"):
+        graded_dim(m, n, k)
+
+
+@pytest.mark.parametrize("m,n,k", [(0, 1, 2), (-2, 1, 0), (3, 0, 0), (3, -1, 2), (3, 1, -1), (9, 0, 0)])
+def test_graded_dim_rejects_bad_sizes(m, n, k):
+    with pytest.raises(ValueError, match="need m >= 1"):
+        graded_dim(m, n, k)
+
+
+@pytest.mark.parametrize("m,n,maxdeg", [(0, 1, 2), (3, 0, 2), (3, 1, -1), (-1, 1, 0)])
+def test_generator_search_rejects_bad_sizes(m, n, maxdeg):
+    with pytest.raises(ValueError, match="need m >= 1"):
+        generator_search(m, n, maxdeg)
