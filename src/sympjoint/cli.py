@@ -11,20 +11,22 @@ import argparse
 import functools
 import json
 import math
+import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import discretize as disc
 from .exact import rat_str
 from .field_generators import dim_d, stabilizer_dim
 from .invariants import (
     GenericityError,
+    _relabel_compare,
     all_min_syzygies,
     gram,
     load_config,
     q_value,
 )
-from .normal_form import equivalent, genericity, recover_transform, signature
+from .normal_form import _normalize, genericity, recover_transform
 from .poly import (
     verify_pfaffian_expansion,
     verify_q_reduction,
@@ -112,59 +114,52 @@ def cmd_syzygy_check(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _unordered_equivalent(a, b, group):
+def _unordered_equivalent(a, b, normalize):
     """Brute-force search over point relabelings of the second configuration.
 
     Plumbing for the S_m-quotient question at desk scale (m <= 6: at most 720
-    signature comparisons); relabelings that land on a non-generic ordering
-    are skipped.
+    signature comparisons).  The first configuration is normalized once, so
+    its genericity error propagates; relabelings of the second that land on a
+    non-generic ordering are skipped.
     """
     if a.m > 6:
         raise ValueError("unordered comparison is limited to m <= 6")
-    from itertools import permutations as _perms
-
-    for perm in _perms(range(1, b.m + 1)):
+    if (a.n, a.m) != (b.n, b.m):
+        raise ValueError("configurations must share (n, m)")
+    sig_a, relabel = normalize(a)
+    for perm in permutations(range(1, b.m + 1)):
         try:
-            if equivalent(a, b.permute(list(perm)), group):
-                return True, list(perm)
+            sig_b, _ = normalize(b.permute(perm), relabel)
         except GenericityError:
             continue
+        if sig_b == sig_a:
+            return True, list(perm)
     return False, None
 
 
 def cmd_equiv(args):
     group = args.group
-    if group == "contact":
-        a = load_contact_config(args.config_a)
-        b = load_contact_config(args.config_b)
-    else:
-        a = load_config(args.config_a)
-        b = load_config(args.config_b)
+    load = load_contact_config if group == "contact" else load_config
+    a, b = load(args.config_a), load(args.config_b)
     out = {"group": group}
+    normalize = functools.partial(_normalize, group)
     if args.unordered:
         if group == "contact":
             raise ValueError("unordered comparison is not provided for the contact group")
-        result, perm = _unordered_equivalent(a, b, group)
+        result, perm = _unordered_equivalent(a, b, normalize)
         out["equivalent"] = result
         out["relabeling"] = perm
         _emit(out)
         return EXIT_OK if result else EXIT_FAIL
-    result = equivalent(a, b, group)
-    out.update(
-        {
-            "equivalent": result,
-            "signature_a": _sig_json(signature(a, group)),
-            "signature_b": _sig_json(signature(b, group)),
-        }
-    )
+    sig_a, sig_b, perm = _relabel_compare(a, b, normalize)
+    result = sig_a == sig_b
+    out.update(equivalent=result, signature_a=_sig_json(sig_a), signature_b=_sig_json(sig_b))
     if result and group == "sp" and a.m >= 2 * a.n:
-        try:
-            witness = recover_transform(a, b)
-            out["witness"] = [[rat_str(x) for x in row] for row in witness.data]
-        except GenericityError:
-            # equivalence was decided through the relabeling fallback; no
-            # witness in the original point order then
-            out["witness"] = None
+        # a map taking the relabeled A onto the relabeled B takes each A_i to B_i
+        if perm:
+            a, b = a.permute(perm), b.permute(perm)
+        witness = recover_transform(a, b)
+        out["witness"] = [[rat_str(x) for x in row] for row in witness.data]
     _emit(out)
     return EXIT_OK if result else EXIT_FAIL
 
@@ -191,8 +186,6 @@ def cmd_symmetrize(args):
 
 
 def cmd_dims(args):
-    import random
-
     rng = random.Random(args.seed)
     ns = range(1, args.max_n + 1)
     print("d(m,n): transcendence degree of the invariant field")

@@ -4,7 +4,8 @@ A configuration is an ordered m-tuple of points in R^{2n}; the fundamental
 invariant of a pair is a_ij = omega(OA_i, OA_j), twice the symplectic area of
 the triangle through the origin.  All point indices are 1-based, matching the
 usual a_12, b_1234 notation; the skew extension a_ji = -a_ij is computed on
-access.
+access.  The `Signature` record, the leading-Pfaffian chain and the pair
+comparison live here because both `normal_form` and `variants` use them.
 """
 
 import json
@@ -113,6 +114,35 @@ def gram(config: PointConfig) -> GramTable:
         for j in range(i + 1, config.m + 1):
             vals[(i, j)] = symp(config.point(i), config.point(j))
     return GramTable(config.m, vals)
+
+
+@dataclass(frozen=True)
+class Signature:
+    group: str
+    values: tuple
+
+
+def _chain(g: GramTable, n):
+    """The non-vanishing chain used by the canonical form: leading Pfaffians."""
+    out = []
+    for k in range(1, min(n, g.m // 2) + 1):
+        idx = tuple(range(1, 2 * k + 1))
+        name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
+        out.append((name, pfaffian(g.subtable(idx))))
+    return out
+
+
+def _relabel_compare(A, B, normalize):
+    """(signature of A, signature of B, relabeling) under one group's
+    normalize(config, relabel=None), which decides the fallback relabeling
+    when given None.  It is decided on A and applied unchanged to B, so equal
+    signatures mean genuine group equivalence.
+    """
+    if (A.n, A.m) != (B.n, B.m):
+        raise ValueError("configurations must share (n, m)")
+    sig_a, relabel = normalize(A)
+    sig_b, _ = normalize(B, relabel)
+    return sig_a, sig_b, relabel
 
 
 def _check_tuple(idx, m, length):

@@ -10,9 +10,17 @@ the generating invariants in a fixed order) coincide exactly.
 Coordinates are grouped (x^1..x^n, y^1..y^n); the normalization pattern pairs
 x^k with y^k, so e.g. for n = 2 the fourth column carries b_1234/a_12 in its
 y^2 slot.
+
+Every signature and equivalence decision, for Sp, CSp, ASp and the contact
+lift, goes through `_normalize`: one configuration, with its fallback
+relabeling either decided or given.  A pair is compared by
+`invariants._relabel_compare`, which decides the relabeling on the first
+configuration and applies it to the second.  This module imports `variants`
+(the conformal and contact values); `variants` does not import it.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 from .exact import (
     ExactMatrix,
@@ -20,12 +28,20 @@ from .exact import (
     inverse,
     is_symplectic,
     nullspace,
-    pfaffian,
     solve_vector,
     symp,
 )
 from .field_generators import basic_set
-from .invariants import GenericityError, GramTable, PointConfig, gram
+from .invariants import (
+    GenericityError,
+    GramTable,
+    PointConfig,
+    Signature,
+    _chain,
+    _relabel_compare,
+    gram,
+)
+from .variants import ContactConfig, _contact_normal, csp_signature
 
 _GROUPS = {"sp": "Sp", "csp": "CSp", "asp": "ASp", "contact": "Contact"}
 
@@ -36,37 +52,28 @@ class GenericityReport:
     failed_predicates: tuple
 
 
-@dataclass(frozen=True)
-class Signature:
-    group: str
-    values: tuple
-
-
-def _chain(g: GramTable, n):
-    """The non-vanishing chain used by the canonical form: leading Pfaffians."""
-    out = []
-    for k in range(1, min(n, g.m // 2) + 1):
-        idx = tuple(range(1, 2 * k + 1))
-        name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
-        out.append((name, pfaffian(g.subtable(idx))))
-    return out
-
-
 def genericity(config: PointConfig) -> GenericityReport:
     """Check every leading-Pfaffian predicate; report all failures."""
     failed = tuple(f"{name} = 0" for name, v in _chain(gram(config), config.n) if v == 0)
     return GenericityReport(generic=not failed, failed_predicates=failed)
 
 
+def _require_generic(config: PointConfig, prefix="non-generic configuration"):
+    """Raise GenericityError naming every failed predicate, if any."""
+    report = genericity(config)
+    if not report.generic:
+        raise GenericityError(f"{prefix}: " + ", ".join(report.failed_predicates))
+
+
 def _genericize(config: PointConfig):
     """Return (config, perm) with a passing chain, relabeling once if needed.
 
     The single fallback moves the first pair (i, j) with a_ij != 0 to the
-    front; anything still failing after that is rejected.
+    front (perm lists the new order; () when none was needed); anything still
+    failing after that is rejected.
     """
-    report = genericity(config)
-    if report.generic:
-        return config, None
+    if genericity(config).generic:
+        return config, ()
     g = gram(config)
     first = next((p for p in g.pairs() if g.value(*p) != 0), None)
     if first is not None and first != (1, 2):
@@ -75,9 +82,7 @@ def _genericize(config: PointConfig):
         moved = config.permute(perm)
         if genericity(moved).generic:
             return moved, perm
-    raise GenericityError(
-        "non-generic configuration: " + ", ".join(report.failed_predicates)
-    )
+    _require_generic(config)  # raises: no relabeling rescued the chain
 
 
 def _unit(dim, grouped_row):
@@ -137,11 +142,7 @@ def canonical(config: PointConfig) -> ExactMatrix:
     """
     if config.m < 2:
         raise ValueError("canonical form needs at least two points")
-    report = genericity(config)
-    if not report.generic:
-        raise GenericityError(
-            "non-generic configuration: " + ", ".join(report.failed_predicates)
-        )
+    _require_generic(config)
     g = gram(config)
     cols = _canonical_columns(g, config.n)
     result = ExactMatrix.from_columns(cols)
@@ -164,11 +165,7 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     if m < 2 * n:
         raise ValueError("underdetermined: fewer than 2n points leave a nontrivial stabilizer")
     for label, cfg in (("first", A), ("second", B)):
-        rep = genericity(cfg)
-        if not rep.generic:
-            raise GenericityError(
-                f"{label} configuration non-generic: " + ", ".join(rep.failed_predicates)
-            )
+        _require_generic(cfg, f"{label} configuration non-generic")
     if gram(A) != gram(B):
         raise ValueError("not equivalent: Gram tables differ")
     basis_a = ExactMatrix.from_columns([A.point(i) for i in range(1, 2 * n + 1)])
@@ -189,11 +186,6 @@ def _group_key(group):
     return key
 
 
-def _sp_values(config):
-    g = gram(config)
-    return tuple(g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs)
-
-
 def _relations(config):
     """The linear relations among the points, flattened: the canonical (RREF)
     nullspace basis of the 2n x m point matrix when m < 2n, else empty.
@@ -207,27 +199,42 @@ def _relations(config):
     return tuple(x for v in nullspace(ExactMatrix.from_columns(config.points)) for x in v)
 
 
-def _linear_values(key, config):
-    """Signature values of a generic configuration under Sp or CSp: the
-    basic-set values (CSp: sign(a12) and the ratios), then the relations."""
-    if key == "CSp":
-        from .variants import csp_signature
-
-        values = csp_signature(gram(config), config.n).values
-    else:
-        values = _sp_values(config)
-    return values + _relations(config)
-
-
 def _translated(config):
     if config.m < 2:
         raise ValueError("affine signature needs at least two points")
-    origin = config.point(1)
-    pts = tuple(
-        tuple(c - o for c, o in zip(config.point(i), origin))
-        for i in range(2, config.m + 1)
-    )
-    return PointConfig(config.n, pts)
+    return PointConfig(config.n, config.points[1:]).translate([-c for c in config.point(1)])
+
+
+def _normalize(group, config, relabel=None):
+    """(signature, relabeling) of one configuration under `group`.
+
+    The relabeling is decided here when `relabel` is None (the one fallback
+    of `_genericize`, or the contact rotation of `variants._contact_normal`)
+    and applied unchanged otherwise; a given relabeling is always the first
+    configuration's, applied to the second, which must then be generic.
+    Sp: the basic-set values; CSp: sign(a12) and the ratios; ASp: either
+    after translating by -A_1; each followed by the linear relations.
+    """
+    key = _group_key(group)
+    if key == "Contact":
+        if not isinstance(config, ContactConfig):
+            raise ValueError("the contact signature takes a ContactConfig")
+        return _contact_normal(config, relabel)
+    if key == "ASp":
+        # translation removes the base point, then the linear theory applies
+        config = _translated(config)
+    if relabel is None:
+        config, relabel = _genericize(config)
+    else:
+        if relabel:
+            config = config.permute(relabel)
+        _require_generic(config, "second configuration non-generic")
+    g = gram(config)
+    if key == "CSp":
+        values = csp_signature(g, config.n).values
+    else:
+        values = tuple(g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs)
+    return Signature(key, values + _relations(config)), relabel
 
 
 def signature(config, group) -> Signature:
@@ -241,18 +248,7 @@ def signature(config, group) -> Signature:
     If the leading pair degenerates, the points are relabeled once (the first
     nonzero pair moves to the front) before giving up.
     """
-    key = _group_key(group)
-    if key == "Contact":
-        from .variants import ContactConfig, contact_absolute
-
-        if not isinstance(config, ContactConfig):
-            raise ValueError("the contact signature takes a ContactConfig")
-        return contact_absolute(config)
-    if key == "ASp":
-        # translation removes the base point, then the linear theory applies
-        config = _translated(config)
-    cfg, _ = _genericize(config)
-    return Signature(key, _linear_values(key, cfg))
+    return _normalize(group, config)[0]
 
 
 def equivalent(A, B, group) -> bool:
@@ -261,20 +257,5 @@ def equivalent(A, B, group) -> bool:
     Any fallback relabeling is decided on the first configuration and applied
     to both, so the comparison always tests genuine group equivalence.
     """
-    key = _group_key(group)
-    if key == "Contact":
-        from .variants import contact_equivalent
-
-        return contact_equivalent(A, B)
-    if (A.n, A.m) != (B.n, B.m):
-        raise ValueError("configurations must share (n, m)")
-    if key == "ASp":
-        A, B = _translated(A), _translated(B)
-    cfg_a, perm = _genericize(A)
-    cfg_b = B.permute(perm) if perm else B
-    rep = genericity(cfg_b)
-    if not rep.generic:
-        raise GenericityError(
-            "second configuration non-generic: " + ", ".join(rep.failed_predicates)
-        )
-    return _linear_values(key, cfg_a) == _linear_values(key, cfg_b)
+    sig_a, sig_b, _ = _relabel_compare(A, B, partial(_normalize, group))
+    return sig_a == sig_b

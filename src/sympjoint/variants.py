@@ -10,16 +10,28 @@ with coordinates (x, y, u) the lifted action admits the relative invariants
 all of weight one, whose ratios T_k = R_k/R_m, T_ij = R_ij/R_m generate the
 invariant field.  The T_ij satisfy the same Pfaffian relations as the a_ij,
 which eliminates all pairs outside the basic set.
+
+This module sits below `normal_form`, which imports it: `normal_form`
+dispatches the contact group to `_contact_normal` here, and the pair
+comparison both use is `invariants._relabel_compare`.
 """
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, rat, rat_str
+from .exact import ExactMatrix, Rat, rat, rat_str, symp
 from .field_generators import basic_set
-from .invariants import GenericityError, GramTable, _half_dimension
-from .normal_form import Signature, _chain
+from .invariants import (
+    GenericityError,
+    GramTable,
+    Signature,
+    _chain,
+    _half_dimension,
+    _relabel_compare,
+    gram,
+)
 
 
 @dataclass(frozen=True)
@@ -42,6 +54,8 @@ class ContactConfig:
     points: tuple
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         pts = tuple(
             p if isinstance(p, ContactPoint) else ContactPoint(*p) for p in self.points
         )
@@ -88,8 +102,6 @@ def asp_invariants(config) -> list:
     """
     if config.m < 3:
         raise ValueError("affine triangle invariants need m >= 3")
-    from .invariants import gram
-
     g = gram(config)
     out = []
     for j in range(2, config.m + 1):
@@ -142,66 +154,50 @@ def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactCon
     return ContactConfig(n, tuple(pts))
 
 
+def _reference(p: ContactPoint):
+    """R of one point: x . y - 2u."""
+    return sum((a * b for a, b in zip(p.x, p.y)), Rat(0)) - 2 * p.u
+
+
 def contact_relative(config: ContactConfig):
     """All relative invariants: R_k per point and R_ij per pair (1-based keys)."""
-    m = config.m
-    r_k = []
-    for k in range(1, m + 1):
-        p = config.point(k)
-        dot = sum((a * b for a, b in zip(p.x, p.y)), Rat(0))
-        r_k.append(dot - 2 * p.u)
-    r_ij = {}
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            pi, pj = config.point(i), config.point(j)
-            r_ij[(i, j)] = sum(
-                (pi.x[t] * pj.y[t] - pj.x[t] * pi.y[t] for t in range(config.n)), Rat(0)
-            )
-    return {"R_k": r_k, "R_ij": r_ij}
+    pts = [p.x + p.y for p in config.points]
+    r_ij = {(i + 1, j + 1): symp(pts[i], pts[j]) for i, j in combinations(range(config.m), 2)}
+    return {"R_k": [_reference(p) for p in config.points], "R_ij": r_ij}
 
 
 def _eliminated_pairs(m, n):
-    kept = set(basic_set(m, n).pairs)
-    return [
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-        if (i, j) not in kept
-    ]
+    """The pairs outside the basic set: those with i > 2n."""
+    return [(i, j) for i in range(2 * n + 1, m + 1) for j in range(i + 1, m + 1)]
 
 
 def _absolute_values(config: ContactConfig):
     rel = contact_relative(config)
-    r_k, r_ij = rel["R_k"], rel["R_ij"]
     m = config.m
-    rm = r_k[m - 1]
+    rm = rel["R_k"][m - 1]
     if rm == 0:
         raise GenericityError(f"R_{m} = 0")
-
-    def rij(i, j):
-        return r_ij[(i, j)] if i < j else -r_ij[(j, i)]
-
+    T = GramTable(m, {p: v / rm for p, v in rel["R_ij"].items()})
     eliminated = _eliminated_pairs(m, config.n)
-    if eliminated and rij(1, 2) == 0:
+    if eliminated and T.value(1, 2) == 0:
         raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
-    t_k = tuple(r_k[k - 1] / rm for k in range(1, m))
-    t_ij = {(i, j): rij(i, j) / rm for (i, j) in basic_set(m, config.n).pairs}
-    values = t_k + tuple(t_ij.values())
-    if eliminated:
-        # the elimination divides by every link b_{1..2k}(T) of the leading
-        # chain; where one vanishes the basic set does not determine the
-        # eliminated T_ij, so they join the signature (each is invariant)
-        head = GramTable(2 * config.n, {p: v for p, v in t_ij.items() if p[1] <= 2 * config.n})
-        if any(v == 0 for _, v in _chain(head, config.n)):
-            values += tuple(rij(i, j) / rm for (i, j) in eliminated)
+    values = tuple(r / rm for r in rel["R_k"][: m - 1])
+    values += tuple(T.value(i, j) for (i, j) in basic_set(m, config.n).pairs)
+    # the elimination divides by every link b_{1..2k}(T) of the leading
+    # chain; where one vanishes the basic set does not determine the
+    # eliminated T_ij, so they join the signature (each is invariant)
+    if eliminated and any(v == 0 for _, v in _chain(T, config.n)):
+        values += tuple(T.value(i, j) for (i, j) in eliminated)
     return values
 
 
-def _rotate_if_needed(config: ContactConfig):
-    """Rotate the point order once when the reference R_m vanishes."""
-    if contact_relative(config)["R_k"][config.m - 1] == 0:
-        return config.rotate(), True
-    return config, False
+def _contact_normal(config: ContactConfig, rotated=None):
+    """(contact signature, rotated): the one cyclic relabeling is decided
+    here when `rotated` is None (rotate iff R_m = 0), else applied as given."""
+    if rotated is None:
+        rotated = _reference(config.point(config.m)) == 0
+    values = _absolute_values(config.rotate() if rotated else config)
+    return Signature("Contact", values), rotated
 
 
 def contact_absolute(config: ContactConfig) -> Signature:
@@ -213,8 +209,7 @@ def contact_absolute(config: ContactConfig) -> Signature:
     The last point's R is the reference denominator; when it vanishes a single
     cyclic relabeling is attempted before rejecting.
     """
-    config, _ = _rotate_if_needed(config)
-    return Signature("Contact", _absolute_values(config))
+    return _contact_normal(config)[0]
 
 
 def contact_equivalent(A: ContactConfig, B: ContactConfig) -> bool:
@@ -223,12 +218,8 @@ def contact_equivalent(A: ContactConfig, B: ContactConfig) -> bool:
     The fallback relabeling is decided on the first configuration and applied
     to both, so the test is genuine group equivalence.
     """
-    if (A.n, A.m) != (B.n, B.m):
-        raise ValueError("configurations must share (n, m)")
-    A, rotated = _rotate_if_needed(A)
-    if rotated:
-        B = B.rotate()
-    return _absolute_values(A) == _absolute_values(B)
+    sig_a, sig_b, _ = _relabel_compare(A, B, _contact_normal)
+    return sig_a == sig_b
 
 
 def dim_bbar(m, n):

@@ -1,11 +1,23 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympjoint.cli import main
 from sympjoint.exact import ExactMatrix, random_symplectic, rat
 from sympjoint.invariants import PointConfig, config_to_dict, random_config
-from sympjoint.variants import ContactConfig, ContactPoint, contact_config_to_dict, contact_transform
+from sympjoint.variants import (
+    ContactConfig,
+    ContactPoint,
+    contact_config_to_dict,
+    contact_lift_symplectic,
+    contact_transform,
+)
 
 import random
 
@@ -293,3 +305,96 @@ def test_discretize_evaluates_each_step_once(tmp_path, capsys, monkeypatch, case
     if with_csv:
         rows = (tmp_path / "rows.csv").read_text().splitlines()[1:]
         assert len(rows) == len(reports) * len(discretize.DEFAULT_STEPS)
+
+
+E1, E2, F1, F2 = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)
+# a12 = 0, so the signature relabels the points to (1, 5, 2, 3, 4)
+RELABELED = PointConfig(2, (E1, E2, F2, (1, 1, 0, 0), F1))
+
+
+def test_equiv_compares_the_second_under_the_first_relabeling(tmp_path, capsys):
+    # generic in the order (1, 5, 2, 3, 4); its own fallback would fail (b1234 = 0)
+    other = PointConfig(2, (E1, F1, E2, E2, (0, 0, 1, 1)))
+    pa = write_json(tmp_path / "a.json", config_to_dict(RELABELED))
+    pb = write_json(tmp_path / "b.json", config_to_dict(other))
+    code, out = run(capsys, "equiv", pa, pb)
+    assert code == 1
+    data = json.loads(out)
+    assert data["equivalent"] is False
+    assert data["signature_a"] != data["signature_b"]
+    assert data["signature_b"]["values"][:2] == ["1", "1"]  # a12, a13 of B in the order (1, 5, 2, 3, 4)
+
+
+def test_equiv_witness_after_relabeling(tmp_path, capsys):
+    b = RELABELED.transform(random_symplectic(2, 6, seed=4))
+    pa = write_json(tmp_path / "a.json", config_to_dict(RELABELED))
+    pb = write_json(tmp_path / "b.json", config_to_dict(b))
+    code, out = run(capsys, "equiv", pa, pb)
+    assert code == 0
+    data = json.loads(out)
+    assert data["equivalent"] is True
+    witness = ExactMatrix([[rat(x) for x in row] for row in data["witness"]])
+    for i in range(1, RELABELED.m + 1):
+        assert witness.apply(RELABELED.point(i)) == b.point(i)
+
+
+def test_equiv_unordered_nongeneric_first_is_input_error(tmp_path, capsys):
+    flat = write_json(tmp_path / "flat.json", {"n": 1, "points": [[1, 0], [2, 0], [3, 0]]})
+    code, out = run(capsys, "equiv", flat, flat, "--unordered")
+    assert code == 2
+    assert json.loads(out)["error"] == "genericity"
+
+
+def test_equiv_unordered_skips_nongeneric_orders_of_the_second(tmp_path, capsys):
+    a = PointConfig(1, ((1, 0), (0, 1), (1, 0)))
+    pa = write_json(tmp_path / "a.json", config_to_dict(a))
+    pb = write_json(tmp_path / "b.json", config_to_dict(a.permute([1, 3, 2])))  # b12 = 0
+    code, out = run(capsys, "equiv", pa, pb, "--unordered")
+    assert code == 0
+    assert json.loads(out)["relabeling"] == [1, 3, 2]
+
+
+def test_equiv_contact_needs_n_at_least_one(tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", {"n": 0, "points": [{"x": [], "y": [], "u": 1}]})
+    code = main(["equiv", path, path, "--group", "contact"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "n must be >= 1" in captured.err
+
+
+@pytest.mark.parametrize("group", ["sp", "csp", "asp", "contact"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_equiv_verdict_is_signature_equality(group, data):
+    coord = st.integers(-3, 3)
+    m = data.draw(st.integers(2, 4))
+    if group == "contact":
+        draw_point = lambda: ContactPoint((data.draw(coord),), (data.draw(coord),), data.draw(coord))
+        a = ContactConfig(1, tuple(draw_point() for _ in range(m)))
+        move, to_dict = contact_lift_symplectic, contact_config_to_dict
+    else:
+        a = PointConfig(1, tuple((data.draw(coord), data.draw(coord)) for _ in range(m)))
+        move, to_dict = (lambda M, c: c.transform(M)), config_to_dict
+    kind = data.draw(st.sampled_from(["image", "perturbed"]))
+    b = move(random_symplectic(1, 6, data.draw(st.integers(0, 10**6))), a)
+    if kind == "perturbed":
+        pts = list(to_dict(b)["points"])
+        pts[-1] = to_dict(a)["points"][0]
+        b_dict = {"n": 1, "points": pts}
+    else:
+        b_dict = to_dict(b)
+    with tempfile.TemporaryDirectory() as tmp:
+        pa = write_json(Path(tmp) / "a.json", to_dict(a))
+        pb = write_json(Path(tmp) / "b.json", b_dict)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["equiv", pa, pb, "--group", group])
+    out = json.loads(stdout.getvalue())
+    if code == 2:
+        assert out["error"] == "genericity"
+        return
+    assert out["equivalent"] is (code == 0)
+    assert out["equivalent"] is (out["signature_a"] == out["signature_b"])
+    if kind == "image":
+        assert out["equivalent"] is True

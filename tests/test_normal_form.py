@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sympjoint.exact import (
     ExactMatrix,
@@ -229,3 +231,49 @@ def test_relations_follow_the_gram_values_below_2n():
     assert signature(cfg, "sp").values == tuple(
         g.value(i, j) for i in range(1, 5) for j in range(i + 1, 6)
     )
+
+
+@st.composite
+def linear_configs(draw):
+    """Small integer configurations; with `fallback`, A_2 = 2 A_1 so a12 = 0
+    and a signature must relabel (or reject) the points."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 5))
+    pts = [tuple(draw(st.integers(-3, 3)) for _ in range(2 * n)) for _ in range(m)]
+    if draw(st.booleans()):
+        pts[1] = tuple(2 * c for c in pts[0])
+    return PointConfig(n, tuple(pts))
+
+
+def _moved(cfg, group, seed, scale, shift):
+    """The image of cfg under a group element built from the draws."""
+    out = cfg.transform(random_symplectic(cfg.n, 6, seed))
+    if group == "csp":
+        out = out.scale(scale)
+    if group == "asp":
+        out = out.translate(shift[: 2 * cfg.n])
+    return out
+
+
+@pytest.mark.parametrize("group", ["sp", "csp", "asp"])
+@given(
+    base=linear_configs(),
+    seed=st.integers(0, 10**6),
+    scale=st.integers(1, 4),
+    shift=st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+    origin=st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_group_image_is_equivalent(group, base, seed, scale, shift, origin):
+    cfg = base
+    if group == "asp":
+        # the base point goes first, so the translated configuration is `base`
+        o = tuple(origin[: 2 * base.n])
+        cfg = PointConfig(base.n, (o,) + tuple(tuple(a + b for a, b in zip(p, o)) for p in base.points))
+    try:
+        sig = signature(cfg, group)
+    except GenericityError:
+        assume(False)
+    moved = _moved(cfg, group, seed, scale, shift)
+    assert equivalent(cfg, moved, group)
+    assert signature(moved, group) == sig

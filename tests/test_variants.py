@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sympjoint.exact import ExactMatrix, Rat, rat, random_symplectic
 from sympjoint.invariants import GenericityError, PointConfig, gram, random_config
+from sympjoint.normal_form import equivalent, signature
 from sympjoint.poly import MultiPoly, aux_var, contact_var
 from sympjoint.variants import (
     ContactConfig,
@@ -323,3 +326,38 @@ def test_generic_contact_signature_has_no_eliminated_values():
         except GenericityError:
             continue
     assert len(sig.values) == dim_bbar(6, 2)
+
+
+@st.composite
+def contact_configs(draw):
+    """Small integer contact configurations; with `fallback`, u of the last
+    point makes R_m = 0, so the signature must rotate (or reject) the points."""
+    n = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 6))
+    coord = st.integers(-3, 3)
+    pts = [
+        ContactPoint(tuple(draw(coord) for _ in range(n)), tuple(draw(coord) for _ in range(n)), draw(coord))
+        for _ in range(m)
+    ]
+    if draw(st.booleans()):
+        last = pts[-1]
+        pts[-1] = ContactPoint(last.x, last.y, Rat(sum(a * b for a, b in zip(last.x, last.y)), 2))
+    return ContactConfig(n, tuple(pts))
+
+
+@given(cfg=contact_configs(), seed=st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_contact_lift_image_is_equivalent(cfg, seed):
+    try:
+        sig = contact_absolute(cfg)
+    except GenericityError:
+        assume(False)
+    moved = contact_lift_symplectic(random_symplectic(cfg.n, 6, seed), cfg)
+    assert contact_equivalent(cfg, moved)
+    assert equivalent(cfg, moved, "contact")
+    assert contact_absolute(moved) == sig == signature(moved, "contact")
+
+
+def test_contact_config_needs_n_at_least_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ContactConfig(0, (ContactPoint((), (), 1),))
