@@ -33,7 +33,7 @@ from .poly import (
     verify_resolution_tower,
     verify_weyl_reduction,
 )
-from .symmetric import generator_search, graded_dim, verify_R8
+from .symmetric import _MAX_SEARCH_DEGREE, _MAX_SEARCH_POINTS, generator_search, graded_dim, verify_R8
 from .variants import dim_bbar, load_contact_config
 
 EXIT_OK = 0
@@ -171,16 +171,19 @@ def cmd_symmetrize(args):
         "m": args.m,
         "n": args.n,
         "maxdeg": args.maxdeg,
-        "graded_dims": [graded_dim(args.m, args.n, k, seed=args.seed) for k in range(args.maxdeg + 1)],
+        "graded_dims": [graded_dim(args.m, args.n, k) for k in range(args.maxdeg + 1)],
         "r8_syzygy": verify_R8(),
     }
-    if args.m <= 3:
+    if args.m > _MAX_SEARCH_POINTS:
+        out["generators"] = None
+        out["note"] = f"generator search is limited to m <= {_MAX_SEARCH_POINTS}"
+    elif args.maxdeg > _MAX_SEARCH_DEGREE:
+        out["generators"] = None
+        out["note"] = f"generator search is limited to maxdeg <= {_MAX_SEARCH_DEGREE}"
+    else:
         gens = generator_search(args.m, args.n, args.maxdeg, seed=args.seed)
         out["generators"] = [str(g) for g in gens]
         out["generator_degrees"] = [g.degree() for g in gens]
-    else:
-        out["generators"] = None
-        out["note"] = "generator search is limited to m <= 3"
     _emit(out)
     return EXIT_OK
 
@@ -238,8 +241,6 @@ def _discretize_reports(case, model, at):
         estimates = lambda h: disc.contact_estimates(model, x, h, h)
         targets = {"I1": model.i1(x), "I2": model.i2(x), "grad": model.grad_target(x)}
     else:
-        if len(at) != 2:
-            raise ValueError("the function case needs a base point --at x,y")
         x, y = at
         estimates = lambda h: disc.function_estimates(model, x, y, h, h)
         targets = {
@@ -264,6 +265,9 @@ def cmd_discretize(args):
     at = tuple(float(v) for v in args.at.split(",")) if args.at else cases[curve_name]["at"]
     if not all(math.isfinite(v) for v in at):
         raise ValueError(f"evaluation point must be finite, got {args.at!r}")
+    arity = 2 if args.case == "function" else 1  # a surface base point, else a curve parameter
+    if len(at) != arity:
+        raise ValueError(f"--case {args.case} takes {arity} value(s) in --at, got {len(at)}")
     steps = (
         tuple(float(v) for v in args.steps.split(",")) if args.steps else disc.DEFAULT_STEPS
     )

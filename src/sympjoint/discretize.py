@@ -19,11 +19,8 @@ class DegenerateSample(ArithmeticError):
     """A chord invariant in a denominator vanished at the sampled points."""
 
 
-def _w2(P, Q):
-    return P[0] * Q[1] - Q[0] * P[1]
-
-
 def _symp(u, v):
+    """omega(u, v) in grouped coordinates; plane points are the case n = 1."""
     n = len(u) // 2
     return sum(u[k] * v[n + k] - v[k] * u[n + k] for k in range(n))
 
@@ -164,10 +161,10 @@ def check_derivatives(fn, dfn, at, h=1e-6, tol=1e-4):
 
 
 def planar_i2_from_points(A0, A1, A2):
-    """(a01 - a02 + a12) / (a01 a02 a12) for three sampled plane points."""
-    a01, a02, a12 = _w2(A0, A1), _w2(A0, A2), _w2(A1, A2)
-    _nonzero(a01, a02, a12)
-    return (a01 - a02 + a12) / (a01 * a02 * a12)
+    """(a01 - a02 + a12) / (a01 a02 a12) for three sampled plane points:
+    the n = 1 case of `general_i2_from_points`, whose factor 4 (a power of
+    two) divides out exactly."""
+    return general_i2_from_points(A0, A1, A2) / 4.0
 
 
 def planar_I2_estimate(curve: PlanarCurve, x, delta, eps):
@@ -221,9 +218,8 @@ def contact_estimates(curve: ContactCurve, x, delta, eps):
     """
     pts = [curve.point(x - delta), curve.point(x), curve.point(x + eps)]
     R = [p[0] * p[1] - 2.0 * p[2] for p in pts]
-    r01 = _w2(pts[0], pts[1])
-    r02 = _w2(pts[0], pts[2])
-    r12 = _w2(pts[1], pts[2])
+    xy = [p[:2] for p in pts]
+    r01, r02, r12 = _symp(xy[0], xy[1]), _symp(xy[0], xy[2]), _symp(xy[1], xy[2])
     _nonzero(r01, r02, r12)
     i1 = (R[0] - R[1]) / (2.0 * r01) + 0.5
     i2 = 2.0 * R[1] ** 2 * (r01 + r12 - r02) / (r01 * r02 * r12)
@@ -246,7 +242,7 @@ def function_estimates(surface: Surface, x, y, delta, eps):
     A0 = (x + delta * y, y - delta * x)
     A2 = (x + eps * (x + y), y + eps * (y - x))
     u0, u1, u2 = surface.u(*A0), surface.u(*A1), surface.u(*A2)
-    a01, a02, a12 = _w2(A0, A1), _w2(A0, A2), _w2(A1, A2)
+    a01, a02, a12 = _symp(A0, A1), _symp(A0, A2), _symp(A1, A2)
     _nonzero(a01, a12, a01 - a02 + a12)
     i1 = (a01 * (u1 - u2) + a12 * (u1 - u0)) / (a01 - a02 + a12)
     grad1 = (x, y)
@@ -262,7 +258,7 @@ def function_estimates(surface: Surface, x, y, delta, eps):
             raise DegenerateSample("I1 vanishes at the base point")
     else:
         B0 = (x + eps * uy, y - eps * ux)
-        aB = _w2(B0, A1)
+        aB = _symp(B0, A1)
         _nonzero(aB)
         i2c = 2.0 * i1_exact**2 * (surface.u(*B0) - u1) / aB**2
     return {"I1": i1, "grad1": grad1, "grad2": grad2, "I2c": i2c}

@@ -285,11 +285,6 @@ def inverse(M):
     return solve(M, ExactMatrix.identity(M.rows))
 
 
-def solve_vector(A, b):
-    x = solve(A, ExactMatrix([[v] for v in b]))
-    return tuple(x.data[i][0] for i in range(A.rows))
-
-
 def _pf_expand(labels, entry, zero, add=sum):
     """Pfaffian of the skew table ``entry(i, j)`` on ``labels`` (i before j),
     over any commutative ring with ``+ - *`` and int addition (``Rat``, int,

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import Rat, SkewMatrix, det, ExactMatrix, pfaffian, rat, rat_str, symp
+from .exact import Rat, SkewMatrix, _pf_expand, det, ExactMatrix, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -128,7 +128,7 @@ def _chain(g: GramTable, n):
     for k in range(1, min(n, g.m // 2) + 1):
         idx = tuple(range(1, 2 * k + 1))
         name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
-        out.append((name, pfaffian(g.subtable(idx))))
+        out.append((name, _pf_expand(idx, g.value, Rat(0))))
     return out
 
 
@@ -168,7 +168,7 @@ def syzygy_value(g: GramTable, idx, n=None):
     if n is not None and len(idx) != 2 * n + 2:
         raise ValueError(f"tuple length {len(idx)} != 2n+2 = {2 * n + 2}")
     idx = _check_tuple(idx, g.m, len(idx))
-    return pfaffian(g.subtable(idx))
+    return _pf_expand(idx, g.value, Rat(0))
 
 
 def all_min_syzygies(config: PointConfig):

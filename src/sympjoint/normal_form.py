@@ -1,14 +1,15 @@
 """Canonical forms and the signature method for deciding equivalence.
 
-A generic configuration is normalized by a symplectic analog of Gram-Schmidt:
-the first point goes to the first basis vector, the second to a multiple of
-its symplectic partner, and each further column is solved from the pairing
-constraints omega(C_i, C_j) = a_ij together with a fixed zero/one pattern.
-Two generic configurations are equivalent iff their signatures (the values of
-the generating invariants in a fixed order) coincide exactly.
+A generic configuration is normalized by symplectic Gram-Schmidt run on its
+Gram table (Artin, Geometric Algebra, ch. III): points 2k-1 and 2k give the
+k-th frame pair (E_k, F_k), made omega-orthogonal to the earlier pairs with
+omega(E_k, F_k) = 1, and each point is written in that frame.  No linear
+system is solved.  Two generic configurations are equivalent iff their
+signatures (the values of the generating invariants in a fixed order)
+coincide exactly.
 
-Coordinates are grouped (x^1..x^n, y^1..y^n); the normalization pattern pairs
-x^k with y^k, so e.g. for n = 2 the fourth column carries b_1234/a_12 in its
+Coordinates are grouped (x^1..x^n, y^1..y^n); frame pair k fills the x^k and
+y^k slots, so e.g. for n = 2 the fourth column carries b_1234/a_12 in its
 y^2 slot.
 
 Every signature and equivalence decision, for Sp, CSp, ASp and the contact
@@ -22,15 +23,7 @@ configuration and applies it to the second.  This module imports `variants`
 from dataclasses import dataclass
 from functools import partial
 
-from .exact import (
-    ExactMatrix,
-    Rat,
-    inverse,
-    is_symplectic,
-    nullspace,
-    solve_vector,
-    symp,
-)
+from .exact import ExactMatrix, Rat, inverse, is_symplectic, nullspace, symp
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
@@ -85,52 +78,30 @@ def _genericize(config: PointConfig):
     _require_generic(config)  # raises: no relabeling rescued the chain
 
 
-def _unit(dim, grouped_row):
-    return tuple(Rat(1) if i == grouped_row else Rat(0) for i in range(dim))
-
-
-def _grouped_row(pos, n):
-    """Interleaved basis slot (1-based) -> grouped coordinate row (0-based)."""
-    k = (pos + 1) // 2
-    return k - 1 if pos % 2 else n + k - 1
-
-
 def _canonical_columns(g: GramTable, n):
-    dim = 2 * n
-    m = g.m
-    cols = [_unit(dim, 0), tuple(g.value(1, 2) * x for x in _unit(dim, n))]
-    for j in range(3, m + 1):
-        if j <= dim:
-            k = (j + 1) // 2
-            if j % 2:  # j = 2k-1: head unknowns, slot 2k-1 pinned to 1
-                unknowns = list(range(1, 2 * k - 1))
-                fixed = [(2 * k - 1, Rat(1))]
-                eqs = list(range(1, j))
-            else:  # j = 2k: head unknowns plus slot 2k, slot 2k-1 pinned to 0
-                unknowns = list(range(1, 2 * k - 1)) + [2 * k]
-                fixed = []
-                eqs = list(range(1, j))
-        else:
-            unknowns = list(range(1, dim + 1))
-            fixed = []
-            eqs = list(range(1, dim + 1))
+    """Symplectic Gram-Schmidt on the Gram table: the points in the frame.
 
-        fixed_vec = [Rat(0)] * dim
-        for pos, val in fixed:
-            fixed_vec[_grouped_row(pos, n)] = val
-        rows, rhs = [], []
-        for i in eqs:
-            ci = cols[i - 1]
-            rows.append([symp(ci, _unit(dim, _grouped_row(p, n))) for p in unknowns])
-            rhs.append(g.value(i, j) - symp(ci, fixed_vec))
-        try:
-            sol = solve_vector(ExactMatrix(rows), rhs)
-        except ValueError as exc:
-            raise GenericityError(f"canonical-form system singular at column {j}") from exc
-        col = list(fixed_vec)
-        for p, val in zip(unknowns, sol):
-            col[_grouped_row(p, n)] = val
-        cols.append(tuple(col))
+    Pair k (0-based) takes E from A_{2k+1} and F from A_{2k+2}, each made
+    omega-orthogonal to the earlier pairs, with F scaled so omega(E, F) = 1.
+    Column j holds omega(A_j, F) in its x^{k+1} slot and omega(E, A_j) in
+    its y^{k+1} slot.  Both pairings are residuals of the table: a_ij minus
+    the pairing of the columns built so far.  The pivot omega(E, A_{2k+2})
+    is b_{1..2k+2}/b_{1..2k}, nonzero on a generic configuration.  With m
+    odd and m < 2n the last point alone spans the next E: its x slot is 1.
+    """
+    m = g.m
+    cols = [[Rat(0)] * (2 * n) for _ in range(m)]
+    for k in range(min(n, (m + 1) // 2)):
+        e, f = 2 * k + 1, 2 * k + 2
+        if f > m:
+            cols[-1][k] = Rat(1)
+            break
+        # the residual pairings of every point with E and F, before the update
+        with_e = [g.value(e, j) - symp(cols[e - 1], col) for j, col in enumerate(cols, 1)]
+        with_f = [g.value(j, f) - symp(col, cols[f - 1]) for j, col in enumerate(cols, 1)]
+        pivot = with_e[f - 1]
+        for col, y, x in zip(cols, with_e, with_f):
+            col[k], col[n + k] = x / pivot, y
     return cols
 
 

@@ -237,6 +237,37 @@ def test_discretize_malformed_input_is_input_error(capsys, extra):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "case,at",
+    [
+        ("planar-i2", "1,2"),
+        ("general-i2", "1,2"),
+        ("derivation", "1,2"),
+        ("contact", "1,5,7"),
+        ("function", "1"),
+        ("function", "1,2,3"),
+    ],
+)
+def test_discretize_at_arity_is_input_error(capsys, case, at):
+    """A curve case takes one --at value and the function case two; any
+    other count is refused rather than partly ignored."""
+    code = main(["discretize", "--case", case, "--at", at])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("maxdeg", [9, 10])
+def test_symmetrize_past_the_generator_guard_prints_dimensions(capsys, maxdeg):
+    code, out = run(capsys, "symmetrize", "--m", "3", "--n", "1", "--maxdeg", str(maxdeg))
+    assert code == 0
+    data = json.loads(out)
+    assert data["graded_dims"] == [1, 0, 2, 1, 4, 2, 7, 4, 10, 7, 14][: maxdeg + 1]
+    assert data["generators"] is None
+    assert "maxdeg" in data["note"]
+
+
 def test_cli_import_does_not_load_numpy():
     import os
     import subprocess

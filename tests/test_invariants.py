@@ -2,11 +2,14 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympjoint.exact import Rat, random_symplectic
+from sympjoint.exact import Rat, pfaffian, random_symplectic
 from sympjoint.invariants import (
     GramTable,
     PointConfig,
+    _chain,
     all_min_syzygies,
     config_from_dict,
     config_to_dict,
@@ -138,3 +141,22 @@ def test_config_json_round_trip():
         config_from_dict({"points": [[1, 2]]})
     with pytest.raises(TypeError):
         config_from_dict({"n": 1, "points": [[0.5, 1]]})
+
+
+@st.composite
+def free_tables(draw):
+    """A Gram table with independent small entries (zeros included), m <= 8."""
+    m = draw(st.integers(2, 8))
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    return GramTable(m, {p: draw(st.integers(-4, 4)) for p in pairs})
+
+
+@given(g=free_tables(), n=st.integers(1, 4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_chain_and_syzygy_value_are_subtable_pfaffians(g, n, data):
+    for k, (_, value) in enumerate(_chain(g, n), 1):
+        assert value == pfaffian(g.subtable(tuple(range(1, 2 * k + 1))))
+    if g.m >= 4:
+        size = data.draw(st.sampled_from(range(4, g.m + 1, 2)))
+        idx = sorted(data.draw(st.sets(st.integers(1, g.m), min_size=size, max_size=size)))
+        assert syzygy_value(g, idx) == pfaffian(g.subtable(idx))

@@ -10,6 +10,8 @@ from sympjoint.exact import (
     is_symplectic,
     pfaffian,
     random_symplectic,
+    solve,
+    symp,
 )
 from sympjoint.invariants import GenericityError, PointConfig, gram, random_config
 from sympjoint.normal_form import (
@@ -277,3 +279,77 @@ def test_group_image_is_equivalent(group, base, seed, scale, shift, origin):
     moved = _moved(cfg, group, seed, scale, shift)
     assert equivalent(cfg, moved, group)
     assert signature(moved, group) == sig
+
+
+def _grouped_row(pos, n):
+    """Interleaved basis slot (1-based: x^1, y^1, x^2, ...) -> grouped row (0-based)."""
+    k = (pos + 1) // 2
+    return k - 1 if pos % 2 else n + k - 1
+
+
+def solved_columns(g, n):
+    """The canonical columns as they were once computed: column j solved from
+    omega(C_i, C_j) = a_ij over its free slots, one exact linear system per
+    column, with slot 2k-1 of column 2k-1 pinned to 1 and of column 2k to 0."""
+    dim = 2 * n
+
+    def unit(row):
+        return tuple(Rat(int(i == row)) for i in range(dim))
+
+    cols = [unit(0), tuple(g.value(1, 2) * x for x in unit(n))]
+    for j in range(3, g.m + 1):
+        k = (j + 1) // 2
+        if j > dim:
+            unknowns, pinned, eqs = range(1, dim + 1), {}, range(1, dim + 1)
+        elif j % 2:
+            unknowns, pinned, eqs = range(1, 2 * k - 1), {2 * k - 1: 1}, range(1, j)
+        else:
+            unknowns, pinned, eqs = [*range(1, 2 * k - 1), 2 * k], {}, range(1, j)
+        col = [Rat(0)] * dim
+        for pos, val in pinned.items():
+            col[_grouped_row(pos, n)] = Rat(val)
+        rows = [[symp(cols[i - 1], unit(_grouped_row(p, n))) for p in unknowns] for i in eqs]
+        rhs = [[g.value(i, j) - symp(cols[i - 1], col)] for i in eqs]
+        for p, (val,) in zip(unknowns, solve(ExactMatrix(rows), ExactMatrix(rhs)).data):
+            col[_grouped_row(p, n)] = val
+        cols.append(tuple(col))
+    return cols
+
+
+@st.composite
+def generic_configs(draw):
+    """Integer configurations with n <= 3 and m <= 10 passing the chain;
+    odd m < 2n (the last point spans the next E alone) is included."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 10))
+    pts = tuple(tuple(draw(st.integers(-6, 6)) for _ in range(2 * n)) for _ in range(m))
+    cfg = PointConfig(n, pts)
+    assume(genericity(cfg).generic)
+    return cfg
+
+
+@given(cfg=generic_configs())
+@settings(max_examples=150, deadline=None)
+def test_canonical_matches_the_per_column_solve(cfg):
+    got = canonical(cfg).data
+    want = ExactMatrix.from_columns(solved_columns(gram(cfg), cfg.n)).data
+    assert got == want
+    assert all(type(x) is Rat for row in got for x in row)
+
+
+@given(cfg=generic_configs())
+@settings(max_examples=150, deadline=None)
+def test_canonical_frame_pattern(cfg):
+    """Column 2k-1 has 1 in its x^k slot and column 2k has 0 there; columns
+    before 2k-1 vanish in every slot from k on (x and y)."""
+    n, m = cfg.n, cfg.m
+    cols = canonical(cfg).columns()
+    for k in range(1, n + 1):
+        if 2 * k - 1 > m:
+            break
+        assert cols[2 * k - 2][k - 1] == 1
+        if 2 * k <= m:
+            assert cols[2 * k - 1][k - 1] == 0
+        for col in cols[: 2 * k - 2]:
+            assert all(col[s] == 0 for s in range(k - 1, n))
+            assert all(col[n + s] == 0 for s in range(k - 1, n))
