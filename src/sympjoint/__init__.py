@@ -5,93 +5,118 @@ symbolic verification of their Pfaffian syzygies, canonical forms and
 signatures deciding equivalence under Sp/CSp/ASp and the contact lift, the
 symmetric (unordered) invariant algebra, and floating-point discretizations
 recovering the differential invariants as limits of joint ones.
+
+The submodules load on first use: ``import sympjoint`` imports none of them,
+and ``sympjoint.X`` imports the module that defines ``X`` the first time it is
+read (PEP 562), then keeps it as a plain attribute.
 """
 
-from .exact import (
-    BACKEND,
-    ExactMatrix,
-    Rat,
-    SkewMatrix,
-    det,
-    is_symplectic,
-    nullspace,
-    pfaffian,
-    random_symplectic,
-    rank,
-    rat,
-    rat_str,
-    symp,
-    symplectic_J,
-)
-from .field_generators import (
-    BasicSet,
-    basic_set,
-    dim_d,
-    eliminate_entry,
-    generic_jacobian_rank,
-    jacobian_rank,
-    stabilizer_dim,
-)
-from .invariants import (
-    GenericityError,
-    GramTable,
-    PointConfig,
-    all_min_syzygies,
-    config_from_dict,
-    config_to_dict,
-    gram,
-    load_config,
-    q_value,
-    random_config,
-    syzygy_value,
-)
-from .normal_form import (
-    GenericityReport,
-    Signature,
-    canonical,
-    equivalent,
-    genericity,
-    recover_transform,
-    signature,
-)
-from .poly import (
-    FreeModuleElt,
-    MultiPoly,
-    aux_var,
-    avar,
-    contact_var,
-    evaluate,
-    pfaffian_poly,
-    q_poly,
-    verify_pfaffian_expansion,
-    verify_q_reduction,
-    verify_resolution_tower,
-    verify_weyl_reduction,
-)
-from .symmetric import (
-    generator_search,
-    graded_dim,
-    named_generators,
-    poincare_coeffs,
-    q_sequence,
-    reynolds,
-    verify_R8,
-)
-from .variants import (
-    ContactConfig,
-    ContactPoint,
-    asp_invariants,
-    contact_absolute,
-    contact_apply,
-    contact_config_from_dict,
-    contact_config_to_dict,
-    contact_equivalent,
-    contact_lift_symplectic,
-    contact_relative,
-    contact_transform,
-    csp_signature,
-    dim_bbar,
-    load_contact_config,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "exact": (
+        "BACKEND",
+        "ExactMatrix",
+        "Rat",
+        "SkewMatrix",
+        "det",
+        "is_symplectic",
+        "nullspace",
+        "pfaffian",
+        "random_symplectic",
+        "rank",
+        "rat",
+        "rat_str",
+        "symp",
+        "symplectic_J",
+    ),
+    "field_generators": (
+        "BasicSet",
+        "basic_set",
+        "dim_d",
+        "eliminate_entry",
+        "generic_jacobian_rank",
+        "jacobian_rank",
+        "stabilizer_dim",
+    ),
+    "invariants": (
+        "GenericityError",
+        "GramTable",
+        "PointConfig",
+        "all_min_syzygies",
+        "config_from_dict",
+        "config_to_dict",
+        "gram",
+        "load_config",
+        "q_value",
+        "random_config",
+        "syzygy_value",
+    ),
+    "normal_form": (
+        "GenericityReport",
+        "Signature",
+        "canonical",
+        "equivalent",
+        "genericity",
+        "recover_transform",
+        "signature",
+    ),
+    "poly": (
+        "FreeModuleElt",
+        "MultiPoly",
+        "aux_var",
+        "avar",
+        "contact_var",
+        "evaluate",
+        "pfaffian_poly",
+        "q_poly",
+        "verify_pfaffian_expansion",
+        "verify_q_reduction",
+        "verify_resolution_tower",
+        "verify_weyl_reduction",
+    ),
+    "symmetric": (
+        "generator_search",
+        "graded_dim",
+        "named_generators",
+        "poincare_coeffs",
+        "q_sequence",
+        "reynolds",
+        "verify_R8",
+    ),
+    "variants": (
+        "ContactConfig",
+        "ContactPoint",
+        "asp_invariants",
+        "contact_absolute",
+        "contact_apply",
+        "contact_config_from_dict",
+        "contact_config_to_dict",
+        "contact_equivalent",
+        "contact_lift_symplectic",
+        "contact_relative",
+        "contact_transform",
+        "csp_signature",
+        "dim_bbar",
+        "load_contact_config",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_OWNER, *_EXPORTS])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,7 +4,8 @@ decisions, symmetrization, dimension tables, and discretization sweeps.
 Exit codes are stable: 0 success / equivalent, 1 not equivalent or an identity
 or convergence check failed, 2 genericity or input error, 64 usage error.
 All rationals in JSON output are "p/q" strings; floats appear only in
-discretization reports.
+discretization reports.  Each command imports the library modules it calls,
+so one call loads only what its command uses.
 """
 
 import argparse
@@ -14,27 +15,6 @@ import math
 import random
 import sys
 from itertools import combinations, permutations
-
-from . import discretize as disc
-from .exact import rat_str
-from .field_generators import dim_d, stabilizer_dim
-from .invariants import (
-    GenericityError,
-    _relabel_compare,
-    all_min_syzygies,
-    gram,
-    load_config,
-    q_value,
-)
-from .normal_form import _normalize, genericity, recover_transform
-from .poly import (
-    verify_pfaffian_expansion,
-    verify_q_reduction,
-    verify_resolution_tower,
-    verify_weyl_reduction,
-)
-from .symmetric import _MAX_SEARCH_DEGREE, _MAX_SEARCH_POINTS, generator_search, graded_dim, verify_R8
-from .variants import dim_bbar, load_contact_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -54,10 +34,16 @@ def _emit(obj):
 
 
 def _sig_json(sig):
+    from .exact import rat_str
+
     return {"group": sig.group, "values": [rat_str(v) for v in sig.values]}
 
 
 def cmd_invariants(args):
+    from .exact import rat_str
+    from .invariants import gram, load_config
+    from .normal_form import genericity
+
     config = load_config(args.config)
     g = gram(config)
     report = genericity(config)
@@ -76,6 +62,8 @@ def cmd_invariants(args):
 
 
 def cmd_syzygy_check(args):
+    from .invariants import all_min_syzygies, gram, load_config, q_value
+
     out = {}
     ok = True
     if args.config:
@@ -100,6 +88,13 @@ def cmd_syzygy_check(args):
             out["q_syzygies"] = {"count": total, "all_zero": not qnz, "nonzero_at": qnz}
             ok = ok and not qnz
     if args.identities:
+        from .poly import (
+            verify_pfaffian_expansion,
+            verify_q_reduction,
+            verify_resolution_tower,
+            verify_weyl_reduction,
+        )
+
         checks = {
             "pfaffian expansion n=1": verify_pfaffian_expansion(1),
             "pfaffian expansion n=2": verify_pfaffian_expansion(2),
@@ -122,6 +117,8 @@ def _unordered_equivalent(a, b, normalize):
     its genericity error propagates; relabelings of the second that land on a
     non-generic ordering are skipped.
     """
+    from .invariants import GenericityError
+
     if a.m > 6:
         raise ValueError("unordered comparison is limited to m <= 6")
     if (a.n, a.m) != (b.n, b.m):
@@ -138,6 +135,11 @@ def _unordered_equivalent(a, b, normalize):
 
 
 def cmd_equiv(args):
+    from .exact import rat_str
+    from .invariants import _relabel_compare, load_config
+    from .normal_form import _normalize, recover_transform
+    from .variants import load_contact_config
+
     group = args.group
     load = load_contact_config if group == "contact" else load_config
     a, b = load(args.config_a), load(args.config_b)
@@ -165,13 +167,15 @@ def cmd_equiv(args):
 
 
 def cmd_symmetrize(args):
+    from .symmetric import _MAX_SEARCH_DEGREE, _MAX_SEARCH_POINTS, generator_search, graded_dims, verify_R8
+
     if args.maxdeg < 0:
         raise ValueError(f"--maxdeg must be >= 0, got {args.maxdeg}")
     out = {
         "m": args.m,
         "n": args.n,
         "maxdeg": args.maxdeg,
-        "graded_dims": [graded_dim(args.m, args.n, k) for k in range(args.maxdeg + 1)],
+        "graded_dims": graded_dims(args.m, args.n, args.maxdeg),
         "r8_syzygy": verify_R8(),
     }
     if args.m > _MAX_SEARCH_POINTS:
@@ -189,6 +193,13 @@ def cmd_symmetrize(args):
 
 
 def cmd_dims(args):
+    from .field_generators import dim_d, stabilizer_dim
+    from .variants import dim_bbar
+
+    if args.max_m < 2:
+        raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
+    if args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     rng = random.Random(args.seed)
     ns = range(1, args.max_n + 1)
     print("d(m,n): transcendence degree of the invariant field")
@@ -212,18 +223,21 @@ def cmd_dims(args):
     return EXIT_OK
 
 
+# case -> (default curve, name of the model class in `discretize` it needs)
 _CASE_KINDS = {
-    "planar-i2": ("parabola", disc.PlanarCurve),
-    "general-i2": ("quartic-r4", disc.GeneralCurve),
-    "derivation": ("quartic-r4", disc.GeneralCurve),
-    "contact": ("cubic-contact", disc.ContactCurve),
-    "function": ("hyperbolic-surface", disc.Surface),
+    "planar-i2": ("parabola", "PlanarCurve"),
+    "general-i2": ("quartic-r4", "GeneralCurve"),
+    "derivation": ("quartic-r4", "GeneralCurve"),
+    "contact": ("cubic-contact", "ContactCurve"),
+    "function": ("hyperbolic-surface", "Surface"),
 }
 
 
 def _discretize_reports(case, model, at):
     """{quantity: (estimator, target)}; the estimators share one cache of the
     case's estimates keyed by step size, so each step is evaluated once."""
+    from . import discretize as disc
+
     if case == "planar-i2":
         x = at[0]
         estimates = lambda h: {"I2": disc.planar_I2_estimate(model, x, h, h)}
@@ -254,13 +268,15 @@ def _discretize_reports(case, model, at):
 
 
 def cmd_discretize(args):
+    from . import discretize as disc
+
     cases = disc.standard_cases()
     default_curve, expected_kind = _CASE_KINDS[args.case]
     curve_name = args.curve or default_curve
     if curve_name not in cases:
         raise ValueError(f"unknown curve {curve_name!r}; choose from {sorted(cases)}")
     model = cases[curve_name]["model"]
-    if not isinstance(model, expected_kind):
+    if not isinstance(model, getattr(disc, expected_kind)):
         raise ValueError(f"curve {curve_name!r} does not fit case {args.case!r}")
     at = tuple(float(v) for v in args.at.split(",")) if args.at else cases[curve_name]["at"]
     if not all(math.isfinite(v) for v in at):
@@ -341,11 +357,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GenericityError as exc:
-        _emit({"error": "genericity", "detail": str(exc)})
-        return EXIT_INPUT
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        from .invariants import GenericityError  # a ValueError, so caught here
+
+        if isinstance(exc, GenericityError):
+            _emit({"error": "genericity", "detail": str(exc)})
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -204,11 +204,25 @@ def config_to_dict(config: PointConfig):
 
 
 def _half_dimension(obj):
-    """The "n" of a configuration object, which must be a JSON integer."""
+    """The "n" of a configuration object, which must be a JSON integer >= 1."""
     n = obj["n"]
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"'n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     return n
+
+
+def _point_list(obj, fits, expected):
+    """obj["points"], checked to be a JSON list whose entries all satisfy
+    `fits`; an entry that does not is named by its 1-based index."""
+    points = obj["points"]
+    if not isinstance(points, list):
+        raise ValueError(f"'points' must be a list, got {points!r}")
+    for i, p in enumerate(points, 1):
+        if not fits(p):
+            raise ValueError(f"point {i} must be {expected}, got {p!r}")
+    return points
 
 
 def config_from_dict(obj):
@@ -218,7 +232,11 @@ def config_from_dict(obj):
     """
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError("configuration must be an object with 'n' and 'points'")
-    return PointConfig(_half_dimension(obj), tuple(tuple(rat(c) for c in p) for p in obj["points"]))
+    n = _half_dimension(obj)
+    points = _point_list(
+        obj, lambda p: isinstance(p, list) and len(p) == 2 * n, f"a list of 2n = {2 * n} coordinates"
+    )
+    return PointConfig(n, tuple(tuple(rat(c) for c in p) for p in points))
 
 
 def load_config(path):

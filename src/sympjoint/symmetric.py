@@ -193,12 +193,21 @@ def graded_dim(m, n, k, seed=0):
     ignored.  Defined for m <= 2n+2; m >= 2n+3 is refused, as its ring is cut
     out by more than one Pfaffian.
     """
-    _check_sizes(m, n, k)
-    if k > _MAX_GRADED_DEGREE or m > min(_MAX_GRADED_POINTS, 2 * n + 2):
+    return graded_dims(m, n, k)[k]
+
+
+def graded_dims(m, n, maxdeg):
+    """[graded_dim(m, n, k) for k in 0..maxdeg], read off one Molien series.
+
+    One series costs what one `graded_dim` call does, so a table of degrees
+    should come from here rather than from a call per degree.
+    """
+    _check_sizes(m, n, maxdeg)
+    if maxdeg > _MAX_GRADED_DEGREE or m > min(_MAX_GRADED_POINTS, 2 * n + 2):
         raise ValueError(
             f"cost guard: need k <= {_MAX_GRADED_DEGREE}, m <= {_MAX_GRADED_POINTS} and m <= 2n+2"
         )
-    return _molien_coeffs(m, n, k)[k]
+    return _molien_coeffs(m, n, maxdeg)
 
 
 def _content_normalized(p: MultiPoly) -> MultiPoly:

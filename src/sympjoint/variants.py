@@ -29,6 +29,7 @@ from .invariants import (
     Signature,
     _chain,
     _half_dimension,
+    _point_list,
     _relabel_compare,
     gram,
 )
@@ -245,10 +246,17 @@ def contact_config_from_dict(obj):
     """Parse {"n": ..., "points": [{"x": [...], "y": [...], "u": ...}, ...]}."""
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError("contact configuration must be an object with 'n' and 'points'")
-    pts = tuple(
-        ContactPoint(tuple(p["x"]), tuple(p["y"]), p["u"]) for p in obj["points"]
-    )
-    return ContactConfig(_half_dimension(obj), pts)
+    n = _half_dimension(obj)
+
+    def fits(p):
+        return (
+            isinstance(p, dict)
+            and "u" in p
+            and all(isinstance(p.get(key), list) and len(p[key]) == n for key in ("x", "y"))
+        )
+
+    points = _point_list(obj, fits, f"an object with 'x' and 'y' (lists of n = {n} coordinates) and 'u'")
+    return ContactConfig(n, tuple(ContactPoint(tuple(p["x"]), tuple(p["y"]), p["u"]) for p in points))
 
 
 def load_contact_config(path):

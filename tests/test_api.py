@@ -111,3 +111,21 @@ def test_export_comes_from_its_module(module):
 def test_one_scalar_type():
     assert sympjoint.BACKEND == "fraction"
     assert sympjoint.Rat is Fraction
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from sympjoint import *", namespace)
+    del namespace["__builtins__"]
+    exports = {name for names in EXPORTS.values() for name in names}
+    assert set(namespace) == exports | set(EXPORTS)
+    assert all(namespace[name] is getattr(sympjoint, name) for name in namespace)
+
+
+def test_dir_lists_every_export():
+    assert {name for names in EXPORTS.values() for name in names} | set(EXPORTS) <= set(dir(sympjoint))
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sympjoint.no_such_name

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympjoint
 from sympjoint.cli import main
 from sympjoint.exact import ExactMatrix, random_symplectic, rat
 from sympjoint.invariants import PointConfig, config_to_dict, random_config
@@ -268,23 +272,101 @@ def test_symmetrize_past_the_generator_guard_prints_dimensions(capsys, maxdeg):
     assert "maxdeg" in data["note"]
 
 
-def test_cli_import_does_not_load_numpy():
-    import os
-    import subprocess
-    import sys
-
-    import sympjoint
-
+def fresh_imports(*argv):
+    """Exit code and imported module names of `python -X importtime *argv`,
+    run in a fresh interpreter on this checkout's sources."""
     src = os.path.dirname(os.path.dirname(sympjoint.__file__))
-    probe = "import sys, sympjoint.cli; print('numpy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe],
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
-        check=True,
     )
-    assert out.stdout.strip() == "False"
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return proc.returncode, {line.rsplit("|", 1)[1].strip() for line in lines}
+
+
+def test_cli_import_does_not_load_numpy():
+    code, modules = fresh_imports("-c", "import sympjoint.cli")
+    assert code == 0
+    assert "numpy" not in modules
+
+
+def test_package_import_loads_no_submodule():
+    code, modules = fresh_imports("-c", "import sympjoint")
+    assert code == 0
+    assert "sympjoint" in modules
+    assert not [name for name in modules if name.startswith("sympjoint.")]
+
+
+EXACT_LAYER = {"sympjoint.exact", "sympjoint.invariants"}
+SYMBOLIC_LAYERS = {"sympjoint.poly", "sympjoint.symmetric", "sympjoint.discretize"}
+
+
+@pytest.mark.parametrize(
+    "argv,expected_code,absent",
+    [
+        (["discretize", "--case", "planar-i2"], 0, EXACT_LAYER),
+        (["equiv", "CONFIG"], 64, EXACT_LAYER),  # usage error
+        (["invariants", "CONFIG"], 0, SYMBOLIC_LAYERS),
+        (["equiv", "CONFIG", "CONFIG"], 0, SYMBOLIC_LAYERS),
+    ],
+)
+def test_subcommand_loads_only_what_it_calls(tmp_path, argv, expected_code, absent):
+    path = write_json(tmp_path / "a.json", {"n": 1, "points": [[1, 0], [0, 1], [2, 3], [1, 5]]})
+    code, modules = fresh_imports("-m", "sympjoint.cli", *(path if a == "CONFIG" else a for a in argv))
+    assert code == expected_code
+    assert "sympjoint" in modules
+    assert not modules & absent
+
+
+@pytest.mark.parametrize(
+    "group,obj,message",
+    [
+        ("sp", {"n": 1, "points": "ab"}, "'points' must be a list, got 'ab'"),
+        ("sp", {"n": 1, "points": ["ab"]}, "point 1 must be a list of 2n = 2 coordinates"),
+        ("sp", {"n": 2, "points": [[1, 0, 0, 0], [0, 1, 0]]}, "point 2 must be a list of 2n = 4 coordinates"),
+        ("contact", {"n": 1, "points": "ab"}, "'points' must be a list, got 'ab'"),
+        ("contact", {"n": 1, "points": [{"x": [1], "y": [0]}]}, "point 1 must be an object with 'x' and 'y'"),
+        ("contact", {"n": 1, "points": [[1, 0], [0, 1]]}, "point 1 must be an object with 'x' and 'y'"),
+        ("contact", {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": "12", "y": [0], "u": 1}]}, "point 2 must be"),
+        ("contact", {"n": 2, "points": [{"x": [1, 0], "y": [0], "u": 1}]}, "(lists of n = 2 coordinates)"),
+    ],
+)
+def test_config_shape_error_names_the_point(tmp_path, capsys, group, obj, message):
+    path = write_json(tmp_path / "bad.json", obj)
+    code = main(["equiv", path, path, "--group", group])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("args", [["--max-m", "1"], ["--max-m", "-3"], ["--max-n", "0"]])
+def test_dims_bad_sizes_are_input_errors(capsys, args):
+    code = main(["dims", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_symmetrize_reads_one_series(capsys, monkeypatch):
+    from sympjoint import symmetric
+
+    calls = []
+    original = symmetric._molien_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(symmetric, "_molien_coeffs", counted)
+    code, out = run(capsys, "symmetrize", "--m", "4", "--n", "1", "--maxdeg", "10")
+    assert code == 0
+    assert json.loads(out)["graded_dims"] == [1, 0, 2, 2, 8, 6, 21, 20, 43, 48, 85]
+    assert calls == [(4, 1, 10)]
 
 
 def test_symmetrize_four_points_to_degree_ten(capsys):

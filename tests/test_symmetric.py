@@ -16,6 +16,7 @@ from sympjoint.symmetric import (
     _orbit_sums,
     generator_search,
     graded_dim,
+    graded_dims,
     named_generators,
     poincare_coeffs,
     q_sequence,
@@ -303,6 +304,17 @@ def test_graded_dim_guard(m, n, k):
 def test_graded_dim_rejects_bad_sizes(m, n, k):
     with pytest.raises(ValueError, match="need m >= 1"):
         graded_dim(m, n, k)
+
+
+@pytest.mark.parametrize("m,n,top", [(1, 3, 2), (2, 1, 4), (3, 1, 0), (4, 1, 10), (4, 2, 10), (6, 2, 10)])
+def test_graded_dims_is_the_per_degree_table(m, n, top):
+    assert graded_dims(m, n, top) == [graded_dim(m, n, k) for k in range(top + 1)]
+
+
+@pytest.mark.parametrize("m,n,top,match", [(5, 1, 0, "cost guard"), (4, 1, 11, "cost guard"), (0, 1, 2, "need m >= 1"), (3, 1, -1, "need m >= 1")])
+def test_graded_dims_keeps_the_guards(m, n, top, match):
+    with pytest.raises(ValueError, match=match):
+        graded_dims(m, n, top)
 
 
 @pytest.mark.parametrize("m,n,maxdeg", [(0, 1, 2), (3, 0, 2), (3, 1, -1), (-1, 1, 0)])
