@@ -357,7 +357,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, TypeError, KeyError, ArithmeticError) as exc:
+    except (OSError, ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as exc:
         from .invariants import GenericityError  # a ValueError, so caught here
 
         if isinstance(exc, GenericityError):

@@ -13,6 +13,7 @@ the invariant map and by exact stabilizer dimensions.
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 from .exact import ExactMatrix, Rat, _pf_expand, rank, rat
@@ -109,34 +110,28 @@ def stabilizer_dim(points, n):
     return len(unknowns) - rank(ExactMatrix(rows))
 
 
-def _symp_gradients(config, i, j):
-    """Partials of a_ij with respect to every point coordinate (grouped order)."""
-    n = config.n
-    Ai, Aj = config.point(i), config.point(j)
+def _pair_jacobian(config: PointConfig):
+    """{(i, j): the row of partials of a_ij over all 2nm point coordinates}.
 
-    def jmul(v):
-        return [v[n + c] for c in range(n)] + [-v[c] for c in range(n)]
-
-    grads = {}
-    grads[i] = jmul(Aj)
-    grads[j] = [-x for x in jmul(Ai)]
-    return grads
+    With J(x, y) = (y, -x), the partials are J A_j on point i and -J A_i on
+    point j; every other entry of the row is zero.
+    """
+    n, m = config.n, config.m
+    zero = (Rat(0),) * (2 * n)
+    rows = {}
+    for i, j in combinations(range(1, m + 1), 2):
+        Ai, Aj = config.point(i), config.point(j)
+        blocks = [zero] * m
+        blocks[i - 1] = Aj[n:] + tuple(-c for c in Aj[:n])
+        blocks[j - 1] = tuple(-c for c in Ai[n:]) + Ai[:n]
+        rows[(i, j)] = [c for block in blocks for c in block]
+    return rows
 
 
 def jacobian_rank(config: PointConfig):
     """Exact rank of the Jacobian of config -> (a_ij)_{i<j} at the configuration."""
-    m, n = config.m, config.n
-    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    if not pairs:
-        return 0
-    rows = []
-    for (i, j) in pairs:
-        grads = _symp_gradients(config, i, j)
-        row = []
-        for p in range(1, m + 1):
-            row.extend(grads.get(p, [Rat(0)] * (2 * n)))
-        rows.append(row)
-    return rank(ExactMatrix(rows))
+    rows = list(_pair_jacobian(config).values())
+    return rank(ExactMatrix(rows)) if rows else 0
 
 
 def generic_jacobian_rank(m, n, seed=0, samples=3):

@@ -4,8 +4,9 @@ A configuration is an ordered m-tuple of points in R^{2n}; the fundamental
 invariant of a pair is a_ij = omega(OA_i, OA_j), twice the symplectic area of
 the triangle through the origin.  All point indices are 1-based, matching the
 usual a_12, b_1234 notation; the skew extension a_ji = -a_ij is computed on
-access.  The `Signature` record, the leading-Pfaffian chain and the pair
-comparison live here because both `normal_form` and `variants` use them.
+access.  The `Signature` record, the leading-Pfaffian chain, Witt's
+relations rule and the pair comparison live here because both `normal_form`
+and `variants` use them.
 """
 
 import json
@@ -13,7 +14,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import Rat, SkewMatrix, _pf_expand, det, ExactMatrix, rat, rat_str, symp
+from .exact import Rat, SkewMatrix, _pf_expand, det, ExactMatrix, nullspace, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -98,9 +99,7 @@ class GramTable:
     def __eq__(self, other):
         if not isinstance(other, GramTable):
             return NotImplemented
-        return self.m == other.m and all(
-            self.value(i, j) == other.value(i, j) for (i, j) in self.pairs()
-        )
+        return self.m == other.m and self.values == other.values
 
     def __repr__(self):
         inner = ", ".join(f"a{i}{j}={rat_str(v)}" for (i, j), v in sorted(self.values.items()))
@@ -130,6 +129,24 @@ def _chain(g: GramTable, n):
         name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
         out.append((name, _pf_expand(idx, g.value, Rat(0))))
     return out
+
+
+def _relations(points, n, spanning):
+    """Witt's rule: the linear relations among the points, flattened.
+
+    The canonical (RREF) nullspace basis of the 2n x m point matrix, or ()
+    when the points span R^{2n}.  By Witt's extension theorem the Gram table
+    together with these relations determines the Sp orbit (Artin, Geometric
+    Algebra, ch. III).  `spanning` says the span is already proved (a passing
+    chain with m >= 2n makes the first 2n points a basis), so no nullspace is
+    computed.
+    """
+    if spanning:
+        return ()
+    basis = nullspace(ExactMatrix.from_columns(points))
+    if len(points) - len(basis) == 2 * n:  # rank 2n
+        return ()
+    return tuple(x for v in basis for x in v)
 
 
 def _relabel_compare(A, B, normalize):

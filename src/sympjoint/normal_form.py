@@ -23,7 +23,7 @@ configuration and applies it to the second.  This module imports `variants`
 from dataclasses import dataclass
 from functools import partial
 
-from .exact import ExactMatrix, Rat, inverse, is_symplectic, nullspace, symp
+from .exact import ExactMatrix, Rat, inverse, is_symplectic, symp
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
@@ -32,6 +32,7 @@ from .invariants import (
     Signature,
     _chain,
     _relabel_compare,
+    _relations,
     gram,
 )
 from .variants import ContactConfig, _contact_normal, csp_signature
@@ -157,19 +158,6 @@ def _group_key(group):
     return key
 
 
-def _relations(config):
-    """The linear relations among the points, flattened: the canonical (RREF)
-    nullspace basis of the 2n x m point matrix when m < 2n, else empty.
-
-    By Witt's extension theorem the Gram table together with these relations
-    determines the Sp orbit; for m >= 2n a passing chain makes the first 2n
-    points a basis, so the Gram table alone does.
-    """
-    if config.m >= 2 * config.n:
-        return ()
-    return tuple(x for v in nullspace(ExactMatrix.from_columns(config.points)) for x in v)
-
-
 def _translated(config):
     if config.m < 2:
         raise ValueError("affine signature needs at least two points")
@@ -205,7 +193,8 @@ def _normalize(group, config, relabel=None):
         values = csp_signature(g, config.n).values
     else:
         values = tuple(g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs)
-    return Signature(key, values + _relations(config)), relabel
+    relations = _relations(config.points, config.n, config.m >= 2 * config.n)
+    return Signature(key, values + relations), relabel
 
 
 def signature(config, group) -> Signature:

@@ -17,7 +17,7 @@ column subsets (no division, unlike the numeric Bareiss ``exact.det``).
 
 import math
 from bisect import bisect_left
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .exact import Rat, _pf_expand, rat, rat_str
 
@@ -359,20 +359,7 @@ def evaluate(p: MultiPoly, g) -> Rat:
 
 
 def _perm_sign(images):
-    seen = [False] * len(images)
-    sign = 1
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = images[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    return (-1) ** sum(a > b for a, b in combinations(images, 2))
 
 
 def verify_pfaffian_expansion(n):

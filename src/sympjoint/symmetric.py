@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
 from .exact import ExactMatrix, Rat, _IntRowSpace, rank, rat
-from .field_generators import _symp_gradients, basic_set, dim_d
+from .field_generators import _pair_jacobian, basic_set, dim_d
 from .invariants import gram, random_config
 from .poly import MultiPoly, _value, avar, evaluate
 
@@ -255,21 +255,14 @@ def q_sequence(m, n, seed=0):
     for _ in range(3):
         cfg = random_config(n, m, rng)
         g = gram(cfg)
+        jac = _pair_jacobian(cfg)
         rows = []
         for q in polys:
-            partials = {}
-            for var in q.variables():
-                val = evaluate(q.derivative(var), g)
-                partials[(var[1], var[2])] = val
             row = [Rat(0)] * (2 * n * m)
-            for (i, j), dq in partials.items():
-                if dq == 0:
-                    continue
-                grads = _symp_gradients(cfg, i, j)
-                for point, grad in grads.items():
-                    base = (point - 1) * 2 * n
-                    for c in range(2 * n):
-                        row[base + c] += dq * grad[c]
+            for var in q.variables():
+                dq = evaluate(q.derivative(var), g)
+                if dq != 0:
+                    row = [r + dq * c for r, c in zip(row, jac[var[1:]])]
             rows.append(row)
         best = max(best, rank(ExactMatrix(rows)))
         if best == d:

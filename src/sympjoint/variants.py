@@ -31,6 +31,7 @@ from .invariants import (
     _half_dimension,
     _point_list,
     _relabel_compare,
+    _relations,
     gram,
 )
 
@@ -111,25 +112,34 @@ def asp_invariants(config) -> list:
     return out
 
 
-def contact_apply(gmat: ExactMatrix, p: ContactPoint) -> ContactPoint:
-    """The lifted GL(2) action on R^3(x, y, u), exact (n = 1 only).
+def _dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Rat(0))
 
-    (x, y, u) -> (ax+by, cx+dy, det(g)(u - xy/2) + (ax+by)(cx+dy)/2).
+
+def _lift(M: ExactMatrix, c, p: ContactPoint) -> ContactPoint:
+    """The contact lift of a linear map M with conformal factor c, on one point.
+
+    (x, y) moves by M and u -> c(u - x.y/2) + x'.y'/2, so R = x.y - 2u is
+    multiplied by c.
     """
+    n = len(p.x)
+    w = M.apply(p.x + p.y)
+    nx, ny = w[:n], w[n:]
+    return ContactPoint(nx, ny, c * (p.u - _dot(p.x, p.y) / 2) + _dot(nx, ny) / 2)
+
+
+def contact_apply(gmat: ExactMatrix, p: ContactPoint) -> ContactPoint:
+    """The lifted GL(2) action on R^3(x, y, u), exact (n = 1 only): the lift
+    of g with conformal factor det(g)."""
     if (gmat.rows, gmat.cols) != (2, 2):
         raise ValueError("contact action takes a 2x2 matrix")
     if len(p.x) != 1:
         raise ValueError("explicit contact action implemented for n = 1")
-    a, b = gmat.data[0]
-    c, d = gmat.data[1]
+    (a, b), (c, d) = gmat.data
     det = a * d - b * c
     if det == 0:
         raise ValueError("singular matrix does not act")
-    x, y, u = p.x[0], p.y[0], p.u
-    nx = a * x + b * y
-    ny = c * x + d * y
-    nu = det * (u - x * y / Rat(2)) + nx * ny / Rat(2)
-    return ContactPoint((nx,), (ny,), nu)
+    return _lift(gmat, det, p)
 
 
 def contact_transform(gmat: ExactMatrix, config: ContactConfig) -> ContactConfig:
@@ -139,25 +149,16 @@ def contact_transform(gmat: ExactMatrix, config: ContactConfig) -> ContactConfig
 def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactConfig:
     """Lift of a symplectic map to the contact space, preserving every R_k.
 
-    (x, y) maps by M while u picks up (x'.y' - x.y)/2.  This is the transport
-    used to test the general-n action, where no explicit lifted formula is
-    available; it fixes R_k by construction and R_ij by symplecticity.
+    The lift with conformal factor 1: the transport used to test the
+    general-n action, where no explicit lifted formula is available; it fixes
+    R_k by construction and R_ij by symplecticity.
     """
-    n = config.n
-    pts = []
-    for p in config.points:
-        v = p.x + p.y
-        w = M.apply(v)
-        nx, ny = w[:n], w[n:]
-        dot_old = sum((a * b for a, b in zip(p.x, p.y)), Rat(0))
-        dot_new = sum((a * b for a, b in zip(nx, ny)), Rat(0))
-        pts.append(ContactPoint(nx, ny, p.u + (dot_new - dot_old) / Rat(2)))
-    return ContactConfig(n, tuple(pts))
+    return ContactConfig(config.n, tuple(_lift(M, 1, p) for p in config.points))
 
 
 def _reference(p: ContactPoint):
     """R of one point: x . y - 2u."""
-    return sum((a * b for a, b in zip(p.x, p.y)), Rat(0)) - 2 * p.u
+    return _dot(p.x, p.y) - 2 * p.u
 
 
 def contact_relative(config: ContactConfig):
@@ -174,22 +175,24 @@ def _eliminated_pairs(m, n):
 
 def _absolute_values(config: ContactConfig):
     rel = contact_relative(config)
-    m = config.m
+    m, n = config.m, config.n
     rm = rel["R_k"][m - 1]
     if rm == 0:
         raise GenericityError(f"R_{m} = 0")
     T = GramTable(m, {p: v / rm for p, v in rel["R_ij"].items()})
-    eliminated = _eliminated_pairs(m, config.n)
+    eliminated = _eliminated_pairs(m, n)
     if eliminated and T.value(1, 2) == 0:
         raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
     values = tuple(r / rm for r in rel["R_k"][: m - 1])
-    values += tuple(T.value(i, j) for (i, j) in basic_set(m, config.n).pairs)
+    values += tuple(T.value(i, j) for (i, j) in basic_set(m, n).pairs)
     # the elimination divides by every link b_{1..2k}(T) of the leading
-    # chain; where one vanishes the basic set does not determine the
-    # eliminated T_ij, so they join the signature (each is invariant)
-    if eliminated and any(v == 0 for _, v in _chain(T, config.n)):
+    # chain; unless all n links pass, the basic set does not determine the
+    # eliminated T_ij, so they join the signature (each is invariant), and
+    # the plane parts may not span, so their linear relations join too
+    spanning = m >= 2 * n and all(v != 0 for _, v in _chain(T, n))
+    if not spanning:
         values += tuple(T.value(i, j) for (i, j) in eliminated)
-    return values
+    return values + _relations([p.x + p.y for p in config.points], n, spanning)
 
 
 def _contact_normal(config: ContactConfig, rotated=None):
@@ -207,8 +210,10 @@ def contact_absolute(config: ContactConfig) -> Signature:
     Cardinality is (2n+1)m - n(2n+1) - 1 for m >= 2n (3m - 4 when n = 1).
     When a leading Pfaffian b_{1..2k}(T) vanishes, the basic set does not
     determine the eliminated T_ij, and they follow in `_eliminated_pairs` order.
-    The last point's R is the reference denominator; when it vanishes a single
-    cyclic relabeling is attempted before rejecting.
+    Unless the plane parts (x, y) span R^{2n}, their linear relations follow
+    (Witt's rule, `invariants._relations`).  The last point's R is the
+    reference denominator; when it vanishes a single cyclic relabeling is
+    attempted before rejecting.
     """
     return _contact_normal(config)[0]
 

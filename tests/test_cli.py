@@ -120,6 +120,17 @@ def test_equiv_contact_group(tmp_path, capsys):
     assert json.loads(out)["equivalent"] is True
 
 
+def test_equiv_contact_separates_linear_relations(tmp_path, capsys):
+    # no linear map sends (1, 0) to (1, 0) and (2, 0) to (3, 0)
+    pa, pb = (
+        write_json(tmp_path / f"{name}.json", {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [x], "y": [0], "u": 1}]})
+        for name, x in (("a", 2), ("b", 3))
+    )
+    code, out = run(capsys, "equiv", pa, pb, "--group", "contact")
+    assert code == 1
+    assert json.loads(out)["equivalent"] is False
+
+
 def test_equiv_unordered_relabeling(tmp_path, capsys):
     rng = random.Random(93)
     a = random_config(1, 4, rng)
@@ -207,6 +218,18 @@ def test_output_is_deterministic(sample_config, capsys):
 )
 def test_malformed_config_is_input_error(tmp_path, capsys, obj):
     code = main(["invariants", write_json(tmp_path / "bad.json", obj)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv"])
+def test_deeply_nested_config_is_input_error(tmp_path, capsys, command):
+    depth = 100_000
+    path = tmp_path / "deep.json"
+    path.write_text('{"n": 1, "points": ' + "[" * depth + "]" * depth + "}")
+    code = main([command] + [str(path)] * (2 if command == "equiv" else 1))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ")

@@ -10,6 +10,7 @@ from sympjoint.invariants import (
     GramTable,
     PointConfig,
     _chain,
+    _relations,
     all_min_syzygies,
     config_from_dict,
     config_to_dict,
@@ -58,6 +59,23 @@ def test_syzygy_value_vanishes_on_point_tables():
     assert syzygy_value(g1, (1, 2, 3, 4)) == 0
     g2 = gram(random_config(2, 6, rng))
     assert syzygy_value(g2, (1, 2, 3, 4, 5, 6)) == 0
+
+
+def test_gram_table_equality_is_total_on_partial_tables():
+    partial = GramTable(3, {(1, 2): 1})
+    assert partial == GramTable(3, {(1, 2): 1})
+    assert partial != GramTable(3, {(1, 2): 2})
+    assert partial != GramTable(2, {(1, 2): 1})
+    assert gram(PointConfig(1, ((1, 0), (0, 1)))) == GramTable(2, {(1, 2): 1})
+
+
+def test_relations_are_empty_exactly_when_the_points_span():
+    spanning = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
+    assert _relations(spanning, 2, False) == ()
+    assert _relations(spanning[:3], 2, True) == ()  # the caller's proof is trusted
+    # (1, 0), (2, 0), (3, 0): the RREF nullspace basis (-2, 1, 0), (-3, 0, 1)
+    flat = ((Rat(1), Rat(0)), (Rat(2), Rat(0)), (Rat(3), Rat(0)))
+    assert _relations(flat, 1, False) == (-2, 1, 0, -3, 0, 1)
 
 
 def test_syzygy_value_nonzero_on_free_table():

@@ -110,6 +110,13 @@ def test_contact_apply_composition():
         assert contact_apply(g1, contact_apply(g2, p)) == contact_apply(g1 @ g2, p)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_contact_apply_with_unit_determinant_is_the_symplectic_lift(seed):
+    cfg = random_contact(1, 4, random.Random(seed))
+    M = random_symplectic(1, 6, seed)
+    assert contact_transform(M, cfg) == contact_lift_symplectic(M, cfg)
+
+
 def test_contact_apply_rejects_singular():
     with pytest.raises(ValueError):
         contact_apply(ExactMatrix([[1, 2], [2, 4]]), ContactPoint((1,), (1,), 0))
@@ -328,17 +335,42 @@ def test_generic_contact_signature_has_no_eliminated_values():
     assert len(sig.values) == dim_bbar(6, 2)
 
 
+# plane parts (x, y) of two configurations with equal R_k and equal T_ij
+# but different linear relations, so no linear map moves one onto the other
+RELATION_PAIRS = [
+    (2, [(1, 0, 0, 0), (2, 0, 0, 0)], [(1, 0, 0, 0), (0, 1, 0, 0)]),  # 2e1 against e2
+    (1, [(1, 0), (2, 0)], [(1, 0), (3, 0)]),
+    (1, [(1, 0), (2, 0), (3, 0)], [(1, 0), (2, 0), (5, 0)]),
+]
+
+
+@pytest.mark.parametrize("n,plane_a,plane_b", RELATION_PAIRS)
+def test_contact_plane_relations_separate(n, plane_a, plane_b):
+    A, B = (ContactConfig(n, tuple(ContactPoint(p[:n], p[n:], 1) for p in plane)) for plane in (plane_a, plane_b))
+    assert contact_relative(A)["R_k"] == contact_relative(B)["R_k"]
+    assert not contact_equivalent(A, B)
+    assert not equivalent(A, B, "contact")
+
+
 @st.composite
 def contact_configs(draw):
-    """Small integer contact configurations; with `fallback`, u of the last
-    point makes R_m = 0, so the signature must rotate (or reject) the points."""
+    """Small integer contact configurations; with `flat`, the plane parts are
+    integer combinations of 2n - 1 vectors, so they span a proper subspace;
+    with `fallback`, u of the last point makes R_m = 0, so the signature must
+    rotate (or reject) the points."""
     n = draw(st.integers(1, 2))
-    m = draw(st.integers(1, 6))
+    flat = draw(st.booleans())
+    m = draw(st.integers(1, 2 * n + 1 if flat else 6))
     coord = st.integers(-3, 3)
-    pts = [
-        ContactPoint(tuple(draw(coord) for _ in range(n)), tuple(draw(coord) for _ in range(n)), draw(coord))
-        for _ in range(m)
-    ]
+    if flat:
+        basis = [[draw(coord) for _ in range(2 * n)] for _ in range(2 * n - 1)]
+        planes = []
+        for _ in range(m):
+            weights = [draw(coord) for _ in basis]
+            planes.append([sum(w * v[c] for w, v in zip(weights, basis)) for c in range(2 * n)])
+    else:
+        planes = [[draw(coord) for _ in range(2 * n)] for _ in range(m)]
+    pts = [ContactPoint(tuple(p[:n]), tuple(p[n:]), draw(coord)) for p in planes]
     if draw(st.booleans()):
         last = pts[-1]
         pts[-1] = ContactPoint(last.x, last.y, Rat(sum(a * b for a, b in zip(last.x, last.y)), 2))
@@ -356,6 +388,8 @@ def test_contact_lift_image_is_equivalent(cfg, seed):
     assert contact_equivalent(cfg, moved)
     assert equivalent(cfg, moved, "contact")
     assert contact_absolute(moved) == sig == signature(moved, "contact")
+    if cfg.n == 1:
+        assert contact_equivalent(cfg, contact_transform(random_gl2(random.Random(seed)), cfg))
 
 
 def test_contact_config_needs_n_at_least_one():
