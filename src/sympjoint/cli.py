@@ -42,19 +42,19 @@ def _sig_json(sig):
 def cmd_invariants(args):
     from .exact import rat_str
     from .invariants import gram, load_config
-    from .normal_form import genericity
+    from .normal_form import _failed
 
     config = load_config(args.config)
     g = gram(config)
-    report = genericity(config)
+    failed = _failed(g, config.n)
     _emit(
         {
             "n": config.n,
             "m": config.m,
             "pairs": [[i, j, rat_str(g.value(i, j))] for (i, j) in g.pairs()],
             "genericity": {
-                "generic": report.generic,
-                "failed_predicates": list(report.failed_predicates),
+                "generic": not failed,
+                "failed_predicates": list(failed),
             },
         }
     )

@@ -9,7 +9,6 @@ derivatives of the test curves, never from the estimates themselves.
 """
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 DEFAULT_STEPS = (1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3)
@@ -326,9 +325,11 @@ def convergence_order(estimator, target, steps=DEFAULT_STEPS, min_order=0.9):
         return ConvergenceReport(steps, tuple(errors), None, True, True)
     if min(errors) <= floor:
         return ConvergenceReport(steps, tuple(errors), None, False, errors[-1] <= floor)
-    slope = statistics.linear_regression(
-        [math.log(h) for h in steps], [math.log(e) for e in errors]
-    ).slope
+    xs, ys = [math.log(h) for h in steps], [math.log(e) for e in errors]
+    # least squares, summed term for term as CPython 3.11's statistics.linear_regression
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    sxy = math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+    slope = sxy / math.fsum((d := x - xbar) * d for x in xs)
     return ConvergenceReport(steps, tuple(errors), slope, False, slope >= min_order)
 
 

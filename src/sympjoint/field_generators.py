@@ -50,32 +50,19 @@ def eliminate_entry(known, k, l, n):
 
     `known` supplies the other entries on indices (1..2n, k, l), either as a
     GramTable or a mapping {(i, j): value} with i < j.  The Pfaffian is linear
-    in the single unknown entry, with coefficient +/- b_{1..2n}; that
-    denominator must not vanish.
+    in the single unknown entry; as (k, l) are its last two labels, the
+    coefficient is b_{1..2n}, which must not vanish.
     """
     if not (2 * n < k < l):
         raise ValueError(f"expected 2n < k < l, got k={k}, l={l} for n={n}")
+    values = known.values if isinstance(known, GramTable) else known
+    idx = tuple(range(1, 2 * n + 1))
 
-    if isinstance(known, GramTable):
-        lookup = known.value
-    else:
-        table = {p: v for p, v in known.items()}
+    def entry(i, j):  # the expansion reads only pairs with i < j
+        return Rat(0) if (i, j) == (k, l) else rat(values[(i, j)])
 
-        def lookup(i, j):
-            if i < j:
-                return table[(i, j)]
-            return -table[(j, i)]
-
-    idx = tuple(range(1, 2 * n + 1)) + (k, l)
-
-    def pf_with(akl):
-        def entry(i, j):
-            return akl if (i, j) == (k, l) else rat(lookup(i, j))
-
-        return _pf_expand(idx, entry, Rat(0))
-
-    const = pf_with(Rat(0))
-    coeff = pf_with(Rat(1)) - const
+    const = _pf_expand(idx + (k, l), entry, Rat(0))
+    coeff = _pf_expand(idx, entry, Rat(0))
     if coeff == 0:
         raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
     return -const / coeff

@@ -46,37 +46,43 @@ class GenericityReport:
     failed_predicates: tuple
 
 
+def _failed(g: GramTable, n):
+    """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",)."""
+    return tuple(f"{name} = 0" for name, v in _chain(g, n) if v == 0)
+
+
 def genericity(config: PointConfig) -> GenericityReport:
     """Check every leading-Pfaffian predicate; report all failures."""
-    failed = tuple(f"{name} = 0" for name, v in _chain(gram(config), config.n) if v == 0)
+    failed = _failed(gram(config), config.n)
     return GenericityReport(generic=not failed, failed_predicates=failed)
 
 
-def _require_generic(config: PointConfig, prefix="non-generic configuration"):
-    """Raise GenericityError naming every failed predicate, if any."""
-    report = genericity(config)
-    if not report.generic:
-        raise GenericityError(f"{prefix}: " + ", ".join(report.failed_predicates))
+def _require_generic(g: GramTable, n, prefix="non-generic configuration"):
+    """Raise GenericityError naming every failed predicate of the table, if any."""
+    failed = _failed(g, n)
+    if failed:
+        raise GenericityError(f"{prefix}: " + ", ".join(failed))
 
 
 def _genericize(config: PointConfig):
-    """Return (config, perm) with a passing chain, relabeling once if needed.
+    """Return (config, its Gram table, perm) with a passing chain, relabeling once if needed.
 
     The single fallback moves the first pair (i, j) with a_ij != 0 to the
     front (perm lists the new order; () when none was needed); anything still
     failing after that is rejected.
     """
-    if genericity(config).generic:
-        return config, ()
     g = gram(config)
+    if not _failed(g, config.n):
+        return config, g, ()
     first = next((p for p in g.pairs() if g.value(*p) != 0), None)
     if first is not None and first != (1, 2):
         i, j = first
         perm = [i, j] + [k for k in range(1, config.m + 1) if k not in (i, j)]
         moved = config.permute(perm)
-        if genericity(moved).generic:
-            return moved, perm
-    _require_generic(config)  # raises: no relabeling rescued the chain
+        moved_g = gram(moved)
+        if not _failed(moved_g, config.n):
+            return moved, moved_g, perm
+    _require_generic(g, config.n)  # raises: no relabeling rescued the chain
 
 
 def _canonical_columns(g: GramTable, n):
@@ -114,8 +120,8 @@ def canonical(config: PointConfig) -> ExactMatrix:
     """
     if config.m < 2:
         raise ValueError("canonical form needs at least two points")
-    _require_generic(config)
     g = gram(config)
+    _require_generic(g, config.n)
     cols = _canonical_columns(g, config.n)
     result = ExactMatrix.from_columns(cols)
     if gram(PointConfig(config.n, tuple(cols))) != g:
@@ -136,9 +142,10 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     n, m = A.n, A.m
     if m < 2 * n:
         raise ValueError("underdetermined: fewer than 2n points leave a nontrivial stabilizer")
-    for label, cfg in (("first", A), ("second", B)):
-        _require_generic(cfg, f"{label} configuration non-generic")
-    if gram(A) != gram(B):
+    tables = gram(A), gram(B)
+    for label, g in zip(("first", "second"), tables):
+        _require_generic(g, n, f"{label} configuration non-generic")
+    if tables[0] != tables[1]:
         raise ValueError("not equivalent: Gram tables differ")
     basis_a = ExactMatrix.from_columns([A.point(i) for i in range(1, 2 * n + 1)])
     basis_b = ExactMatrix.from_columns([B.point(i) for i in range(1, 2 * n + 1)])
@@ -183,12 +190,12 @@ def _normalize(group, config, relabel=None):
         # translation removes the base point, then the linear theory applies
         config = _translated(config)
     if relabel is None:
-        config, relabel = _genericize(config)
+        config, g, relabel = _genericize(config)
     else:
         if relabel:
             config = config.permute(relabel)
-        _require_generic(config, "second configuration non-generic")
-    g = gram(config)
+        g = gram(config)
+        _require_generic(g, config.n, "second configuration non-generic")
     if key == "CSp":
         values = csp_signature(g, config.n).values
     else:

@@ -86,6 +86,8 @@ def csp_signature(g: GramTable, n) -> Signature:
     The conformal factor is positive, so a12 keeps its sign while every ratio
     a_ij/a12 is an absolute invariant; there are d(m, n) - 1 of them.
     """
+    if g.m < 2:
+        raise ValueError("conformal signature needs at least two points")
     a12 = g.value(1, 2)
     if a12 == 0:
         raise GenericityError("a12 = 0")

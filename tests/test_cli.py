@@ -354,6 +354,7 @@ def test_subcommand_loads_only_what_it_calls(tmp_path, argv, expected_code, abse
         ("contact", {"n": 1, "points": [[1, 0], [0, 1]]}, "point 1 must be an object with 'x' and 'y'"),
         ("contact", {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": "12", "y": [0], "u": 1}]}, "point 2 must be"),
         ("contact", {"n": 2, "points": [{"x": [1, 0], "y": [0], "u": 1}]}, "(lists of n = 2 coordinates)"),
+        ("csp", {"n": 1, "points": [[1, 2]]}, "conformal signature needs at least two points"),
     ],
 )
 def test_config_shape_error_names_the_point(tmp_path, capsys, group, obj, message):

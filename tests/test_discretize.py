@@ -283,3 +283,41 @@ def test_fitted_order_is_the_least_squares_slope():
     )
     assert abs(report.fitted_order - float(slope)) <= 1e-12 * abs(float(slope))
     assert report.errors == tuple(errors.values())
+
+
+def test_slope_matches_statistics_linear_regression():
+    import statistics
+    import sys
+
+    # the fit is summed term for term as CPython 3.11 sums it; 3.10 squares
+    # with ** and 3.12 sums with sumprod, which may move the last bit
+    exact = sys.version_info[:2] == (3, 11)
+    rng = random.Random(7)
+    for _ in range(2000):
+        k, steps = rng.randint(4, 8), [rng.uniform(1e-2, 1.0)]
+        while len(steps) < k:
+            steps.append(steps[-1] / rng.uniform(1.3, 3.0))  # spans a ratio >= 1.3^3 > 2
+        errors = dict(zip(steps, (rng.uniform(1e-8, 10) for _ in steps)))
+        got = convergence_order(errors.__getitem__, 0.0, steps).fitted_order
+        want = statistics.linear_regression(
+            [math.log(h) for h in steps], [math.log(e) for e in errors.values()]
+        ).slope
+        assert got == want if exact else math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15)
+
+
+def test_import_loads_no_fractions():
+    import os
+    import subprocess
+    import sys
+
+    import sympjoint
+
+    src = os.path.dirname(os.path.dirname(sympjoint.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sympjoint.discretize; print('fractions' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -95,6 +95,7 @@ def test_eliminate_entry_agrees_with_gram_n1():
             continue
         for (k, l) in ((3, 4), (3, 5), (4, 5)):
             assert eliminate_entry(g, k, l, 1) == g.value(k, l)
+            assert eliminate_entry(dict(g.values), k, l, 1) == g.value(k, l)
 
 
 def test_eliminate_entry_zero_denominator():

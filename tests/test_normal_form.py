@@ -167,8 +167,17 @@ def test_equivalence_rejects_mismatched_shapes():
 def test_equivalence_errors_on_nongeneric():
     flat = PointConfig(1, ((1, 0), (2, 0), (3, 0)))  # every a_ij = 0
     other = PointConfig(1, ((1, 0), (0, 1), (1, 1)))
-    with pytest.raises(GenericityError):
-        equivalent(flat, other, "sp")
+    # the message names the configuration and every failed predicate
+    for call, message in (
+        (lambda: equivalent(flat, other, "sp"), "non-generic configuration: a12 = 0"),
+        (lambda: equivalent(other, flat, "csp"), "second configuration non-generic: a12 = 0"),
+        (lambda: recover_transform(flat, other), "first configuration non-generic: a12 = 0"),
+        (lambda: recover_transform(other, flat), "second configuration non-generic: a12 = 0"),
+        (lambda: canonical(PointConfig(2, ((1, 0, 0, 0),) * 4)), "non-generic configuration: a12 = 0, b1234 = 0"),
+    ):
+        with pytest.raises(GenericityError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_signature_fallback_reordering():
@@ -184,6 +193,33 @@ def test_relabeling_congruence():
     b = a.transform(random_symplectic(1, 8, seed=3))
     perm = [3, 1, 4, 2]
     assert equivalent(a, b, "sp") == equivalent(a.permute(perm), b.permute(perm), "sp")
+
+
+@pytest.mark.parametrize(
+    "call,tables",
+    [
+        pytest.param(lambda a, b: equivalent(a, b, "sp"), 2, id="equivalent-sp"),
+        pytest.param(lambda a, b: equivalent(a, b, "csp"), 2, id="equivalent-csp"),
+        pytest.param(lambda a, b: equivalent(a, b, "asp"), 2, id="equivalent-asp"),
+        pytest.param(lambda a, b: signature(a, "sp"), 1, id="signature"),
+        # a12 = 0: the one fallback relabeling takes a second table
+        pytest.param(
+            lambda a, b: signature(PointConfig(1, ((1, 0), (2, 0), (0, 1))), "sp"), 2, id="signature-fallback"
+        ),
+        # the second table checks that the canonical columns reproduce the first
+        pytest.param(lambda a, b: canonical(a), 2, id="canonical"),
+        pytest.param(lambda a, b: recover_transform(a, b), 2, id="recover_transform"),
+    ],
+)
+def test_one_gram_table_per_configuration(monkeypatch, call, tables):
+    import sympjoint.normal_form as nf
+
+    a = generic_sample(2, 5, random.Random(44))
+    b = a.transform(random_symplectic(2, 6, seed=5))
+    calls = []
+    monkeypatch.setattr(nf, "gram", lambda cfg: calls.append(cfg) or gram(cfg))
+    call(a, b)
+    assert len(calls) == tables
 
 
 # (e1, f1, e1) against (e1, f1, e1 + e2) in R^4: equal Gram tables and passing

@@ -76,6 +76,13 @@ def test_csp_requires_nonzero_a12():
         csp_signature(g, 1)
 
 
+def test_csp_needs_two_points():
+    one = PointConfig(1, ((1, 2),))
+    for call in (lambda: csp_signature(gram(one), 1), lambda: signature(one, "csp")):
+        with pytest.raises(ValueError, match="^conformal signature needs at least two points$"):
+            call()
+
+
 def test_asp_translation_and_symplectic_invariance():
     rng = random.Random(71)
     cfg = random_config(1, 4, rng)
