@@ -8,7 +8,9 @@ forced by the minimal Pfaffian syzygies.  The transcendence degree is
               C(m, 2)          for m <= 2n,
 
 and this module confirms it two independent ways: by exact Jacobian rank of
-the invariant map and by exact stabilizer dimensions.
+the invariant map and by exact stabilizer dimensions.  The stabilizer of k
+points in sp(2n) has dimension C(2n - r + 1, 2), r the rank of the points: its
+elements are J H with H a symmetric form vanishing on their span.
 """
 
 import random
@@ -71,30 +73,16 @@ def eliminate_entry(known, k, l, n):
 def stabilizer_dim(points, n):
     """Exact dimension of {S in sp(2n) : S A_i = 0 for all given points}.
 
-    sp(2n) is parametrized as S = J H with H symmetric, so the conditions
-    reduce to the linear system H A_i = 0 on the C(2n+1, 2) entries of H.
+    sp(2n) is parametrized as S = J H with H symmetric, so the conditions are
+    H A_i = 0: H is a symmetric form on V / span(A_i), of dimension C(2n - r + 1, 2)
+    with r the rank of the points.
     """
-    dim = 2 * n
-    unknowns = [(p, q) for p in range(dim) for q in range(p, dim)]
-    if not points:
-        return len(unknowns)
-    rows = []
+    if n < 1:
+        raise ValueError("need n >= 1")
     for A in points:
-        if len(A) != dim:
-            raise ValueError(f"point of length {len(A)}, expected {dim}")
-        for p in range(dim):
-            row = []
-            for (p1, q1) in unknowns:
-                if p1 == q1:
-                    row.append(A[p1] if p1 == p else Rat(0))
-                elif p1 == p:
-                    row.append(A[q1])
-                elif q1 == p:
-                    row.append(A[p1])
-                else:
-                    row.append(Rat(0))
-            rows.append(row)
-    return len(unknowns) - rank(ExactMatrix(rows))
+        if len(A) != 2 * n:
+            raise ValueError(f"point of length {len(A)}, expected {2 * n}")
+    return comb(2 * n - rank(ExactMatrix(points)) + 1, 2)
 
 
 def _pair_jacobian(config: PointConfig):

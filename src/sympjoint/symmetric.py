@@ -6,18 +6,22 @@ their mutual invariant, so all linear terms die).  Graded dimensions of the
 symmetrized algebra are exact coefficients of its Molien series: the
 invariant ring is C[a_ij] modulo the (2n+2)-Pfaffians, free for m <= 2n+1
 and cut out by one Pfaffian (of character sgn) for m = 2n+2, and S_m acts on
-the a_ij by signed permutations, so the series is a sum over S_m of
-products of (1 - s z^L) over the signed cycles on the pairs.  A
-degree-truncated scan of symmetrized monomials then recovers a generating
-set without any Groebner machinery, by exact evaluation ranks at random
-integer configurations: every monomial in an S_m orbit symmetrizes to the
-same polynomial up to sign, so each orbit gives one integer row, and ranks
-are taken by fraction-free integer elimination.
+the a_ij by signed permutations, so the series sums products of
+1 / (1 - s z^L) over the signed cycles on the pairs.  Those cycles depend
+only on the cycle type of the relabeling, so the sum runs over the
+partitions of m, weighted by class size: a point-cycle of length c gives
+(c-1)//2 cycles (c, +1) and, for even c, one cycle (c/2, -1) of diametric
+pairs; two point-cycles of lengths a and b give gcd(a, b) cycles
+(lcm(a, b), +1).  A degree-truncated scan of symmetrized monomials then
+recovers a generating set without any Groebner machinery, by exact
+evaluation ranks at random integer configurations: every monomial in an S_m
+orbit symmetrizes to the same polynomial up to sign, so each orbit gives one
+integer row, and ranks are taken by fraction-free integer elimination.
 """
 
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
 from .exact import ExactMatrix, Rat, _IntRowSpace, rank, rat
@@ -75,34 +79,41 @@ def reynolds(p: MultiPoly, m) -> MultiPoly:
     return MultiPoly({mono: c * scale for mono, c in _relabeling_sum(p.terms, m).items()})
 
 
+def _partitions(m, top=None):
+    """The partitions of m, as non-increasing tuples of parts."""
+    if m == 0:
+        yield ()
+        return
+    for part in range(min(m, top or m), 0, -1):
+        for rest in _partitions(m - part, part):
+            yield (part,) + rest
+
+
 def _molien_coeffs(m, n, maxdeg):
     """Coefficients 0..maxdeg of the Hilbert series of the S_m-invariants of
     C[a_ij] / (2n+2-Pfaffians), m <= 2n+2, by Molien's formula
 
         H(z) = (1/m!) sum_sigma (1 - [m = 2n+2] sgn(sigma) z^(n+1)) / det(I - z rho(sigma)),
 
-    where rho(sigma) is the signed permutation `_permute_monomial` applies to
-    the pairs.  det(I - z rho(sigma)) is the product of (1 - s z^L) over the
+    where rho(sigma) is the signed permutation of the pairs (a_ij goes to
+    +-a_{sigma(i) sigma(j)}, the sign flipping when the image pair is out of
+    order).  det(I - z rho(sigma)) is the product of (1 - s z^L) over the
     cycles of sigma on the pairs (L the length, s the product of the signs),
-    and sgn(sigma) is the product of all those signs (one per inversion).
+    and sgn(sigma) is the product of all those signs.  The cycles depend only
+    on the cycle type of sigma, so the sum runs over the partitions of m, each
+    counted m! / prod_c (c^k_c k_c!) times (k_c parts of size c):
+      - a point-cycle of length c gives (c-1)//2 pair cycles (c, +1);
+      - an even point-cycle also gives one cycle (c/2, -1), its diametric pairs;
+      - two point-cycles of lengths a and b give gcd(a, b) cycles (lcm(a, b), +1).
     """
-    pairs = [avar(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    classes = Counter()
-    for images in permutations(range(1, m + 1)):
-        lookup = dict(zip(range(1, m + 1), images))
-        cycles = []
-        seen = set()
-        for start in pairs:
-            length, sign, var = 0, 1, start
-            while var not in seen:
-                seen.add(var)
-                (((var, _),), s) = _permute_monomial(((var, 1),), lookup)
-                length, sign = length + 1, sign * s
-            if length:
-                cycles.append((length, sign))
-        classes[tuple(sorted(cycles))] += 1
     total = [0] * (maxdeg + 1)
-    for cycles, count in classes.items():
+    for parts in _partitions(m):
+        count = factorial(m) // prod(c**k * factorial(k) for c, k in Counter(parts).items())
+        cycles = []
+        for c in parts:
+            cycles += [(c, 1)] * ((c - 1) // 2) + [(c // 2, -1)] * (c % 2 == 0)
+        for a, b in combinations(parts, 2):
+            cycles += [(lcm(a, b), 1)] * gcd(a, b)
         series = [count] + [0] * maxdeg
         if m == 2 * n + 2 and n + 1 <= maxdeg:
             series[n + 1] = -count * prod(s for _, s in cycles)
@@ -296,8 +307,7 @@ def generator_search(m, n, maxdeg, seed=0):
             for product in combinations_with_replacement(range(len(kept)), size):
                 if sum(kept[i][1] for i in product) == k:
                     space.insert([prod(col) for col in zip(*(values[i] for i in product))])
-        for mono, orbit in _orbit_sums(monos, m):
+        for _, orbit in _orbit_sums(monos, m):
             if space.insert([_value(orbit, t) for t in tables]):
-                p = _content_normalized(reynolds(MultiPoly({mono: 1}), m))
-                kept.append((p, k))
+                kept.append((_content_normalized(MultiPoly(orbit)), k))
     return [p for p, _ in kept]

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from sympjoint.exact import Rat
+from sympjoint.exact import ExactMatrix, Rat, rank
 from sympjoint.field_generators import (
     basic_set,
     dim_d,
@@ -118,6 +118,80 @@ def test_stabilizer_trivial_at_k_equals_2n():
     rng = random.Random(54)
     pts = [tuple(Rat(rng.randint(-9, 9)) for _ in range(2)) for _ in range(2)]
     assert stabilizer_dim(pts, 1) == 0
+
+
+def linear_system_stabilizer_dim(points, n):
+    """Reference: S = J H with H symmetric, so S A_i = 0 is the linear system
+    H A_i = 0 on the C(2n+1, 2) entries of H; the dimension is its nullity."""
+    dim = 2 * n
+    unknowns = [(p, q) for p in range(dim) for q in range(p, dim)]
+    rows = []
+    for A in points:
+        for p in range(dim):
+            row = []
+            for (p1, q1) in unknowns:
+                if p1 == q1:
+                    row.append(A[p1] if p1 == p else Rat(0))
+                elif p1 == p:
+                    row.append(A[q1])
+                elif q1 == p:
+                    row.append(A[p1])
+                else:
+                    row.append(Rat(0))
+            rows.append(row)
+    return len(unknowns) - rank(ExactMatrix(rows))
+
+
+def _e(n, k):
+    """The k-th standard basis vector of R^{2n} (x^1..x^n, y^1..y^n)."""
+    return tuple(int(i == k) for i in range(2 * n))
+
+
+NONGENERIC_TUPLES = [
+    (1, [(1, 2), (1, 2)]),  # repeated point
+    (1, [(0, 0)]),  # zero vector
+    (1, [(0, 0), (0, 0), (0, 0), (0, 0)]),  # k = 2n + 2 zeros
+    (1, [(1, 2), (2, 4), ("-1/2", -1), (0, 0)]),  # a line, k = 2n + 2
+    (1, [("1/3", "2/7"), ("5/2", -3)]),  # "p/q" coordinates
+    (2, [_e(2, 0), _e(2, 1)]),  # isotropic: x^1, x^2 (Lagrangian)
+    (2, [_e(2, 0), _e(2, 1), (1, 1, 0, 0)]),  # Lagrangian plane, three points
+    (2, [_e(2, 0), _e(2, 3)]),  # isotropic: x^1, y^2
+    (2, [_e(2, 0), _e(2, 2)]),  # a symplectic pair x^1, y^1
+    (2, [_e(2, 0), _e(2, 0), (0, 0, 0, 0), (2, 0, 0, 0), ("1/2", 0, 0, 0), (-1, 0, 0, 0)]),
+    (2, [(1, "1/2", "-3/4", 2), (2, 1, "-3/2", 4), ("2/3", 0, 1, "1/5")]),
+    (3, [_e(3, 0), _e(3, 1), _e(3, 2)]),  # Lagrangian x^1, x^2, x^3
+    (3, [_e(3, 0), _e(3, 1), _e(3, 2), (1, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0)]),
+    (3, [_e(3, k) for k in range(6)] + [(1,) * 6, (0,) * 6]),  # spanning, k = 2n + 2
+    (3, [_e(3, 0), _e(3, 4), (1, 0, 0, 0, "7/3", 0)]),  # isotropic x^1, y^2 and a sum
+]
+
+
+@pytest.mark.parametrize("n,points", NONGENERIC_TUPLES)
+def test_stabilizer_dim_matches_linear_system_nongeneric(n, points):
+    assert stabilizer_dim(points, n) == linear_system_stabilizer_dim(points, n)
+
+
+def test_stabilizer_dim_matches_linear_system_random_degenerate():
+    rng = random.Random(55)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        basis = [tuple(rng.randint(-2, 2) for _ in range(2 * n)) for _ in range(rng.randint(0, 2 * n))]
+        points = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            coeffs = [Rat(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+            points.append(tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Rat(0)) for i in range(2 * n)))
+        assert stabilizer_dim(points, n) == linear_system_stabilizer_dim(points, n)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_stabilizer_dim_needs_n_at_least_one(n):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        stabilizer_dim([], n)
+
+
+def test_stabilizer_dim_names_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^point of length 3, expected 2$"):
+        stabilizer_dim([(1, 0), (1, 2, 3)], 1)
 
 
 def test_jacobian_rank_known_values():

@@ -235,6 +235,16 @@ def test_generator_search_m2():
     assert [g.degree() for g in gens] == [2]
 
 
+def test_generator_search_reads_generators_off_the_orbit_sums(monkeypatch):
+    expected = generator_search(3, 1, 6)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generator_search called reynolds")
+
+    monkeypatch.setattr(symmetric, "reynolds", refuse)
+    assert generator_search(3, 1, 6) == expected
+
+
 def test_generator_search_cost_guard():
     with pytest.raises(ValueError):
         generator_search(4, 1, 4)
@@ -269,6 +279,41 @@ def test_graded_dim_matches_orbit_rank(m, n, top):
 def test_four_point_series_pinned():
     assert [graded_dim(4, 1, k) for k in range(11)] == [1, 0, 2, 2, 8, 6, 21, 20, 43, 48, 85]
     assert [graded_dim(4, 2, k) for k in range(11)] == [1, 0, 2, 2, 9, 8, 26, 28, 65, 76, 141]
+
+
+# graded_dims(m, n, 10) for every admitted (m, n) with n <= 3, as computed by
+# the sum over all m! relabelings
+PINNED_SERIES = {
+    (1, 1): [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    (2, 1): [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+    (3, 1): [1, 0, 2, 1, 4, 2, 7, 4, 10, 7, 14],
+    (4, 1): [1, 0, 2, 2, 8, 6, 21, 20, 43, 48, 85],
+    (1, 2): [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    (2, 2): [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+    (3, 2): [1, 0, 2, 1, 4, 2, 7, 4, 10, 7, 14],
+    (4, 2): [1, 0, 2, 2, 9, 8, 26, 28, 65, 76, 141],
+    (5, 2): [1, 0, 2, 2, 13, 16, 59, 92, 244, 398, 851],
+    (6, 2): [1, 0, 2, 2, 14, 22, 90, 181, 555, 1177, 2932],
+    (1, 3): [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    (2, 3): [1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1],
+    (3, 3): [1, 0, 2, 1, 4, 2, 7, 4, 10, 7, 14],
+    (4, 3): [1, 0, 2, 2, 9, 8, 26, 28, 65, 76, 141],
+    (5, 3): [1, 0, 2, 2, 13, 16, 59, 92, 244, 398, 851],
+    (6, 3): [1, 0, 2, 2, 14, 22, 91, 184, 566, 1219, 3070],
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(PINNED_SERIES))
+def test_graded_dims_pinned_table(m, n):
+    assert graded_dims(m, n, 10) == PINNED_SERIES[(m, n)]
+
+
+def test_molien_series_walks_no_permutation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the series walked the relabelings")
+
+    monkeypatch.setattr(symmetric, "permutations", refuse)
+    assert graded_dims(6, 3, 10) == PINNED_SERIES[(6, 3)]
 
 
 def test_poincare_coeffs_match_closed_form():
