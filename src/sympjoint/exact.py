@@ -4,7 +4,15 @@ Every computation in this module is exact: there is one scalar type, the
 stdlib ``Fraction`` (exported as ``Rat``), and no rounding ever occurs.  Every
 elimination (rank, nullspace, solve, inverse, determinant) runs fraction-free
 on integer rows, each exact row scaled by its common denominator; division
-happens only when an exact output is built.
+happens only when an exact output is built.  The Pfaffian kernel runs over any
+ring, ints included: Gram tables and their Pfaffians (``invariants``) are
+computed in ints with one division per value.
+
+Here and in the modules that decide (``invariants``, ``normal_form``,
+``variants``, ``field_generators``) a tuple is built from a list, never from
+a generator: CPython builds a generator's tuple at a guessed size and then
+resizes it, so each such call leaves one more tuple of the final size on the
+interpreter's free lists, which only a full cyclic collection empties.
 """
 
 import random
@@ -28,7 +36,10 @@ def rat(value, den=None):
     if isinstance(value, int):
         return Rat(value)
     if isinstance(value, str):
-        return Rat(value.strip())
+        try:
+            return Rat(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
 
 
@@ -78,7 +89,7 @@ class ExactMatrix:
         return cls([[col[i] for col in columns] for i in range(len(columns[0]))])
 
     def column(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple([self.data[i][j] for i in range(self.rows)])
 
     def columns(self):
         return [self.column(j) for j in range(self.cols)]
@@ -116,8 +127,7 @@ class ExactMatrix:
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
-            sum((self.data[i][k] * vec[k] for k in range(self.cols)), Rat(0))
-            for i in range(self.rows)
+            [sum((self.data[i][k] * vec[k] for k in range(self.cols)), Rat(0)) for i in range(self.rows)]
         )
 
     def __repr__(self):
@@ -154,7 +164,7 @@ def _integer_row(row):
     Entries go through ``rat``, so a float raises TypeError.
     """
     row = [rat(x) for x in row]
-    den = lcm(*(x.denominator for x in row))
+    den = lcm(*[x.denominator for x in row])
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
@@ -315,7 +325,7 @@ def _pf_expand(labels, entry, zero, add=sum):
         return total
 
     total = pf(tuple(labels))
-    memo.clear()  # the recursive closure is a cycle: free the minors now, not at a full collection
+    pf = None  # the closure refers to itself: break that cycle so the memo is freed now
     return total
 
 
@@ -360,15 +370,12 @@ def random_symplectic(n, steps, seed):
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
     dim = 2 * n
-    cols = [tuple(Rat(1) if i == j else Rat(0) for i in range(dim)) for j in range(dim)]
+    cols = [tuple([Rat(1) if i == j else Rat(0) for i in range(dim)]) for j in range(dim)]
     for _ in range(steps):
         v = [0] * dim
         while not any(v):
             v = [rng.randint(-3, 3) for _ in range(dim)]
-        v = tuple(Rat(x) for x in v)
+        v = tuple([Rat(x) for x in v])
         lam = Rat(rng.randint(-3, 3))
-        cols = [
-            tuple(c[i] + lam * symp(c, v) * v[i] for i in range(dim))
-            for c in cols
-        ]
+        cols = [tuple([c[i] + lam * symp(c, v) * v[i] for i in range(dim)]) for c in cols]
     return ExactMatrix.from_columns(cols)

@@ -41,9 +41,7 @@ class BasicSet:
 
 
 def basic_set(m, n):
-    pairs = tuple(
-        (i, j) for i in range(1, min(2 * n, m) + 1) for j in range(i + 1, m + 1)
-    )
+    pairs = tuple([(i, j) for i in range(1, min(2 * n, m) + 1) for j in range(i + 1, m + 1)])
     return BasicSet(m, n, pairs)
 
 
@@ -97,8 +95,8 @@ def _pair_jacobian(config: PointConfig):
     for i, j in combinations(range(1, m + 1), 2):
         Ai, Aj = config.point(i), config.point(j)
         blocks = [zero] * m
-        blocks[i - 1] = Aj[n:] + tuple(-c for c in Aj[:n])
-        blocks[j - 1] = tuple(-c for c in Ai[n:]) + Ai[:n]
+        blocks[i - 1] = Aj[n:] + tuple([-c for c in Aj[:n]])
+        blocks[j - 1] = tuple([-c for c in Ai[n:]]) + Ai[:n]
         rows[(i, j)] = [c for block in blocks for c in block]
     return rows
 

@@ -7,6 +7,11 @@ usual a_12, b_1234 notation; the skew extension a_ji = -a_ij is computed on
 access.  The `Signature` record, the leading-Pfaffian chain, Witt's
 relations rule and the pair comparison live here because both `normal_form`
 and `variants` use them.
+
+Gram tables and their Pfaffians are computed in Python ints with one division
+per value: `gram` clears each point's denominators once and divides each
+symplectic product once, and `_table_pfaffian` scales a sub-table to ints by
+the lcm of its denominators before it expands.  The public values stay `Rat`.
 """
 
 import json
@@ -14,7 +19,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import Rat, SkewMatrix, _pf_expand, det, ExactMatrix, nullspace, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, det, nullspace, rat, rat_str
 
 
 class GenericityError(ValueError):
@@ -33,7 +38,7 @@ class PointConfig:
             raise ValueError("n must be >= 1")
         if len(self.points) < 1:
             raise ValueError("need at least one point")
-        pts = tuple(tuple(rat(c) for c in p) for p in self.points)
+        pts = _parse_points(self.points, lambda p: tuple([rat(c) for c in p]))
         for p in pts:
             if len(p) != 2 * self.n:
                 raise ValueError(f"point of length {len(p)}, expected {2 * self.n}")
@@ -48,22 +53,34 @@ class PointConfig:
         return self.points[i - 1]
 
     def transform(self, M: ExactMatrix):
-        return PointConfig(self.n, tuple(M.apply(p) for p in self.points))
+        return PointConfig(self.n, tuple([M.apply(p) for p in self.points]))
 
     def translate(self, t):
         return PointConfig(
-            self.n, tuple(tuple(c + dt for c, dt in zip(p, t)) for p in self.points)
+            self.n, tuple([tuple([c + dt for c, dt in zip(p, t)]) for p in self.points])
         )
 
     def scale(self, factor):
         f = rat(factor)
-        return PointConfig(self.n, tuple(tuple(f * c for c in p) for p in self.points))
+        return PointConfig(self.n, tuple([tuple([f * c for c in p]) for p in self.points]))
 
     def permute(self, perm):
         """Relabel points: new point i is old point perm[i-1] (1-based images)."""
         if sorted(perm) != list(range(1, self.m + 1)):
             raise ValueError("not a permutation of 1..m")
-        return PointConfig(self.n, tuple(self.points[k - 1] for k in perm))
+        return PointConfig(self.n, tuple([self.points[k - 1] for k in perm]))
+
+
+def _parse_points(points, parse):
+    """(parse(p) for each point) as a tuple; a coordinate that does not parse
+    is reported with the 1-based index of its point."""
+    out = []
+    for i, p in enumerate(points, 1):
+        try:
+            out.append(parse(p))
+        except (ValueError, TypeError) as exc:
+            raise type(exc)(f"point {i}: {exc}") from None
+    return tuple(out)
 
 
 class GramTable:
@@ -78,6 +95,14 @@ class GramTable:
             if not (1 <= i < j <= m):
                 raise ValueError(f"bad pair {(i, j)} for m={m}")
             self.values[(i, j)] = rat(v)
+
+    @classmethod
+    def _exact(cls, m, values):
+        """The table on a dict of `Rat` values keyed by valid pairs, unchecked."""
+        g = cls.__new__(cls)
+        g.m = m
+        g.values = values
+        return g
 
     def value(self, i, j):
         if i == j:
@@ -107,12 +132,20 @@ class GramTable:
 
 
 def gram(config: PointConfig) -> GramTable:
-    """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration."""
+    """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration.
+
+    Each point is cleared of denominators once, A_i = u_i / d_i with u_i
+    integral, so a_ij = symp(u_i, u_j) / (d_i d_j) takes one division.
+    """
+    n = config.n
+    pts = [_integer_row(p) for p in config.points]
     vals = {}
-    for i in range(1, config.m + 1):
-        for j in range(i + 1, config.m + 1):
-            vals[(i, j)] = symp(config.point(i), config.point(j))
-    return GramTable(config.m, vals)
+    for i, (u, du) in enumerate(pts, 1):
+        for j, (v, dv) in enumerate(pts[i:], i + 1):
+            s = sum(u[k] * v[n + k] - v[k] * u[n + k] for k in range(n))
+            d = du * dv
+            vals[(i, j)] = Rat(s) if d == 1 else Rat(s, d)
+    return GramTable._exact(config.m, vals)
 
 
 @dataclass(frozen=True)
@@ -121,13 +154,25 @@ class Signature:
     values: tuple
 
 
+def _table_pfaffian(g: GramTable, idx):
+    """Pfaffian of g's sub-table on the labels idx (in that order), in ints.
+
+    The sub-table is scaled to ints by the lcm L of its denominators; on 2k
+    labels Pf(L a) = L^k Pf(a), so one division gives the exact value.
+    """
+    pairs = list(combinations(idx, 2))
+    ints, den = _integer_row([g.value(i, j) for i, j in pairs])
+    table = dict(zip(pairs, ints))
+    return Rat(_pf_expand(idx, lambda i, j: table[i, j], 0), den ** (len(idx) // 2))
+
+
 def _chain(g: GramTable, n):
     """The non-vanishing chain used by the canonical form: leading Pfaffians."""
     out = []
     for k in range(1, min(n, g.m // 2) + 1):
         idx = tuple(range(1, 2 * k + 1))
         name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
-        out.append((name, _pf_expand(idx, g.value, Rat(0))))
+        out.append((name, _table_pfaffian(g, idx)))
     return out
 
 
@@ -146,7 +191,7 @@ def _relations(points, n, spanning):
     basis = nullspace(ExactMatrix.from_columns(points))
     if len(points) - len(basis) == 2 * n:  # rank 2n
         return ()
-    return tuple(x for v in basis for x in v)
+    return tuple([x for v in basis for x in v])
 
 
 def _relabel_compare(A, B, normalize):
@@ -185,7 +230,7 @@ def syzygy_value(g: GramTable, idx, n=None):
     if n is not None and len(idx) != 2 * n + 2:
         raise ValueError(f"tuple length {len(idx)} != 2n+2 = {2 * n + 2}")
     idx = _check_tuple(idx, g.m, len(idx))
-    return _pf_expand(idx, g.value, Rat(0))
+    return _table_pfaffian(g, idx)
 
 
 def all_min_syzygies(config: PointConfig):
@@ -212,7 +257,7 @@ def random_config(n, m, rng=None, lo=-9, hi=9, seed=None):
     """Random integer-coordinate configuration (test/sampling plumbing)."""
     if rng is None:
         rng = random.Random(seed)
-    pts = tuple(tuple(Rat(rng.randint(lo, hi)) for _ in range(2 * n)) for _ in range(m))
+    pts = tuple([tuple([Rat(rng.randint(lo, hi)) for _ in range(2 * n)]) for _ in range(m)])
     return PointConfig(n, pts)
 
 
@@ -253,7 +298,7 @@ def config_from_dict(obj):
     points = _point_list(
         obj, lambda p: isinstance(p, list) and len(p) == 2 * n, f"a list of 2n = {2 * n} coordinates"
     )
-    return PointConfig(n, tuple(tuple(rat(c) for c in p) for p in points))
+    return PointConfig(n, tuple(points))
 
 
 def load_config(path):

@@ -48,7 +48,7 @@ class GenericityReport:
 
 def _failed(g: GramTable, n):
     """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",)."""
-    return tuple(f"{name} = 0" for name, v in _chain(g, n) if v == 0)
+    return tuple([f"{name} = 0" for name, v in _chain(g, n) if v == 0])
 
 
 def genericity(config: PointConfig) -> GenericityReport:
@@ -199,7 +199,7 @@ def _normalize(group, config, relabel=None):
     if key == "CSp":
         values = csp_signature(g, config.n).values
     else:
-        values = tuple(g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs)
+        values = tuple([g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs])
     relations = _relations(config.points, config.n, config.m >= 2 * config.n)
     return Signature(key, values + relations), relabel
 

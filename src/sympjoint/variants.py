@@ -29,6 +29,7 @@ from .invariants import (
     Signature,
     _chain,
     _half_dimension,
+    _parse_points,
     _point_list,
     _relabel_compare,
     _relations,
@@ -43,8 +44,8 @@ class ContactPoint:
     u: object
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(rat(c) for c in self.x))
-        object.__setattr__(self, "y", tuple(rat(c) for c in self.y))
+        object.__setattr__(self, "x", tuple([rat(c) for c in self.x]))
+        object.__setattr__(self, "y", tuple([rat(c) for c in self.y]))
         object.__setattr__(self, "u", rat(self.u))
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
@@ -58,9 +59,7 @@ class ContactConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        pts = tuple(
-            p if isinstance(p, ContactPoint) else ContactPoint(*p) for p in self.points
-        )
+        pts = _parse_points(self.points, lambda p: p if isinstance(p, ContactPoint) else ContactPoint(*p))
         if not pts:
             raise ValueError("need at least one point")
         for p in pts:
@@ -92,9 +91,7 @@ def csp_signature(g: GramTable, n) -> Signature:
     if a12 == 0:
         raise GenericityError("a12 = 0")
     sign = Rat(1) if a12 > 0 else Rat(-1)
-    ratios = tuple(
-        g.value(i, j) / a12 for (i, j) in basic_set(g.m, n).pairs if (i, j) != (1, 2)
-    )
+    ratios = tuple([g.value(i, j) / a12 for (i, j) in basic_set(g.m, n).pairs if (i, j) != (1, 2)])
     return Signature("CSp", (sign,) + ratios)
 
 
@@ -145,7 +142,7 @@ def contact_apply(gmat: ExactMatrix, p: ContactPoint) -> ContactPoint:
 
 
 def contact_transform(gmat: ExactMatrix, config: ContactConfig) -> ContactConfig:
-    return ContactConfig(config.n, tuple(contact_apply(gmat, p) for p in config.points))
+    return ContactConfig(config.n, tuple([contact_apply(gmat, p) for p in config.points]))
 
 
 def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactConfig:
@@ -155,7 +152,7 @@ def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactCon
     general-n action, where no explicit lifted formula is available; it fixes
     R_k by construction and R_ij by symplecticity.
     """
-    return ContactConfig(config.n, tuple(_lift(M, 1, p) for p in config.points))
+    return ContactConfig(config.n, tuple([_lift(M, 1, p) for p in config.points]))
 
 
 def _reference(p: ContactPoint):
@@ -185,15 +182,15 @@ def _absolute_values(config: ContactConfig):
     eliminated = _eliminated_pairs(m, n)
     if eliminated and T.value(1, 2) == 0:
         raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
-    values = tuple(r / rm for r in rel["R_k"][: m - 1])
-    values += tuple(T.value(i, j) for (i, j) in basic_set(m, n).pairs)
+    values = tuple([r / rm for r in rel["R_k"][: m - 1]])
+    values += tuple([T.value(i, j) for (i, j) in basic_set(m, n).pairs])
     # the elimination divides by every link b_{1..2k}(T) of the leading
     # chain; unless all n links pass, the basic set does not determine the
     # eliminated T_ij, so they join the signature (each is invariant), and
     # the plane parts may not span, so their linear relations join too
     spanning = m >= 2 * n and all(v != 0 for _, v in _chain(T, n))
     if not spanning:
-        values += tuple(T.value(i, j) for (i, j) in eliminated)
+        values += tuple([T.value(i, j) for (i, j) in eliminated])
     return values + _relations([p.x + p.y for p in config.points], n, spanning)
 
 
@@ -263,7 +260,7 @@ def contact_config_from_dict(obj):
         )
 
     points = _point_list(obj, fits, f"an object with 'x' and 'y' (lists of n = {n} coordinates) and 'u'")
-    return ContactConfig(n, tuple(ContactPoint(tuple(p["x"]), tuple(p["y"]), p["u"]) for p in points))
+    return ContactConfig(n, tuple([(p["x"], p["y"], p["u"]) for p in points]))
 
 
 def load_contact_config(path):

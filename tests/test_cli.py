@@ -367,6 +367,28 @@ def test_config_shape_error_names_the_point(tmp_path, capsys, group, obj, messag
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv,obj,message",
+    [
+        (["invariants"], {"n": 1, "points": [[1, 0], ["1/0", 2]]}, "point 2: zero denominator in '1/0'"),
+        (["syzygy-check"], {"n": 1, "points": [["1/0", 0]]}, "point 1: zero denominator in '1/0'"),
+        (["equiv", "SAME"], {"n": 1, "points": [[1, 0], [0, "3/0"]]}, "point 2: zero denominator in '3/0'"),
+        (
+            ["equiv", "SAME", "--group", "contact"],
+            {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [2], "y": [0], "u": "1/0"}]},
+            "point 2: zero denominator in '1/0'",
+        ),
+    ],
+)
+def test_zero_denominator_names_the_point(tmp_path, capsys, argv, obj, message):
+    path = write_json(tmp_path / "bad.json", obj)
+    code = main([argv[0], path, *(path if a == "SAME" else a for a in argv[1:])])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [["--max-m", "1"], ["--max-m", "-3"], ["--max-n", "0"]])
 def test_dims_bad_sizes_are_input_errors(capsys, args):
     code = main(["dims", *args])

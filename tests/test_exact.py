@@ -1,5 +1,8 @@
+import ast
+import gc
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from sympjoint.exact import (
     ExactMatrix,
     Rat,
     SkewMatrix,
+    _pf_expand,
     det,
     inverse,
     is_symplectic,
@@ -54,6 +58,8 @@ def test_rat_parsing():
     assert rat_str(rat(5)) == "5"
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+        rat("1/0")
 
 
 def test_pfaffian_2x2_base_case():
@@ -93,6 +99,38 @@ def test_pfaffian_congruence_transform():
             dim, {(i, j): m.data[i][j] for i in range(dim) for j in range(i + 1, dim)}
         )
         assert pfaffian(conj) == det(t) * pfaffian(s)
+
+
+def test_pfaffian_kernel_leaves_no_cyclic_garbage():
+    # the memoized expansion is a self-referencing closure; once the call
+    # returns, reference counting alone must free it and its memo
+    s = random_skew(6, random.Random(3))
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(1000):
+            _pf_expand(range(6), s.entry, Rat(0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("module", ["exact", "invariants", "normal_form", "variants", "field_generators"])
+def test_no_tuple_is_built_from_a_generator(module):
+    # tuple(genexpr) and f(*genexpr) resize a guessed tuple, which leaves one
+    # tuple per call on the interpreter's free lists
+    import sympjoint
+
+    path = Path(sympjoint.__file__).with_name(f"{module}.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        starred = [a.value for a in node.args if isinstance(a, ast.Starred)]
+        tupled = node.args[:1] if isinstance(node.func, ast.Name) and node.func.id == "tuple" else []
+        if any(isinstance(a, ast.GeneratorExp) for a in starred + tupled):
+            found.append(node.lineno)
+    assert found == []
 
 
 def test_det_identity_and_standard_block():

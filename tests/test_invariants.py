@@ -1,11 +1,11 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympjoint.exact import Rat, pfaffian, random_symplectic
+from sympjoint.exact import Rat, _pf_expand, pfaffian, random_symplectic, symp
 from sympjoint.invariants import (
     GramTable,
     PointConfig,
@@ -178,3 +178,48 @@ def test_chain_and_syzygy_value_are_subtable_pfaffians(g, n, data):
         size = data.draw(st.sampled_from(range(4, g.m + 1, 2)))
         idx = sorted(data.draw(st.sets(st.integers(1, g.m), min_size=size, max_size=size)))
         assert syzygy_value(g, idx) == pfaffian(g.subtable(idx))
+
+
+# p/q with q in 1..12: the integer path clears these denominators
+FRACTIONS = st.builds(Rat, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def rational_configs(draw):
+    """Points with p/q coordinates, zero points and repeated points included."""
+    n = draw(st.integers(1, 2))
+    point = st.one_of(st.just((Rat(0),) * (2 * n)), st.tuples(*[FRACTIONS] * (2 * n)))
+    pts = draw(st.lists(point, min_size=1, max_size=7))
+    pts += [pts[k] for k in draw(st.lists(st.sampled_from(range(len(pts))), max_size=2))]
+    return PointConfig(n, tuple(pts))
+
+
+@st.composite
+def rational_tables(draw):
+    """A Gram table with independent p/q entries of mixed denominators, m <= 8."""
+    m = draw(st.integers(2, 8))
+    return GramTable(m, {p: draw(FRACTIONS) for p in combinations(range(1, m + 1), 2)})
+
+
+@given(cfg=rational_configs())
+@settings(max_examples=100, deadline=None)
+def test_integer_gram_is_the_pairwise_symp_table(cfg):
+    g = gram(cfg)
+    pairs = combinations(range(1, cfg.m + 1), 2)
+    assert g.values == {(i, j): symp(cfg.point(i), cfg.point(j)) for i, j in pairs}
+    assert all(type(v) is Rat for v in g.values.values())
+    for idx, value in all_min_syzygies(cfg):
+        assert type(value) is Rat and value == _pf_expand(idx, g.value, Rat(0)) == 0
+
+
+@given(g=rational_tables(), n=st.integers(1, 4), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_pfaffians_match_the_fraction_expansion(g, n, data):
+    for k, (_, value) in enumerate(_chain(g, n), 1):
+        assert type(value) is Rat
+        assert value == _pf_expand(tuple(range(1, 2 * k + 1)), g.value, Rat(0))
+    if g.m >= 4:
+        size = data.draw(st.sampled_from(range(4, g.m + 1, 2)))
+        idx = sorted(data.draw(st.sets(st.integers(1, g.m), min_size=size, max_size=size)))
+        value = syzygy_value(g, idx)
+        assert type(value) is Rat and value == _pf_expand(tuple(idx), g.value, Rat(0))
