@@ -21,6 +21,16 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_USAGE = 64
 
+# cost guards: the slowest admitted call takes 1-2 s (2-vCPU VM, Python 3.11.7)
+_MAX_DIMS_N = 20  # the sampled stabilizer ranks cost about n^6
+_MAX_SYZYGY_COST = 2_000_000  # `_syzygy_cost` units; n = 1 admits m <= 21
+
+
+def _syzygy_cost(m, n):
+    """Work of `syzygy-check` on m points in R^{2n}: C(m, 2n+2) Pfaffians of at
+    most 4^(n+1) sub-tables each, C(m, 4n+2) determinants of (2n+1)^3 steps."""
+    return math.comb(m, 2 * n + 2) * 4 ** (n + 1) + math.comb(m, 4 * n + 2) * (2 * n + 1) ** 3
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -68,6 +78,12 @@ def cmd_syzygy_check(args):
     ok = True
     if args.config:
         config = load_config(args.config)
+        cost = _syzygy_cost(config.m, config.n)
+        if cost > _MAX_SYZYGY_COST:
+            raise ValueError(
+                f"cost guard: need C(m, 2n+2)*4^(n+1) + C(m, 4n+2)*(2n+1)^3 <= {_MAX_SYZYGY_COST},"
+                f" got {cost} for m = {config.m}, n = {config.n}"
+            )
         bvals = all_min_syzygies(config)
         nonzero = [list(idx) for idx, v in bvals if v != 0]
         out["minimal_syzygies"] = {
@@ -200,6 +216,8 @@ def cmd_dims(args):
         raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.max_n > _MAX_DIMS_N:
+        raise ValueError(f"cost guard: need --max-n <= {_MAX_DIMS_N}, got {args.max_n}")
     rng = random.Random(args.seed)
     ns = range(1, args.max_n + 1)
     print("d(m,n): transcendence degree of the invariant field")

@@ -4,9 +4,9 @@ Every computation in this module is exact: there is one scalar type, the
 stdlib ``Fraction`` (exported as ``Rat``), and no rounding ever occurs.  Every
 elimination (rank, nullspace, solve, inverse, determinant) runs fraction-free
 on integer rows, each exact row scaled by its common denominator; division
-happens only when an exact output is built.  The Pfaffian kernel runs over any
-ring, ints included: Gram tables and their Pfaffians (``invariants``) are
-computed in ints with one division per value.
+happens only when an exact output is built.  The Pfaffian kernel and ``symp``
+run over any ring: Gram tables (the contact R_ij too), their Pfaffians and
+``random_symplectic`` run in ints; ``pfaffian`` stays ``Rat``, the reference.
 
 Here and in the modules that decide (``invariants``, ``normal_form``,
 ``variants``, ``field_generators``) a tuple is built from a list, never from
@@ -54,14 +54,14 @@ def rat_str(x):
 def symp(u, v):
     """Standard symplectic product in coordinates (x^1..x^n, y^1..y^n).
 
-    omega(u, v) = sum_k u_x^k v_y^k - v_x^k u_y^k.
+    omega(u, v) = sum_k u_x^k v_y^k - v_x^k u_y^k, in the ring of the inputs.
     """
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
     if len(u) % 2:
         raise ValueError(f"odd vector length {len(u)}")
     n = len(u) // 2
-    total = Rat(0)
+    total = 0
     for k in range(n):
         total += u[k] * v[n + k] - v[k] * u[n + k]
     return total
@@ -360,9 +360,9 @@ def is_symplectic(M, n=None):
 def random_symplectic(n, steps, seed):
     """Random element of Sp(2n) as a product of integer symplectic transvections.
 
-    Each step applies x -> x + lam*omega(x, v)*v with lam and the entries of
-    v drawn from [-3, 3] (v nonzero), so entry growth stays bounded and the
-    output is exactly symplectic: M^T J M = J.
+    Each step applies x -> x + lam*omega(x, v)*v in ints, with lam and the
+    entries of v drawn from [-3, 3] (v nonzero), so entry growth stays bounded
+    and the output, made ``Rat`` on return, is exactly symplectic: M^T J M = J.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -370,12 +370,12 @@ def random_symplectic(n, steps, seed):
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)
     dim = 2 * n
-    cols = [tuple([Rat(1) if i == j else Rat(0) for i in range(dim)]) for j in range(dim)]
+    cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
     for _ in range(steps):
         v = [0] * dim
         while not any(v):
             v = [rng.randint(-3, 3) for _ in range(dim)]
-        v = tuple([Rat(x) for x in v])
-        lam = Rat(rng.randint(-3, 3))
-        cols = [tuple([c[i] + lam * symp(c, v) * v[i] for i in range(dim)]) for c in cols]
-    return ExactMatrix.from_columns(cols)
+        lam = rng.randint(-3, 3)
+        shifts = [lam * symp(c, v) for c in cols]
+        cols = [[x + t * y for x, y in zip(c, v)] for c, t in zip(cols, shifts)]
+    return ExactMatrix.from_columns([[Rat(x) for x in c] for c in cols])

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, _pf_expand, rank, rat
-from .invariants import GenericityError, GramTable, PointConfig, random_config
+from .exact import ExactMatrix, Rat, rank
+from .invariants import GenericityError, GramTable, PointConfig, _table_pfaffian, random_config
 
 
 def dim_d(m, n):
@@ -48,21 +48,18 @@ def basic_set(m, n):
 def eliminate_entry(known, k, l, n):
     """Value of a_kl forced by the syzygy b_{1,...,2n,k,l} = 0.
 
-    `known` supplies the other entries on indices (1..2n, k, l), either as a
-    GramTable or a mapping {(i, j): value} with i < j.  The Pfaffian is linear
-    in the single unknown entry; as (k, l) are its last two labels, the
-    coefficient is b_{1..2n}, which must not vanish.
+    `known` supplies the other entries on indices (1..2n, k, l), as a GramTable
+    or a mapping {(i, j): value} with i < j, values in any form `rat` reads.
+    The Pfaffian is linear in the single unknown entry; as (k, l) are its last
+    two labels, the coefficient is b_{1..2n}, which must not vanish.
     """
     if not (2 * n < k < l):
         raise ValueError(f"expected 2n < k < l, got k={k}, l={l} for n={n}")
     values = known.values if isinstance(known, GramTable) else known
     idx = tuple(range(1, 2 * n + 1))
-
-    def entry(i, j):  # the expansion reads only pairs with i < j
-        return Rat(0) if (i, j) == (k, l) else rat(values[(i, j)])
-
-    const = _pf_expand(idx + (k, l), entry, Rat(0))
-    coeff = _pf_expand(idx, entry, Rat(0))
+    entry = lambda i, j: 0 if (i, j) == (k, l) else values[(i, j)]  # the labels ascend: i < j
+    const = _table_pfaffian(entry, idx + (k, l))
+    coeff = _table_pfaffian(entry, idx)
     if coeff == 0:
         raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
     return -const / coeff

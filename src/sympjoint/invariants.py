@@ -10,8 +10,10 @@ and `variants` use them.
 
 Gram tables and their Pfaffians are computed in Python ints with one division
 per value: `gram` clears each point's denominators once and divides each
-symplectic product once, and `_table_pfaffian` scales a sub-table to ints by
-the lcm of its denominators before it expands.  The public values stay `Rat`.
+symplectic product (`exact.symp` on int rows) once, and `_table_pfaffian`
+scales a sub-table to ints by the lcm of its denominators before it expands;
+`eliminate_entry` and the contact table R_ij go through them too.  The public
+values stay `Rat`.
 """
 
 import json
@@ -19,7 +21,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, det, nullspace, rat, rat_str
+from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, det, nullspace, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -137,12 +139,11 @@ def gram(config: PointConfig) -> GramTable:
     Each point is cleared of denominators once, A_i = u_i / d_i with u_i
     integral, so a_ij = symp(u_i, u_j) / (d_i d_j) takes one division.
     """
-    n = config.n
     pts = [_integer_row(p) for p in config.points]
     vals = {}
     for i, (u, du) in enumerate(pts, 1):
         for j, (v, dv) in enumerate(pts[i:], i + 1):
-            s = sum(u[k] * v[n + k] - v[k] * u[n + k] for k in range(n))
+            s = symp(u, v)
             d = du * dv
             vals[(i, j)] = Rat(s) if d == 1 else Rat(s, d)
     return GramTable._exact(config.m, vals)
@@ -154,14 +155,14 @@ class Signature:
     values: tuple
 
 
-def _table_pfaffian(g: GramTable, idx):
-    """Pfaffian of g's sub-table on the labels idx (in that order), in ints.
+def _table_pfaffian(entry, idx):
+    """Pfaffian of the skew table entry(i, j) on the labels idx (in that order), in ints.
 
     The sub-table is scaled to ints by the lcm L of its denominators; on 2k
     labels Pf(L a) = L^k Pf(a), so one division gives the exact value.
     """
     pairs = list(combinations(idx, 2))
-    ints, den = _integer_row([g.value(i, j) for i, j in pairs])
+    ints, den = _integer_row([entry(i, j) for i, j in pairs])
     table = dict(zip(pairs, ints))
     return Rat(_pf_expand(idx, lambda i, j: table[i, j], 0), den ** (len(idx) // 2))
 
@@ -172,7 +173,7 @@ def _chain(g: GramTable, n):
     for k in range(1, min(n, g.m // 2) + 1):
         idx = tuple(range(1, 2 * k + 1))
         name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
-        out.append((name, _table_pfaffian(g, idx)))
+        out.append((name, _table_pfaffian(g.value, idx)))
     return out
 
 
@@ -230,7 +231,7 @@ def syzygy_value(g: GramTable, idx, n=None):
     if n is not None and len(idx) != 2 * n + 2:
         raise ValueError(f"tuple length {len(idx)} != 2n+2 = {2 * n + 2}")
     idx = _check_tuple(idx, g.m, len(idx))
-    return _table_pfaffian(g, idx)
+    return _table_pfaffian(g.value, idx)
 
 
 def all_min_syzygies(config: PointConfig):

@@ -23,7 +23,7 @@ configuration and applies it to the second.  This module imports `variants`
 from dataclasses import dataclass
 from functools import partial
 
-from .exact import ExactMatrix, Rat, inverse, is_symplectic, symp
+from .exact import ExactMatrix, Rat, is_symplectic, solve, symp
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
@@ -133,9 +133,9 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     """Explicit symplectic witness M with M A_i = B_i for all i.
 
     Requires m >= 2n (otherwise the stabilizer is positive-dimensional and the
-    witness is not unique) and equal Gram tables.  The matrix maps the basis
-    formed by the first 2n points of A onto that of B; the remaining points
-    follow automatically and are verified exactly.
+    witness is not unique) and equal Gram tables.  One solve maps the first 2n
+    points of A onto those of B (M A_i = B_i reads A^T M^T = B^T); the
+    remaining points follow automatically and are verified exactly.
     """
     if (A.n, A.m) != (B.n, B.m):
         raise ValueError("configurations must share (n, m)")
@@ -147,9 +147,7 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
         _require_generic(g, n, f"{label} configuration non-generic")
     if tables[0] != tables[1]:
         raise ValueError("not equivalent: Gram tables differ")
-    basis_a = ExactMatrix.from_columns([A.point(i) for i in range(1, 2 * n + 1)])
-    basis_b = ExactMatrix.from_columns([B.point(i) for i in range(1, 2 * n + 1)])
-    M = basis_b @ inverse(basis_a)
+    M = solve(ExactMatrix(A.points[: 2 * n]), ExactMatrix(B.points[: 2 * n])).transpose()
     if not is_symplectic(M, n):
         raise RuntimeError("recovered transform is not symplectic")
     for i in range(1, m + 1):

@@ -9,7 +9,8 @@ with coordinates (x, y, u) the lifted action admits the relative invariants
 
 all of weight one, whose ratios T_k = R_k/R_m, T_ij = R_ij/R_m generate the
 invariant field.  The T_ij satisfy the same Pfaffian relations as the a_ij,
-which eliminates all pairs outside the basic set.
+which eliminates all pairs outside the basic set.  R_ij is the `gram` of the
+plane parts (x, y), and T = R/R_m has the vanishing Pfaffians of R.
 
 This module sits below `normal_form`, which imports it: `normal_form`
 dispatches the contact group to `_contact_normal` here, and the pair
@@ -18,14 +19,14 @@ comparison both use is `invariants._relabel_compare`.
 
 import json
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, rat, rat_str
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
     GramTable,
+    PointConfig,
     Signature,
     _chain,
     _half_dimension,
@@ -160,11 +161,14 @@ def _reference(p: ContactPoint):
     return _dot(p.x, p.y) - 2 * p.u
 
 
+def _plane(config: ContactConfig) -> PointConfig:
+    """The plane parts (x, y) of the points: their Gram table is R_ij."""
+    return PointConfig(config.n, tuple([p.x + p.y for p in config.points]))
+
+
 def contact_relative(config: ContactConfig):
     """All relative invariants: R_k per point and R_ij per pair (1-based keys)."""
-    pts = [p.x + p.y for p in config.points]
-    r_ij = {(i + 1, j + 1): symp(pts[i], pts[j]) for i, j in combinations(range(config.m), 2)}
-    return {"R_k": [_reference(p) for p in config.points], "R_ij": r_ij}
+    return {"R_k": [_reference(p) for p in config.points], "R_ij": gram(_plane(config)).values}
 
 
 def _eliminated_pairs(m, n):
@@ -173,25 +177,25 @@ def _eliminated_pairs(m, n):
 
 
 def _absolute_values(config: ContactConfig):
-    rel = contact_relative(config)
     m, n = config.m, config.n
-    rm = rel["R_k"][m - 1]
+    rm = _reference(config.point(m))
     if rm == 0:
         raise GenericityError(f"R_{m} = 0")
-    T = GramTable(m, {p: v / rm for p, v in rel["R_ij"].items()})
+    plane = _plane(config)
+    R = gram(plane)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
     eliminated = _eliminated_pairs(m, n)
-    if eliminated and T.value(1, 2) == 0:
+    if eliminated and R.value(1, 2) == 0:
         raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
-    values = tuple([r / rm for r in rel["R_k"][: m - 1]])
-    values += tuple([T.value(i, j) for (i, j) in basic_set(m, n).pairs])
+    values = tuple([_reference(p) / rm for p in config.points[: m - 1]])
+    values += tuple([R.value(i, j) / rm for (i, j) in basic_set(m, n).pairs])
     # the elimination divides by every link b_{1..2k}(T) of the leading
     # chain; unless all n links pass, the basic set does not determine the
     # eliminated T_ij, so they join the signature (each is invariant), and
     # the plane parts may not span, so their linear relations join too
-    spanning = m >= 2 * n and all(v != 0 for _, v in _chain(T, n))
+    spanning = m >= 2 * n and all(v != 0 for _, v in _chain(R, n))
     if not spanning:
-        values += tuple([T.value(i, j) for (i, j) in eliminated])
-    return values + _relations([p.x + p.y for p in config.points], n, spanning)
+        values += tuple([R.value(i, j) / rm for (i, j) in eliminated])
+    return values + _relations(plane.points, n, spanning)
 
 
 def _contact_normal(config: ContactConfig, rotated=None):

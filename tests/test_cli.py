@@ -557,3 +557,112 @@ def test_equiv_verdict_is_signature_equality(group, data):
     assert out["equivalent"] is (out["signature_a"] == out["signature_b"])
     if kind == "image":
         assert out["equivalent"] is True
+
+
+SIX_POINTS = {"n": 1, "points": [[1, 0], [0, 1], [2, 3], [1, 5], [3, -2], [-1, 4]]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "CONFIG"],
+        ["syzygy-check", "CONFIG"],
+        ["syzygy-check", "--identities"],
+        ["dims"],
+        ["symmetrize", "--m", "3", "--n", "1", "--maxdeg", "4"],
+    ],
+    ids=" ".join,
+)
+def test_subcommand_succeeds_in_a_fresh_process(tmp_path, argv):
+    """Each subcommand imports its own modules, so an import fault shows only
+    in a process of that command."""
+    path = write_json(tmp_path / "c.json", SIX_POINTS)
+    code, _ = fresh_imports("-m", "sympjoint.cli", *(path if a == "CONFIG" else a for a in argv))
+    assert code == 0
+
+
+def test_dims_stabilizer_row_for_n3(capsys):
+    code, out = run(capsys, "dims", "--max-n", "3")
+    assert code == 0
+    assert "  n=3: k=0:21 k=1:15 k=2:10 k=3:6 k=4:3 k=5:1 k=6:0" in out.splitlines()
+
+
+def test_symmetrize_six_points_n2_to_degree_ten(capsys):
+    code, out = run(capsys, "symmetrize", "--m", "6", "--n", "2", "--maxdeg", "10")
+    assert code == 0
+    assert json.loads(out)["graded_dims"] == [1, 0, 2, 2, 14, 22, 90, 181, 555, 1177, 2932]
+
+
+@pytest.mark.parametrize("case", ["planar-i2", "general-i2", "derivation", "contact", "function"])
+def test_every_discretize_case_passes(capsys, case):
+    code, out = run(capsys, "discretize", "--case", case)
+    assert code == 0
+    assert all(report["passed"] for report in json.loads(out)["reports"].values())
+
+
+RATIONAL_A = {
+    "n": 2,
+    "points": [["1/2", 0, 0, "-3/4"], [0, "2/3", 1, 0], [0, 0, "5/6", 1], [1, "1/3", 0, "-2/5"], ["7/2", 1, "1/7", 0]],
+}
+# RATIONAL_A under the integer symplectic map random_symplectic(2, 3, seed=11)
+RATIONAL_B = {
+    "n": 2,
+    "points": [
+        ["1/2", "99/4", 83, "993/4"],
+        [0, "56/3", 63, 186],
+        [0, -27, "-535/6", -269],
+        [1, "437/15", 98, "1468/5"],
+        ["7/2", "119/2", "2823/14", "1209/2"],
+    ],
+}
+
+
+def test_equiv_rational_pair_with_witness(tmp_path, capsys):
+    """"p/q" coordinates take the denominator-clearing branch of the Gram
+    table, its Pfaffians and the witness solve."""
+    pa = write_json(tmp_path / "a.json", RATIONAL_A)
+    pb = write_json(tmp_path / "b.json", RATIONAL_B)
+    code, out = run(capsys, "equiv", pa, pb)
+    assert code == 0
+    data = json.loads(out)
+    assert data["equivalent"] is True
+    witness = ExactMatrix([[rat(x) for x in row] for row in data["witness"]])
+    assert witness == random_symplectic(2, 3, seed=11)
+    a, b = (PointConfig(2, tuple(obj["points"])) for obj in (RATIONAL_A, RATIONAL_B))
+    for i in range(1, a.m + 1):
+        assert witness.apply(a.point(i)) == b.point(i)
+
+
+def test_syzygy_check_rational_coordinates(tmp_path, capsys):
+    obj = {"n": 1, "points": [["1/2", 0], [0, "2/3"], ["3/4", "-5/7"], [1, "5/9"], ["-3/2", "2/11"], ["1/12", 4]]}
+    code, out = run(capsys, "syzygy-check", write_json(tmp_path / "c.json", obj))
+    assert code == 0
+    data = json.loads(out)
+    assert data["minimal_syzygies"] == {"count": 15, "all_zero": True, "nonzero_at": []}
+    assert data["q_syzygies"] == {"count": 1, "all_zero": True, "nonzero_at": []}
+
+
+def test_dims_cost_guard_refuses_past_the_bound(capsys):
+    from sympjoint.cli import _MAX_DIMS_N
+
+    assert _MAX_DIMS_N == 20
+    code = main(["dims", "--max-n", "21"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cost guard: need --max-n <= 20, got 21\n"
+
+
+def test_syzygy_check_cost_guard_refuses_past_the_bound(tmp_path, capsys):
+    from sympjoint.cli import _MAX_SYZYGY_COST, _syzygy_cost
+
+    # admitted: n = 1 to m = 21, n = 2 to m = 16, and the 6-point configurations above
+    assert _syzygy_cost(21, 1) <= _MAX_SYZYGY_COST < _syzygy_cost(22, 1)
+    assert _syzygy_cost(16, 2) <= _MAX_SYZYGY_COST < _syzygy_cost(17, 2)
+    path = write_json(tmp_path / "c.json", config_to_dict(random_config(1, 22, seed=3)))
+    code = main(["syzygy-check", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cost guard: need C(m, 2n+2)*4^(n+1) + C(m, 4n+2)*(2n+1)^3 <= 2000000")
+    assert captured.err.endswith(f"got {_syzygy_cost(22, 1)} for m = 22, n = 1\n")

@@ -273,3 +273,45 @@ def test_det_of_rational_matrix_matches_cofactor_oracle(M):
 def test_float_entry_is_refused(kernel):
     with pytest.raises(TypeError):
         kernel(ExactMatrix([[1, 0.5], [Rat(1, 3), 2]]))
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=40, deadline=None)
+def test_symp_sums_in_the_ring_of_its_inputs(n, data):
+    ints = st.lists(st.integers(-9, 9), min_size=2 * n, max_size=2 * n)
+    u, v = data.draw(ints), data.draw(ints)
+    assert type(symp(u, v)) is int
+    ru, rv = ([Rat(x, data.draw(st.integers(1, 7))) for x in w] for w in (u, v))
+    assert type(symp(ru, rv)) is Rat
+    assert symp(ru, rv) == sum(ru[k] * rv[n + k] - rv[k] * ru[n + k] for k in range(n))
+
+
+def _random_symplectic_in_fractions(n, steps, seed):
+    """The transvection product as first written: Rat columns, and the
+    symplectic product taken once per entry in Rat arithmetic."""
+
+    def omega(u, v):
+        total = Rat(0)
+        for k in range(n):
+            total += u[k] * v[n + k] - v[k] * u[n + k]
+        return total
+
+    rng = random.Random(seed)
+    dim = 2 * n
+    cols = [tuple([Rat(1) if i == j else Rat(0) for i in range(dim)]) for j in range(dim)]
+    for _ in range(steps):
+        v = [0] * dim
+        while not any(v):
+            v = [rng.randint(-3, 3) for _ in range(dim)]
+        v = tuple([Rat(x) for x in v])
+        lam = Rat(rng.randint(-3, 3))
+        cols = [tuple([c[i] + lam * omega(c, v) * v[i] for i in range(dim)]) for c in cols]
+    return ExactMatrix.from_columns(cols)
+
+
+@given(st.integers(1, 3), st.integers(0, 8), st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_random_symplectic_equals_the_fraction_product(n, steps, seed):
+    M = random_symplectic(n, steps, seed)
+    assert M == _random_symplectic_in_fractions(n, steps, seed)
+    assert all(type(x) is Rat for row in M.data for x in row)

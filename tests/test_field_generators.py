@@ -2,8 +2,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sympjoint.exact import ExactMatrix, Rat, rank
+from sympjoint.exact import ExactMatrix, Rat, _pf_expand, rank, rat, rat_str
 from sympjoint.field_generators import (
     basic_set,
     dim_d,
@@ -12,7 +14,7 @@ from sympjoint.field_generators import (
     jacobian_rank,
     stabilizer_dim,
 )
-from sympjoint.invariants import GenericityError, gram, random_config
+from sympjoint.invariants import GenericityError, GramTable, gram, random_config
 
 
 def test_dim_d_known_values():
@@ -213,3 +215,37 @@ def test_jacobian_rank_at_special_configuration():
     from sympjoint.invariants import PointConfig
 
     assert jacobian_rank(PointConfig(1, cfg_pts)) < dim_d(3, 1)
+
+
+def _eliminate_in_fractions(values, k, l, n):
+    """The elimination as first written: -Pf0/Pf by one Rat expansion each,
+    one rat() per entry read; None when the denominator Pfaffian vanishes."""
+    idx = tuple(range(1, 2 * n + 1))
+
+    def entry(i, j):
+        return Rat(0) if (i, j) == (k, l) else rat(values[(i, j)])
+
+    const = _pf_expand(idx + (k, l), entry, Rat(0))
+    coeff = _pf_expand(idx, entry, Rat(0))
+    return None if coeff == 0 else -const / coeff
+
+
+@given(st.integers(1, 2), st.sampled_from(["table", "dict", "strings"]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_eliminate_entry_equals_the_fraction_expansion(n, form, data):
+    m = data.draw(st.integers(2 * n + 2, 2 * n + 3))
+    k = data.draw(st.integers(2 * n + 1, m - 1))
+    l = data.draw(st.integers(k + 1, m))
+    entry = st.builds(Rat, st.integers(-9, 9), st.integers(1, 12))  # mixed denominators
+    values = {(i, j): data.draw(entry) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+    known = {
+        "table": GramTable(m, values),
+        "dict": values,
+        "strings": {p: rat_str(v) for p, v in values.items()},
+    }[form]
+    expected = _eliminate_in_fractions(values, k, l, n)
+    if expected is None:
+        with pytest.raises(GenericityError):
+            eliminate_entry(known, k, l, n)
+    else:
+        assert eliminate_entry(known, k, l, n) == expected

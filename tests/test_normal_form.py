@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sympjoint.exact import (
     ExactMatrix,
     Rat,
+    inverse,
     is_symplectic,
     pfaffian,
     random_symplectic,
@@ -389,3 +390,17 @@ def test_canonical_frame_pattern(cfg):
         for col in cols[: 2 * k - 2]:
             assert all(col[s] == 0 for s in range(k - 1, n))
             assert all(col[n + s] == 0 for s in range(k - 1, n))
+
+
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(0, 8), st.integers(0, 10**6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_recover_transform_equals_basis_product(n, extra, steps, seed, data):
+    coord = st.builds(Rat, st.integers(-9, 9), st.integers(1, 5))
+    point = st.lists(coord, min_size=2 * n, max_size=2 * n)
+    A = PointConfig(n, tuple([tuple(data.draw(point)) for _ in range(2 * n + extra)]))
+    assume(genericity(A).generic)
+    B = A.transform(random_symplectic(n, steps, seed))
+    # the witness as first written: the basis of B times the inverse basis of A
+    basis_a = ExactMatrix.from_columns([A.point(i) for i in range(1, 2 * n + 1)])
+    basis_b = ExactMatrix.from_columns([B.point(i) for i in range(1, 2 * n + 1)])
+    assert recover_transform(A, B) == basis_b @ inverse(basis_a)

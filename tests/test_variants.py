@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sympjoint.exact import ExactMatrix, Rat, rat, random_symplectic
+from sympjoint.exact import ExactMatrix, Rat, rat, random_symplectic, symp
 from sympjoint.invariants import GenericityError, PointConfig, gram, random_config
 from sympjoint.normal_form import equivalent, signature
 from sympjoint.poly import MultiPoly, aux_var, contact_var
@@ -402,3 +403,17 @@ def test_contact_lift_image_is_equivalent(cfg, seed):
 def test_contact_config_needs_n_at_least_one():
     with pytest.raises(ValueError, match="n must be >= 1"):
         ContactConfig(0, (ContactPoint((), (), 1),))
+
+
+@given(st.integers(1, 2), st.integers(1, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_contact_relative_pairs_are_the_pairwise_symp(n, m, data):
+    coord = st.builds(Rat, st.integers(-9, 9), st.integers(1, 6))
+    coords = st.lists(coord, min_size=n, max_size=n)
+    cfg = ContactConfig(n, tuple([(data.draw(coords), data.draw(coords), data.draw(coord)) for _ in range(m)]))
+    plane = [p.x + p.y for p in cfg.points]
+    expected = {(i + 1, j + 1): symp(plane[i], plane[j]) for i, j in combinations(range(m), 2)}
+    R = contact_relative(cfg)["R_ij"]
+    assert R == expected
+    assert list(R) == list(expected)
+    assert all(type(v) is Rat for v in R.values())
