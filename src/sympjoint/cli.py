@@ -23,6 +23,7 @@ EXIT_USAGE = 64
 
 # cost guards: the slowest admitted call takes 1-2 s (2-vCPU VM, Python 3.11.7)
 _MAX_DIMS_N = 20  # the sampled stabilizer ranks cost about n^6
+_MAX_DIMS_M = 10_000  # one table row per m, about 36 us each at n = 20
 _MAX_SYZYGY_COST = 2_000_000  # `_syzygy_cost` units; n = 1 admits m <= 21
 
 
@@ -214,6 +215,8 @@ def cmd_dims(args):
 
     if args.max_m < 2:
         raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
+    if args.max_m > _MAX_DIMS_M:
+        raise ValueError(f"cost guard: need --max-m <= {_MAX_DIMS_M}, got {args.max_m}")
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     if args.max_n > _MAX_DIMS_N:

@@ -13,6 +13,12 @@ monomials to nonzero coefficients, stored as Python ints when integral and as
 expansion ``exact._pf_expand``; symbolic determinants from the same kernel on
 the block table [[0, A], [-A^T, 0]], which is a Laplace expansion memoized over
 column subsets (no division, unlike the numeric Bareiss ``exact.det``).
+
+Products concatenate monomials whose variables do not interleave, as the
+Pfaffian kernel's head a_{i0 j} (smallest label first) never does, and a
+one-term factor maps the other's terms in one pass.  ``substitute`` works in
+Horner order: terms grouped by leading factor share one substitution of their
+cofactor, so the vanishing of a syzygy on point tables drops whole subtrees.
 """
 
 import math
@@ -48,7 +54,18 @@ def var_name(var):
 
 
 def _mono_mul(m1, m2):
-    """Product of sorted monomials: the shorter one's factors are bisect-inserted."""
+    """Product of sorted monomials.
+
+    When all of one monomial's variables sort below the other's the product is
+    their concatenation; only interleaved monomials bisect-insert the shorter
+    one's factors into the longer.
+    """
+    if not (m1 and m2):
+        return m1 or m2
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     if len(m1) < len(m2):
         m1, m2 = m2, m1
     out = list(m1)
@@ -181,9 +198,16 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             c = _coef(other)
             return _wrap({m: c * v for m, v in self.terms.items()} if c else {})
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            # a fixed monomial times distinct monomials gives distinct products
+            ((m1, c1),) = a.items()
+            return _wrap({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
                 s = out.get(mono, 0) + c1 * c2
                 if s:
@@ -223,32 +247,59 @@ class MultiPoly:
     def substitute(self, mapping):
         """Replace variables by polynomials/rationals; others stay symbolic.
 
-        Each power rep**e is computed once per (variable, exponent), scalar
-        replacements fold into the coefficient, and the terms add into one dict.
+        Each term splits into its kept monomial, its coefficient times the
+        scalar images, and its factors with polynomial images (rep**e, once
+        per (variable, exponent)).  Those apply in Horner order: terms grouped
+        by leading factor, recursively, share one substitution of their
+        cofactor and one product with the factor's image, and a zero image or
+        cofactor drops the whole group.  That is never more products than term
+        by term, and far fewer when leading factors are shared, as in the
+        first-row expansion of a Pfaffian.
         """
-        powers = {}
-        out = {}
+        images = {}  # (v, e) -> None when v is kept, else rep**e; a miss reads as f itself
+        split = []
         for mono, c in self.terms.items():
-            kept, factors = [], []
-            for v, e in mono:
-                rep = mapping.get(v)
-                if rep is None:
-                    kept.append((v, e))
-                    continue
-                pw = powers.get((v, e))
-                if pw is None:
-                    pw = powers[(v, e)] = rep**e if isinstance(rep, MultiPoly) else _coef(rep) ** e
-                if isinstance(pw, MultiPoly):
-                    factors.append(pw)
+            kept, replaced = [], []
+            for f in mono:
+                img = images.get(f, f)
+                if img is f:
+                    rep = mapping.get(f[0])
+                    if rep is None:
+                        img = None
+                    elif isinstance(rep, MultiPoly):
+                        img = rep ** f[1] if rep.terms else 0  # a zero image is a scalar
+                    else:
+                        img = _coef(rep) ** f[1]
+                    images[f] = img
+                if img is None:
+                    kept.append(f)
+                elif type(img) is MultiPoly:
+                    replaced.append(f)
                 else:
-                    c = c * pw
-            if not c:
-                continue
-            term = _wrap({tuple(kept): c})
-            for f in factors:
-                term = term * f
-            _add_into(out, term.terms)
-        return _wrap(out)
+                    c = c * img
+            if c:
+                split.append((replaced, tuple(kept), c))
+
+        def horner(items, depth):
+            # items share replaced[:depth]; return sum c * kept * image(replaced[depth:])
+            out = {}
+            groups = {}
+            for replaced, kept, c in items:
+                if len(replaced) == depth:
+                    s = out.get(kept, 0) + c  # scalar images can merge two terms
+                    if s:
+                        out[kept] = s
+                    else:
+                        del out[kept]
+                else:
+                    groups.setdefault(replaced[depth], []).append((replaced, kept, c))
+            for f, group in groups.items():
+                rest = horner(group, depth + 1)
+                if rest:
+                    _add_into(out, (_wrap(rest) * images[f]).terms)
+            return out
+
+        return _wrap(horner(split, 0))
 
     def __str__(self):
         if not self.terms:
@@ -352,7 +403,7 @@ def evaluate(p: MultiPoly, g) -> Rat:
             if v[0] != "a":
                 raise ValueError(f"cannot evaluate non-pairwise variable {var_name(v)}")
             _, i, j = v
-            if j > g.m:
+            if i < 1 or j > g.m:
                 raise ValueError(f"variable a{i}{j} out of range for m={g.m}")
             values[v] = g.value(i, j)
     return Rat(_value(p.terms, values))

@@ -653,6 +653,27 @@ def test_dims_cost_guard_refuses_past_the_bound(capsys):
     assert captured.err == "error: cost guard: need --max-n <= 20, got 21\n"
 
 
+def test_dims_max_m_cost_guard_admits_the_bound(capsys):
+    from sympjoint.cli import _MAX_DIMS_M
+
+    assert _MAX_DIMS_M == 10_000
+    code, out = run(capsys, "dims", "--max-m", "10000", "--max-n", "1")
+    assert code == 0
+    rows = [line.split() for line in out.splitlines() if line.split()[:1] and line.split()[0].isdigit()]
+    # both tables run m = 2..10000: d(m, 1) = 2m - 3 and bbar(m, 1) = 3m - 4
+    assert len(rows) == 2 * 9_999
+    assert rows[9_998] == ["10000", "19997"]
+    assert rows[-1] == ["10000", "29996"]
+
+
+def test_dims_max_m_cost_guard_refuses_past_the_bound(capsys):
+    code = main(["dims", "--max-m", "10001", "--max-n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: cost guard: need --max-m <= 10000, got 10001\n"
+
+
 def test_syzygy_check_cost_guard_refuses_past_the_bound(tmp_path, capsys):
     from sympjoint.cli import _MAX_SYZYGY_COST, _syzygy_cost
 

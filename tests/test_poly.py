@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympjoint.exact import Rat, SkewMatrix, _pf_expand, pfaffian, rat
@@ -12,6 +12,7 @@ from sympjoint.poly import (
     _pf_poly,
     aux_var,
     avar,
+    contact_var,
     evaluate,
     pfaffian_poly,
     q_poly,
@@ -31,20 +32,27 @@ def random_table(m, rng):
 # --- polynomial ring basics ------------------------------------------------
 
 _vars = [avar(1, 2), avar(1, 3), avar(2, 3)]
+# every tag, in sorted order: ("a", ...) < ("u", ...) < ("z", ...)
+_mixed_vars = [avar(1, 2), avar(1, 3), avar(2, 3), contact_var(1), contact_var(2), aux_var("x", 1), aux_var("y", 1)]
 
 
 @st.composite
-def polys(draw):
+def polys(draw, variables=_vars, coefficients=st.integers(-5, 5)):
     n_terms = draw(st.integers(0, 4))
     terms = {}
     for _ in range(n_terms):
         mono = []
-        for v in _vars:
+        for v in variables:
             e = draw(st.integers(0, 2))
             if e:
                 mono.append((v, e))
-        terms[tuple(mono)] = draw(st.integers(-5, 5))
+        terms[tuple(mono)] = draw(coefficients)
     return MultiPoly(terms)
+
+
+def mixed_polys():
+    """Polynomials over mixed-tag variables with int and half-integer coefficients."""
+    return polys(_mixed_vars, st.integers(-5, 5).map(lambda k: rat(k, 2)))
 
 
 @given(polys(), polys(), polys())
@@ -89,6 +97,13 @@ def test_evaluate_basics():
         evaluate(MultiPoly.variable(aux_var("x", 1)), g)
 
 
+@pytest.mark.parametrize("i, j", [(0, 2), (-1, 3), (1, 4)])
+def test_evaluate_rejects_labels_out_of_range(i, j):
+    g = random_table(3, random.Random(27))
+    with pytest.raises(ValueError, match=rf"^variable a{i}{j} out of range for m=3$"):
+        evaluate(MultiPoly.variable(avar(i, j)), g)
+
+
 def test_derivative():
     a, b = MultiPoly.variable(avar(1, 2)), MultiPoly.variable(avar(1, 3))
     p = a**2 * b + 3 * b
@@ -122,6 +137,41 @@ def test_constructor_sums_colliding_keys():
 def test_constructor_rejects_bad_exponent(e):
     with pytest.raises(ValueError):
         MultiPoly({((avar(1, 2), e),): 1})
+
+
+def _product_reference(p, q):
+    """Term-by-term product, merging each pair of monomials through a dict of exponents."""
+    out = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            exps = dict(m1)
+            for v, e in m2:
+                exps[v] = exps.get(v, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, 0) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+# one product per path of __mul__: a*a and u*u variables do not interleave,
+# (a12 u1) * (a13 u2) does, and a one-term factor takes the single-term path
+_a12, _a13, _u1, _u2, _x1 = (
+    MultiPoly.variable(v) for v in (avar(1, 2), avar(1, 3), contact_var(1), contact_var(2), aux_var("x", 1))
+)
+
+
+@given(mixed_polys(), mixed_polys())
+@example(_a12 + _a13, _u1 + _x1)
+@example(_x1 * _u2 + _u1, _a12 * _a13 - _a13**2)
+@example(_a12 * _u1 + _x1, _a13 * _u2 + _u1 * _x1)
+@example(_a13 * _u1, _a12 * _u2 + 3 * _a13 * _u1 - _x1)
+@example(rat(1, 2) * _a12 * _u1, 2 * _a12 * _x1 + 2 * _u1)
+@settings(max_examples=200, deadline=None)
+def test_product_matches_reference(p, q):
+    expected = _product_reference(p, q)
+    for prod in (p * q, q * p):
+        assert prod.terms == expected
+        assert all(list(mono) == sorted(mono) and len({v for v, _ in mono}) == len(mono) for mono in prod.terms)
+        assert all(type(c) is int for c in prod.terms.values() if c.denominator == 1)
 
 
 # --- coefficient contract: int when integral, Rat otherwise --------------------
@@ -193,6 +243,25 @@ def test_substitute_matches_reference(p):
     )
 
 
+@given(mixed_polys())
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_reference_on_mixed_variables(p):
+    a12, a13, a23, u1, u2, x1, y1 = (MultiPoly.variable(v) for v in _mixed_vars)
+    zero = MultiPoly()
+    mappings = [
+        # a13 and u1 are kept and sort between replaced variables; images
+        # bring in variables that sort before the factors they replace
+        {avar(1, 2): x1 - 2 * u2, avar(2, 3): rat(2, 3), contact_var(2): a12 * y1 + a13, aux_var("y", 1): u1**2 - 1},
+        # the leading variable maps to zero, as a scalar and as a polynomial
+        {avar(1, 2): 0, contact_var(1): a23 + x1},
+        {avar(1, 2): zero, avar(1, 3): a12, aux_var("x", 1): rat(1, 2)},
+        # images that merge with kept factors, and a zero image behind kept ones
+        {avar(2, 3): a13 - a12, contact_var(1): zero, contact_var(2): u1},
+    ]
+    for mapping in mappings:
+        assert p.substitute(mapping) == _substitute_reference(p, mapping)
+
+
 def test_substitute_powers_and_scalars():
     a12, a13, a23 = (MultiPoly.variable(avar(*ij)) for ij in ((1, 2), (1, 3), (2, 3)))
     x = MultiPoly.variable(aux_var("x"))
@@ -201,6 +270,32 @@ def test_substitute_powers_and_scalars():
     assert got == rat(1, 4) * (x + 1) ** 3 + 18 * (x + 1) + rat(1, 4)
     assert p.substitute({avar(1, 2): 1, avar(1, 3): 1, avar(2, 3): 1}) == MultiPoly.constant(4)
     assert p.substitute({}) == p
+
+
+def _point_map(labels, n):
+    """a_ij -> sum_k x^k_i y^k_j - x^k_j y^k_i: the table of labelled points in R^{2n}."""
+    x = {(k, i): MultiPoly.variable(aux_var("x", k, i)) for k in range(n) for i in labels}
+    y = {(k, i): MultiPoly.variable(aux_var("y", k, i)) for k in range(n) for i in labels}
+    return {
+        avar(i, j): sum((x[(k, i)] * y[(k, j)] - x[(k, j)] * y[(k, i)] for k in range(n)), MultiPoly())
+        for i in labels
+        for j in labels
+        if i < j
+    }
+
+
+def test_syzygies_vanish_on_point_tables():
+    # every 4-label sub-Pfaffian vanishes at n = 1, so whole subtrees drop
+    assert pfaffian_poly(tuple(range(1, 11)), 4).substitute(_point_map(range(1, 11), 1)).is_zero()
+    assert q_poly(tuple(range(1, 7)), 1).substitute(_point_map(range(1, 7), 1)).is_zero()
+    assert pfaffian_poly(tuple(range(1, 7)), 2).substitute(_point_map(range(1, 7), 2)).is_zero()
+
+
+def test_plucker_does_not_vanish_in_dimension_four():
+    b, mapping = pfaffian_poly((1, 2, 3, 4), 1), _point_map(range(1, 5), 2)
+    got = b.substitute(mapping)
+    assert not got.is_zero()
+    assert got == _substitute_reference(b, mapping)
 
 
 # --- symbolic Pfaffians ----------------------------------------------------
