@@ -45,15 +45,16 @@ def _emit(obj):
 
 
 def _sig_json(sig):
+    """JSON of a (group, values) signature pair, as `normal_form._normalize` returns it."""
     from .exact import rat_str
 
-    return {"group": sig.group, "values": [rat_str(v) for v in sig.values]}
+    group, values = sig
+    return {"group": group, "values": [rat_str(v) for v in values]}
 
 
 def cmd_invariants(args):
     from .exact import rat_str
-    from .invariants import gram, load_config
-    from .normal_form import _failed
+    from .invariants import _failed, gram, load_config
 
     config = load_config(args.config)
     g = gram(config)
@@ -155,10 +156,12 @@ def cmd_equiv(args):
     from .exact import rat_str
     from .invariants import _relabel_compare, load_config
     from .normal_form import _normalize, recover_transform
-    from .variants import load_contact_config
 
     group = args.group
-    load = load_contact_config if group == "contact" else load_config
+    if group == "contact":
+        from .variants import load_contact_config as load
+    else:
+        load = load_config
     a, b = load(args.config_a), load(args.config_b)
     out = {"group": group}
     normalize = functools.partial(_normalize, group)

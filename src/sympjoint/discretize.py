@@ -9,7 +9,6 @@ derivatives of the test curves, never from the estimates themselves.
 """
 
 import math
-from dataclasses import dataclass, field
 
 DEFAULT_STEPS = (1e-1, 5e-2, 2.5e-2, 1.25e-2, 6.25e-3)
 
@@ -32,28 +31,32 @@ def _nonzero(*vals):
             raise DegenerateSample("chord invariant is not finite")
 
 
+def _tangent_weight(w):
+    """w = omega(A, A') at the base point, which every curve target divides by."""
+    if w == 0.0:
+        raise DegenerateSample("the tangent at the base point passes through the origin (omega(A, A') = 0)")
+    return w
+
+
 # ---------------------------------------------------------------------------
 # curve models: closed-form values and derivatives supplied per test case
 
 
-@dataclass
 class PlanarCurve:
     """Graph y = y(x) in the symplectic plane."""
 
-    y: callable
-    dy: callable
-    d2y: callable
+    def __init__(self, y, dy, d2y):
+        self.y, self.dy, self.d2y = y, dy, d2y
 
     def point(self, x):
         return (x, self.y(x))
 
     def i2(self, x):
         """The differential invariant y''/(x y' - y)^3."""
-        w = x * self.dy(x) - self.y(x)
+        w = _tangent_weight(x * self.dy(x) - self.y(x))
         return self.d2y(x) / w**3
 
 
-@dataclass
 class GeneralCurve:
     """Parametrized curve t -> (t, xvec(t), y(t), zvec(t)) in R^{2n}.
 
@@ -61,8 +64,8 @@ class GeneralCurve:
     triple per coordinate; the first coordinate must be the parameter itself.
     """
 
-    n: int
-    coords: tuple
+    def __init__(self, n, coords):
+        self.n, self.coords = n, coords
 
     def point(self, t):
         return tuple(c[0](t) for c in self.coords)
@@ -78,7 +81,7 @@ class GeneralCurve:
         w = val[0] * d1[n] - val[n]
         for k in range(1, n):
             w += val[k] * d1[n + k] - d1[k] * val[n + k]
-        return w
+        return _tangent_weight(w)
 
     def i2(self, t):
         """(xvec_t . zvec_tt - xvec_tt . zvec_t + y_tt) / W^3."""
@@ -96,43 +99,42 @@ class GeneralCurve:
         return tuple(2.0 * v / w for v in self.velocity(t))
 
 
-@dataclass
 class ContactCurve:
     """Curve (x, y(x), u(x)) in the contact 3-space."""
 
-    y: callable
-    dy: callable
-    d2y: callable
-    u: callable
-    du: callable
+    def __init__(self, y, dy, d2y, u, du):
+        self.y, self.dy, self.d2y, self.u, self.du = y, dy, d2y, u, du
 
     def point(self, x):
         return (x, self.y(x), self.u(x))
 
+    def _w(self, x):
+        return _tangent_weight(x * self.dy(x) - self.y(x))
+
     def i1(self, x):
-        return (self.du(x) - self.y(x)) / (x * self.dy(x) - self.y(x))
+        return (self.du(x) - self.y(x)) / self._w(x)
 
     def i2(self, x):
         r = x * self.y(x) - 2.0 * self.u(x)
-        w = x * self.dy(x) - self.y(x)
-        return r**2 * self.d2y(x) / w**3
+        return r**2 * self.d2y(x) / self._w(x) ** 3
 
     def grad_target(self, x):
         r = x * self.y(x) - 2.0 * self.u(x)
-        w = x * self.dy(x) - self.y(x)
+        w = self._w(x)
         return tuple(r / w * c for c in (1.0, self.dy(x), self.du(x)))
 
 
-@dataclass
-class Surface:
-    """Graph u = u(x, y) over the symplectic plane."""
+def _zero(x, y):
+    return 0.0
 
-    u: callable
-    ux: callable
-    uy: callable
-    uxx: callable = field(default=lambda x, y: 0.0)
-    uxy: callable = field(default=lambda x, y: 0.0)
-    uyy: callable = field(default=lambda x, y: 0.0)
+
+class Surface:
+    """Graph u = u(x, y) over the symplectic plane; second derivatives
+    not given are zero."""
+
+    def __init__(self, u, ux, uy, uxx=_zero, uxy=_zero, uyy=_zero):
+        self.u, self.ux, self.uy = u, ux, uy
+        self.uxx, self.uxy, self.uyy = uxx, uxy, uyy
 
     def i1(self, x, y):
         return x * self.ux(x, y) + y * self.uy(x, y)
@@ -147,12 +149,6 @@ class Surface:
 
     def grad2_target(self, x, y):
         return (-self.uy(x, y), self.ux(x, y))
-
-
-def check_derivatives(fn, dfn, at, h=1e-6, tol=1e-4):
-    """Finite-difference sanity check that dfn really differentiates fn."""
-    approx = (fn(at + h) - fn(at - h)) / (2.0 * h)
-    return abs(approx - dfn(at)) <= tol * max(1.0, abs(dfn(at)))
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +263,13 @@ def function_estimates(surface: Surface, x, y, delta, eps):
 # convergence quantification
 
 
-@dataclass
 class ConvergenceReport:
-    steps: tuple
-    errors: tuple
-    fitted_order: float | None
-    exact: bool
-    passed: bool
+    """Errors per step size and the fitted order; `fitted_order` is None when
+    no slope was fitted (errors at float noise level)."""
+
+    def __init__(self, steps, errors, fitted_order, exact, passed):
+        self.steps, self.errors, self.fitted_order = steps, errors, fitted_order
+        self.exact, self.passed = exact, passed
 
     def to_dict(self):
         return {

@@ -18,6 +18,7 @@ interpreter's free lists, which only a full cyclic collection empties.
 import random
 from fractions import Fraction as Rat
 from math import gcd, lcm, prod
+from operator import attrgetter
 
 BACKEND = "fraction"
 
@@ -65,6 +66,76 @@ def symp(u, v):
     for k in range(n):
         total += u[k] * v[n + k] - v[k] * u[n + k]
     return total
+
+
+class _Record:
+    """Base of the immutable records (`PointConfig`, `GenericityReport`, ...).
+
+    The fields are the subclass's `__slots__`, in order, at least two of them
+    (an attrgetter of one name returns a bare value).  The constructor
+    binds them, positionally or by keyword, then runs `__post_init__`, which
+    may normalize a field through `object.__setattr__`; any other assignment
+    raises `AttributeError`.  Equality, hashing, the repr and pickling read
+    the field values, as a frozen dataclass would, without importing
+    `dataclasses` (and the `inspect` it loads) on every command path.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        fields = cls.__slots__
+        cls._field_values = attrgetter(*fields)  # a plain callable: self._field_values(self)
+        # the slots' own setters: no attribute lookup per field, so building a
+        # record costs about what a frozen dataclass's generated __init__ does
+        cls._field_setters = tuple([getattr(cls, name).__set__ for name in fields])
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(args, kwargs)
+        for set_field, value in zip(self._field_setters, args):
+            set_field(self, value)
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args, kwargs):
+        """The field values of a call with keyword or missing arguments, in order."""
+        fields, values = cls.__slots__, list(args)
+        if len(values) > len(fields):
+            raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(values)}")
+        for name in fields[len(values) :]:
+            if name not in kwargs:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+            values.append(kwargs.pop(name))
+        if kwargs:
+            raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._field_values(self) == other._field_values(other)
+
+    def __hash__(self):
+        return hash(self._field_values(self))
+
+    def __repr__(self):
+        pairs = zip(self.__slots__, self._field_values(self))
+        return f"{type(self).__qualname__}({', '.join([f'{name}={value!r}' for name, value in pairs])})"
+
+    def __reduce__(self):
+        # rebuild through the constructor: the frozen __setattr__ rules out
+        # the default state restore of pickle and copy
+        return type(self), self._field_values(self)
 
 
 class ExactMatrix:

@@ -14,11 +14,10 @@ elements are J H with H a symmetric form vanishing on their span.
 """
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, rank
+from .exact import ExactMatrix, Rat, _Record, rank
 from .invariants import GenericityError, GramTable, PointConfig, _table_pfaffian, random_config
 
 
@@ -31,13 +30,13 @@ def dim_d(m, n):
     return comb(m, 2)
 
 
-@dataclass(frozen=True)
-class BasicSet:
-    """Ordered generating pairs (i, j) with i <= 2n, i < j <= m."""
+class BasicSet(_Record):
+    """Ordered generating pairs (i, j) with i <= 2n, i < j <= m.
 
-    m: int
-    n: int
-    pairs: tuple
+    Fields: m, n (ints) and pairs (a tuple of (i, j) tuples).
+    """
+
+    __slots__ = ("m", "n", "pairs")
 
 
 def basic_set(m, n):

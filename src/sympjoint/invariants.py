@@ -4,9 +4,10 @@ A configuration is an ordered m-tuple of points in R^{2n}; the fundamental
 invariant of a pair is a_ij = omega(OA_i, OA_j), twice the symplectic area of
 the triangle through the origin.  All point indices are 1-based, matching the
 usual a_12, b_1234 notation; the skew extension a_ji = -a_ij is computed on
-access.  The `Signature` record, the leading-Pfaffian chain, Witt's
-relations rule and the pair comparison live here because both `normal_form`
-and `variants` use them.
+access.  The leading-Pfaffian chain with its failed predicates, Witt's
+relations rule and the pair comparison live here because `normal_form`,
+`variants` and the `invariants` command use them; the `Signature` record is
+`normal_form`'s.
 
 Gram tables and their Pfaffians are computed in Python ints with one division
 per value: `gram` clears each point's denominators once and divides each
@@ -18,22 +19,22 @@ values stay `Rat`.
 
 import json
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, det, nullspace, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, _Record, det, nullspace, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
     """A configuration fails a non-vanishing predicate required by an operation."""
 
 
-@dataclass(frozen=True)
-class PointConfig:
-    """Ordered tuple of m points in R^{2n}, coordinates (x^1..x^n, y^1..y^n)."""
+class PointConfig(_Record):
+    """Ordered tuple of m points in R^{2n}, coordinates (x^1..x^n, y^1..y^n).
 
-    n: int
-    points: tuple
+    Fields: n (int) and points (a tuple of m tuples of 2n `Rat`).
+    """
+
+    __slots__ = ("n", "points")
 
     def __post_init__(self):
         if self.n < 1:
@@ -149,12 +150,6 @@ def gram(config: PointConfig) -> GramTable:
     return GramTable._exact(config.m, vals)
 
 
-@dataclass(frozen=True)
-class Signature:
-    group: str
-    values: tuple
-
-
 def _table_pfaffian(entry, idx):
     """Pfaffian of the skew table entry(i, j) on the labels idx (in that order), in ints.
 
@@ -175,6 +170,11 @@ def _chain(g: GramTable, n):
         name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
         out.append((name, _table_pfaffian(g.value, idx)))
     return out
+
+
+def _failed(g: GramTable, n):
+    """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",)."""
+    return tuple([f"{name} = 0" for name, v in _chain(g, n) if v == 0])
 
 
 def _relations(points, n, spanning):
@@ -199,7 +199,8 @@ def _relabel_compare(A, B, normalize):
     """(signature of A, signature of B, relabeling) under one group's
     normalize(config, relabel=None), which decides the fallback relabeling
     when given None.  It is decided on A and applied unchanged to B, so equal
-    signatures mean genuine group equivalence.
+    signatures mean genuine group equivalence.  A signature here is whatever
+    `normalize` returns: a plain (group, values) pair on the decision path.
     """
     if (A.n, A.m) != (B.n, B.m):
         raise ValueError("configurations must share (n, m)")

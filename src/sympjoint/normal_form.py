@@ -16,45 +16,71 @@ Every signature and equivalence decision, for Sp, CSp, ASp and the contact
 lift, goes through `_normalize`: one configuration, with its fallback
 relabeling either decided or given.  A pair is compared by
 `invariants._relabel_compare`, which decides the relabeling on the first
-configuration and applies it to the second.  This module imports `variants`
-(the conformal and contact values); `variants` does not import it.
+configuration and applies it to the second.  That path carries plain
+(group, values) pairs; only the public `signature` (and `csp_signature` and
+`contact_absolute` in `variants`) builds a `Signature`.  The import of
+`variants` (the conformal and contact values) is lazy, in the CSp and contact
+branches of `_normalize` (`_variants`), so an Sp or ASp decision does not
+load it; `variants` imports this module only for `Signature`.
+
+`Signature` stays a frozen dataclass, built on its first read (PEP 562), so
+that importing this module does not load `dataclasses`.  Read it as a module
+attribute (`from .normal_form import Signature`, or `_module.Signature` here):
+the hook builds the class once and caches it, and calling the hook again
+would build a second class.
 """
 
-from dataclasses import dataclass
-from functools import partial
+import sys
+from functools import cache, partial
 
-from .exact import ExactMatrix, Rat, is_symplectic, solve, symp
+from .exact import ExactMatrix, Rat, _Record, is_symplectic, solve, symp
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
     GramTable,
     PointConfig,
-    Signature,
-    _chain,
+    _failed,
     _relabel_compare,
     _relations,
     gram,
 )
-from .variants import ContactConfig, _contact_normal, csp_signature
 
 _GROUPS = {"sp": "Sp", "csp": "CSp", "asp": "ASp", "contact": "Contact"}
+_module = sys.modules[__name__]  # reads its attributes through the PEP 562 hook below
 
 
-@dataclass(frozen=True)
-class GenericityReport:
-    generic: bool
-    failed_predicates: tuple
+@cache
+def _variants():
+    """(ContactConfig, _contact_normal, _csp_values) of `variants`, imported on
+    first use; an import statement in `_normalize` would cost microseconds on
+    every call."""
+    from .variants import ContactConfig, _contact_normal, _csp_values
+
+    return ContactConfig, _contact_normal, _csp_values
 
 
-def _failed(g: GramTable, n):
-    """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",)."""
-    return tuple([f"{name} = 0" for name, v in _chain(g, n) if v == 0])
+def __getattr__(name):
+    if name != "Signature":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import make_dataclass
+
+    cls = make_dataclass("Signature", [("group", str), ("values", tuple)], frozen=True)
+    cls.__module__ = __name__  # make_dataclass has no module= before Python 3.12
+    globals()["Signature"] = cls  # later reads skip this hook
+    return cls
+
+
+class GenericityReport(_Record):
+    """Result of `genericity`: generic (bool) and failed_predicates (a tuple
+    of names such as "a12 = 0")."""
+
+    __slots__ = ("generic", "failed_predicates")
 
 
 def genericity(config: PointConfig) -> GenericityReport:
     """Check every leading-Pfaffian predicate; report all failures."""
     failed = _failed(gram(config), config.n)
-    return GenericityReport(generic=not failed, failed_predicates=failed)
+    return GenericityReport(not failed, failed)
 
 
 def _require_generic(g: GramTable, n, prefix="non-generic configuration"):
@@ -170,7 +196,7 @@ def _translated(config):
 
 
 def _normalize(group, config, relabel=None):
-    """(signature, relabeling) of one configuration under `group`.
+    """((group key, values), relabeling) of one configuration under `group`.
 
     The relabeling is decided here when `relabel` is None (the one fallback
     of `_genericize`, or the contact rotation of `variants._contact_normal`)
@@ -181,9 +207,10 @@ def _normalize(group, config, relabel=None):
     """
     key = _group_key(group)
     if key == "Contact":
-        if not isinstance(config, ContactConfig):
+        contact_config, contact_normal, _ = _variants()
+        if not isinstance(config, contact_config):
             raise ValueError("the contact signature takes a ContactConfig")
-        return _contact_normal(config, relabel)
+        return contact_normal(config, relabel)
     if key == "ASp":
         # translation removes the base point, then the linear theory applies
         config = _translated(config)
@@ -195,14 +222,15 @@ def _normalize(group, config, relabel=None):
         g = gram(config)
         _require_generic(g, config.n, "second configuration non-generic")
     if key == "CSp":
-        values = csp_signature(g, config.n).values
+        _, _, csp_values = _variants()
+        values = csp_values(g, config.n)
     else:
         values = tuple([g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs])
     relations = _relations(config.points, config.n, config.m >= 2 * config.n)
-    return Signature(key, values + relations), relabel
+    return (key, values + relations), relabel
 
 
-def signature(config, group) -> Signature:
+def signature(config, group) -> "Signature":
     """Signature of a configuration: generator values in a fixed order.
 
     Sp: the basic-set values; CSp: sign(a12) then ratios a_ij/a12; ASp: the
@@ -213,7 +241,7 @@ def signature(config, group) -> Signature:
     If the leading pair degenerates, the points are relabeled once (the first
     nonzero pair moves to the front) before giving up.
     """
-    return _normalize(group, config)[0]
+    return _module.Signature(*_normalize(group, config)[0])
 
 
 def equivalent(A, B, group) -> bool:

@@ -12,22 +12,24 @@ invariant field.  The T_ij satisfy the same Pfaffian relations as the a_ij,
 which eliminates all pairs outside the basic set.  R_ij is the `gram` of the
 plane parts (x, y), and T = R/R_m has the vanishing Pfaffians of R.
 
-This module sits below `normal_form`, which imports it: `normal_form`
-dispatches the contact group to `_contact_normal` here, and the pair
-comparison both use is `invariants._relabel_compare`.
+This module sits below `normal_form`, which imports it only in its CSp and
+contact branches: `normal_form` dispatches the contact group to
+`_contact_normal` here, and the pair comparison both use is
+`invariants._relabel_compare`.  The decision path carries (group, values)
+pairs; only the public `csp_signature` and `contact_absolute` build a
+`normal_form.Signature`.
 """
 
 import json
-from dataclasses import dataclass
+from functools import cache
 from math import comb
 
-from .exact import ExactMatrix, Rat, rat, rat_str
+from .exact import ExactMatrix, Rat, _Record, rat, rat_str
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
     GramTable,
     PointConfig,
-    Signature,
     _chain,
     _half_dimension,
     _parse_points,
@@ -38,11 +40,13 @@ from .invariants import (
 )
 
 
-@dataclass(frozen=True)
-class ContactPoint:
-    x: tuple
-    y: tuple
-    u: object
+class ContactPoint(_Record):
+    """A point (x, y, u) of the contact space R^{2n+1}.
+
+    Fields: x and y (tuples of n `Rat`) and u (a `Rat`).
+    """
+
+    __slots__ = ("x", "y", "u")
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple([rat(c) for c in self.x]))
@@ -52,10 +56,13 @@ class ContactPoint:
             raise ValueError("x and y must have equal length")
 
 
-@dataclass(frozen=True)
-class ContactConfig:
-    n: int
-    points: tuple
+class ContactConfig(_Record):
+    """Ordered tuple of m contact points with n x-coordinates each.
+
+    Fields: n (int) and points (a tuple of `ContactPoint`).
+    """
+
+    __slots__ = ("n", "points")
 
     def __post_init__(self):
         if self.n < 1:
@@ -80,12 +87,26 @@ class ContactConfig:
         return ContactConfig(self.n, self.points[1:] + self.points[:1])
 
 
-def csp_signature(g: GramTable, n) -> Signature:
+@cache
+def _signature():
+    """`normal_form.Signature`, read once: an import statement on every call
+    would cost microseconds."""
+    from .normal_form import Signature
+
+    return Signature
+
+
+def csp_signature(g: GramTable, n) -> "Signature":
     """Conformal signature: sign of a12 followed by the basic-set ratios.
 
     The conformal factor is positive, so a12 keeps its sign while every ratio
     a_ij/a12 is an absolute invariant; there are d(m, n) - 1 of them.
     """
+    return _signature()("CSp", _csp_values(g, n))
+
+
+def _csp_values(g: GramTable, n):
+    """The values of `csp_signature`."""
     if g.m < 2:
         raise ValueError("conformal signature needs at least two points")
     a12 = g.value(1, 2)
@@ -93,7 +114,7 @@ def csp_signature(g: GramTable, n) -> Signature:
         raise GenericityError("a12 = 0")
     sign = Rat(1) if a12 > 0 else Rat(-1)
     ratios = tuple([g.value(i, j) / a12 for (i, j) in basic_set(g.m, n).pairs if (i, j) != (1, 2)])
-    return Signature("CSp", (sign,) + ratios)
+    return (sign,) + ratios
 
 
 def asp_invariants(config) -> list:
@@ -199,15 +220,15 @@ def _absolute_values(config: ContactConfig):
 
 
 def _contact_normal(config: ContactConfig, rotated=None):
-    """(contact signature, rotated): the one cyclic relabeling is decided
+    """(("Contact", values), rotated): the one cyclic relabeling is decided
     here when `rotated` is None (rotate iff R_m = 0), else applied as given."""
     if rotated is None:
         rotated = _reference(config.point(config.m)) == 0
     values = _absolute_values(config.rotate() if rotated else config)
-    return Signature("Contact", values), rotated
+    return ("Contact", values), rotated
 
 
-def contact_absolute(config: ContactConfig) -> Signature:
+def contact_absolute(config: ContactConfig) -> "Signature":
     """The reduced generating set Tbar = {T_k (k < m)} + {T_ij on the basic set}.
 
     Cardinality is (2n+1)m - n(2n+1) - 1 for m >= 2n (3m - 4 when n = 1).
@@ -218,7 +239,7 @@ def contact_absolute(config: ContactConfig) -> Signature:
     reference denominator; when it vanishes a single cyclic relabeling is
     attempted before rejecting.
     """
-    return _contact_normal(config)[0]
+    return _signature()(*_contact_normal(config)[0])
 
 
 def contact_equivalent(A: ContactConfig, B: ContactConfig) -> bool:

@@ -285,6 +285,20 @@ def test_discretize_at_arity_is_input_error(capsys, case, at):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "case,at",
+    [("planar-i2", "0"), ("contact", "0"), ("general-i2", "0"), ("derivation", "0")],
+)
+def test_discretize_tangent_through_origin_is_named(capsys, case, at):
+    """At these base points x y' - y (omega(A, A') in general) is 0, which
+    every target divides by; the error names that cause."""
+    code = main(["discretize", "--case", case, "--at", at])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: the tangent at the base point passes through the origin (omega(A, A') = 0)\n"
+
+
 @pytest.mark.parametrize("maxdeg", [9, 10])
 def test_symmetrize_past_the_generator_guard_prints_dimensions(capsys, maxdeg):
     code, out = run(capsys, "symmetrize", "--m", "3", "--n", "1", "--maxdeg", str(maxdeg))
@@ -324,20 +338,33 @@ def test_package_import_loads_no_submodule():
 
 EXACT_LAYER = {"sympjoint.exact", "sympjoint.invariants"}
 SYMBOLIC_LAYERS = {"sympjoint.poly", "sympjoint.symmetric", "sympjoint.discretize"}
+# `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`: no command needs them
+RECORD_MACHINERY = {"dataclasses", "inspect"}
+NO_VARIANTS = SYMBOLIC_LAYERS | RECORD_MACHINERY | {"sympjoint.variants"}
+CONTACT = {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [0], "y": [1], "u": 2}, {"x": [2], "y": [3], "u": 3}]}
 
 
 @pytest.mark.parametrize(
     "argv,expected_code,absent",
     [
-        (["discretize", "--case", "planar-i2"], 0, EXACT_LAYER),
+        (["discretize", "--case", "planar-i2"], 0, EXACT_LAYER | RECORD_MACHINERY),
         (["equiv", "CONFIG"], 64, EXACT_LAYER),  # usage error
-        (["invariants", "CONFIG"], 0, SYMBOLIC_LAYERS),
-        (["equiv", "CONFIG", "CONFIG"], 0, SYMBOLIC_LAYERS),
+        (["invariants", "CONFIG"], 0, NO_VARIANTS | {"sympjoint.normal_form"}),
+        (["equiv", "CONFIG", "CONFIG"], 0, NO_VARIANTS),
+        (["equiv", "CONFIG", "CONFIG", "--group", "csp"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
+        (["equiv", "CONFIG", "CONFIG", "--group", "asp"], 0, NO_VARIANTS),
+        (["equiv", "CONTACT", "CONTACT", "--group", "contact"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
+        (["dims", "--max-m", "3", "--max-n", "1"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
+        (["symmetrize", "--m", "3", "--n", "1", "--maxdeg", "2"], 0, RECORD_MACHINERY),
+        (["syzygy-check", "CONFIG"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
     ],
 )
 def test_subcommand_loads_only_what_it_calls(tmp_path, argv, expected_code, absent):
-    path = write_json(tmp_path / "a.json", {"n": 1, "points": [[1, 0], [0, 1], [2, 3], [1, 5]]})
-    code, modules = fresh_imports("-m", "sympjoint.cli", *(path if a == "CONFIG" else a for a in argv))
+    files = {
+        "CONFIG": write_json(tmp_path / "a.json", {"n": 1, "points": [[1, 0], [0, 1], [2, 3], [1, 5]]}),
+        "CONTACT": write_json(tmp_path / "c.json", CONTACT),
+    }
+    code, modules = fresh_imports("-m", "sympjoint.cli", *(files.get(a, a) for a in argv))
     assert code == expected_code
     assert "sympjoint" in modules
     assert not modules & absent
