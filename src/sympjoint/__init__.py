@@ -11,8 +11,6 @@ and ``sympjoint.X`` imports the module that defines ``X`` the first time it is
 read (PEP 562), then keeps it as a plain attribute.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 _EXPORTS = {
@@ -109,11 +107,13 @@ __all__ = sorted([*_OWNER, *_EXPORTS])
 
 
 def __getattr__(name):
-    if name in _EXPORTS:
-        return importlib.import_module(f".{name}", __name__)
-    if name not in _OWNER:
+    if name not in _EXPORTS and name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    # __import__, unlike importlib.import_module, is reported by `python -X importtime`
+    module = __import__(f"{__name__}.{_OWNER.get(name, name)}", fromlist=["_"])
+    if name in _EXPORTS:
+        return module
+    value = getattr(module, name)
     globals()[name] = value  # later reads skip this hook
     return value
 

@@ -382,9 +382,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as exc:
-        from .invariants import GenericityError  # a ValueError, so caught here
-
-        if isinstance(exc, GenericityError):
+        # a GenericityError (a ValueError, so caught here) needs `invariants`
+        # loaded; a command that never loaded it need not load it to print
+        invariants = sys.modules.get("sympjoint.invariants")
+        if invariants is not None and isinstance(exc, invariants.GenericityError):
             _emit({"error": "genericity", "detail": str(exc)})
         else:
             print(f"error: {exc}", file=sys.stderr)

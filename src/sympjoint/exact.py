@@ -17,6 +17,7 @@ interpreter's free lists, which only a full cyclic collection empties.
 
 import random
 from fractions import Fraction as Rat
+from itertools import combinations
 from math import gcd, lcm, prod
 from operator import attrgetter
 
@@ -366,18 +367,21 @@ def inverse(M):
     return solve(M, ExactMatrix.identity(M.rows))
 
 
-def _pf_expand(labels, entry, zero, add=sum):
+def _pf_expand(labels, entry, zero, add=sum, memo=None):
     """Pfaffian of the skew table ``entry(i, j)`` on ``labels`` (i before j),
     over any commutative ring with ``+ - *`` and int addition (``Rat``, int,
     ``MultiPoly``): ``add(terms, zero)`` sums a list (the builtin ``sum`` by
     default).  First-row expansion that skips zero entries and memoizes
     sub-Pfaffians per label subset; odd length gives ``zero``, empty gives one.
+    Calls on one table may share a ``memo`` dict, so a sub-Pfaffian common to
+    several label sets is expanded once.
     """
     if len(labels) % 2:
         return zero
     if not labels:
         return zero + 1
-    memo = {}
+    if memo is None:
+        memo = {}
 
     def pf(idx):
         if len(idx) == 2:
@@ -420,12 +424,23 @@ def symplectic_J(n):
 
 
 def is_symplectic(M, n=None):
+    """Whether M^T J M = J for J = ``symplectic_J(n)`` (n = M.rows / 2 when not given).
+
+    The (i, j) entry of M^T J M is omega(col_i, col_j), skew in (i, j), so
+    the columns are checked pairwise, i < j: 1 when j = i + n, else 0.  A
+    matrix without 2n rows raises ValueError, as the product M^T J does.
+    """
     if n is None:
         if M.rows % 2:
             return False
         n = M.rows // 2
-    J = symplectic_J(n)
-    return M.transpose() @ J @ M == J
+    # a matrix without columns transposes to 0 x 0, which M^T J M rejects
+    if M.rows != 2 * n or (M.rows and not M.cols):
+        raise ValueError(f"shape mismatch: a {M.rows}x{M.cols} matrix for n = {n}")
+    if M.cols != 2 * n:
+        return False
+    cols = M.columns()
+    return all(symp(cols[i], cols[j]) == int(j == i + n) for i, j in combinations(range(2 * n), 2))
 
 
 def random_symplectic(n, steps, seed):

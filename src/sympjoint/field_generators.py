@@ -55,10 +55,10 @@ def eliminate_entry(known, k, l, n):
     if not (2 * n < k < l):
         raise ValueError(f"expected 2n < k < l, got k={k}, l={l} for n={n}")
     values = known.values if isinstance(known, GramTable) else known
-    idx = tuple(range(1, 2 * n + 1))
-    entry = lambda i, j: 0 if (i, j) == (k, l) else values[(i, j)]  # the labels ascend: i < j
-    const = _table_pfaffian(entry, idx + (k, l))
-    coeff = _table_pfaffian(entry, idx)
+    labels = tuple(range(1, 2 * n + 1)) + (k, l)
+    # the table on those labels with a_kl = 0, scaled to ints once for both Pfaffians
+    table = GramTable(l, {p: 0 if p == (k, l) else values[p] for p in combinations(labels, 2)})
+    const, coeff = _table_pfaffian(table, [labels, labels[:-2]])
     if coeff == 0:
         raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
     return -const / coeff

@@ -10,10 +10,12 @@ relations rule and the pair comparison live here because `normal_form`,
 `normal_form`'s.
 
 Gram tables and their Pfaffians are computed in Python ints with one division
-per value: `gram` clears each point's denominators once and divides each
-symplectic product (`exact.symp` on int rows) once, and `_table_pfaffian`
-scales a sub-table to ints by the lcm of its denominators before it expands;
-`eliminate_entry` and the contact table R_ij go through them too.  The public
+per value.  A `GramTable` holds one integer form, a_ij = ints[i, j] / den,
+built with the table: `gram` clears the points' denominators together and
+keeps the symplectic products (`exact.symp` on int rows).  `_table_pfaffian`
+expands every label tuple it is given on those ints, with one memo of
+sub-Pfaffians shared across the tuples; the chain, the syzygies,
+`eliminate_entry` and the contact table R_ij go through it.  The public
 values stay `Rat`.
 """
 
@@ -87,24 +89,29 @@ def _parse_points(points, parse):
 
 
 class GramTable:
-    """The skew table a_ij = omega(OA_i, OA_j), stored for i < j (1-based)."""
+    """The skew table a_ij = omega(OA_i, OA_j), stored for i < j (1-based).
 
-    __slots__ = ("m", "values")
+    `values` maps each pair (i, j) to the `Rat` a_ij; `ints` (same keys)
+    and `den` are its integer form, a_ij = ints[i, j] / den.  All three are
+    built with the table and read-only after, so the table Pfaffians read
+    the ints without scaling them again.
+    """
+
+    __slots__ = ("m", "values", "ints", "den")
 
     def __init__(self, m, values):
-        self.m = m
-        self.values = {}
-        for (i, j), v in values.items():
+        for i, j in values:
             if not (1 <= i < j <= m):
                 raise ValueError(f"bad pair {(i, j)} for m={m}")
-            self.values[(i, j)] = rat(v)
+        row = [rat(v) for v in values.values()]
+        ints, self.den = _integer_row(row)
+        self.m, self.values, self.ints = m, dict(zip(values, row)), dict(zip(values, ints))
 
     @classmethod
-    def _exact(cls, m, values):
-        """The table on a dict of `Rat` values keyed by valid pairs, unchecked."""
+    def _exact(cls, m, values, ints, den):
+        """The table on its `Rat` values and their integer form, keyed by valid pairs, unchecked."""
         g = cls.__new__(cls)
-        g.m = m
-        g.values = values
+        g.m, g.values, g.ints, g.den = m, values, ints, den
         return g
 
     def value(self, i, j):
@@ -137,39 +144,39 @@ class GramTable:
 def gram(config: PointConfig) -> GramTable:
     """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration.
 
-    Each point is cleared of denominators once, A_i = u_i / d_i with u_i
-    integral, so a_ij = symp(u_i, u_j) / (d_i d_j) takes one division.
+    The points are cleared of denominators together, A_i = u_i / d with u_i
+    integral (d = 1 for integral points), so ints[i, j] = symp(u_i, u_j) and
+    den = d^2, and a_ij takes one division.
     """
-    pts = [_integer_row(p) for p in config.points]
-    vals = {}
-    for i, (u, du) in enumerate(pts, 1):
-        for j, (v, dv) in enumerate(pts[i:], i + 1):
-            s = symp(u, v)
-            d = du * dv
-            vals[(i, j)] = Rat(s) if d == 1 else Rat(s, d)
-    return GramTable._exact(config.m, vals)
+    rows, d = _integer_row([x for p in config.points for x in p])
+    size = 2 * config.n
+    pts = [rows[k : k + size] for k in range(0, len(rows), size)]
+    den = d * d
+    ints, vals = {}, {}
+    for i, u in enumerate(pts, 1):
+        for j, v in enumerate(pts[i:], i + 1):
+            ints[i, j] = s = symp(u, v)
+            vals[i, j] = Rat(s) if den == 1 else Rat(s, den)
+    return GramTable._exact(config.m, vals, ints, den)
 
 
-def _table_pfaffian(entry, idx):
-    """Pfaffian of the skew table entry(i, j) on the labels idx (in that order), in ints.
+def _table_pfaffian(g: GramTable, subsets):
+    """Pfaffians of the table g on each label tuple of `subsets` (ascending), in ints.
 
-    The sub-table is scaled to ints by the lcm L of its denominators; on 2k
-    labels Pf(L a) = L^k Pf(a), so one division gives the exact value.
+    On 2k labels Pf(a) = Pf(ints) / den^k, so each value takes one division;
+    the expansions share one memo, so a sub-Pfaffian that several tuples
+    contain is expanded once.
     """
-    pairs = list(combinations(idx, 2))
-    ints, den = _integer_row([entry(i, j) for i, j in pairs])
-    table = dict(zip(pairs, ints))
-    return Rat(_pf_expand(idx, lambda i, j: table[i, j], 0), den ** (len(idx) // 2))
+    ints, den, memo = g.ints, g.den, {}
+    entry = lambda i, j: ints[i, j]
+    return [Rat(_pf_expand(idx, entry, 0, memo=memo), den ** (len(idx) // 2)) for idx in subsets]
 
 
 def _chain(g: GramTable, n):
     """The non-vanishing chain used by the canonical form: leading Pfaffians."""
-    out = []
-    for k in range(1, min(n, g.m // 2) + 1):
-        idx = tuple(range(1, 2 * k + 1))
-        name = "a12" if k == 1 else "b" + "".join(str(i) for i in idx)
-        out.append((name, _table_pfaffian(g.value, idx)))
-    return out
+    subsets = [tuple(range(1, 2 * k + 1)) for k in range(1, min(n, g.m // 2) + 1)]
+    names = ["a12" if len(idx) == 2 else "b" + "".join([str(i) for i in idx]) for idx in subsets]
+    return list(zip(names, _table_pfaffian(g, subsets)))
 
 
 def _failed(g: GramTable, n):
@@ -231,8 +238,7 @@ def syzygy_value(g: GramTable, idx, n=None):
         raise ValueError(f"index tuple length must be even and >= 4, got {len(idx)}")
     if n is not None and len(idx) != 2 * n + 2:
         raise ValueError(f"tuple length {len(idx)} != 2n+2 = {2 * n + 2}")
-    idx = _check_tuple(idx, g.m, len(idx))
-    return _table_pfaffian(g.value, idx)
+    return _table_pfaffian(g, [_check_tuple(idx, g.m, len(idx))])[0]
 
 
 def all_min_syzygies(config: PointConfig):
@@ -240,8 +246,8 @@ def all_min_syzygies(config: PointConfig):
     size = 2 * config.n + 2
     if config.m < size:
         return []
-    g = gram(config)
-    return [(idx, syzygy_value(g, idx)) for idx in combinations(range(1, config.m + 1), size)]
+    subsets = list(combinations(range(1, config.m + 1), size))
+    return list(zip(subsets, _table_pfaffian(gram(config), subsets)))
 
 
 def q_value(g: GramTable, idx, n):

@@ -33,7 +33,7 @@ would build a second class.
 import sys
 from functools import cache, partial
 
-from .exact import ExactMatrix, Rat, _Record, is_symplectic, solve, symp
+from .exact import ExactMatrix, Rat, _integer_row, _Record, is_symplectic, solve, symp
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
@@ -176,8 +176,12 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     M = solve(ExactMatrix(A.points[: 2 * n]), ExactMatrix(B.points[: 2 * n])).transpose()
     if not is_symplectic(M, n):
         raise RuntimeError("recovered transform is not symplectic")
-    for i in range(1, m + 1):
-        if M.apply(A.point(i)) != B.point(i):
+    # in ints: row r of M is N_r / D_r, A_i = u / d_a and B_i = v / d_b, so
+    # M A_i = B_i reads (N_r . u) d_b = D_r d_a v_r for every r
+    rows = [_integer_row(row) for row in M.data]
+    for i, (a, b) in enumerate(zip(A.points, B.points), 1):
+        (u, d_a), (v, d_b) = _integer_row(a), _integer_row(b)
+        if any(sum([x * y for x, y in zip(N, u)]) * d_b != D * d_a * y for (N, D), y in zip(rows, v)):
             raise RuntimeError(f"recovered transform fails to move point {i}")
     return M
 

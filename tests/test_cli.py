@@ -336,6 +336,14 @@ def test_package_import_loads_no_submodule():
     assert not [name for name in modules if name.startswith("sympjoint.")]
 
 
+def test_lazy_export_import_is_reported():
+    # a module loaded by reading `sympjoint.<module>` or `sympjoint.<export>`
+    # is listed like one loaded by an import statement
+    code, modules = fresh_imports("-c", "import sympjoint; sympjoint.variants; sympjoint.reynolds")
+    assert code == 0
+    assert {"sympjoint.variants", "sympjoint.symmetric"} <= modules
+
+
 EXACT_LAYER = {"sympjoint.exact", "sympjoint.invariants"}
 SYMBOLIC_LAYERS = {"sympjoint.poly", "sympjoint.symmetric", "sympjoint.discretize"}
 # `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`: no command needs them
@@ -357,6 +365,8 @@ CONTACT = {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [0], "y": [1],
         (["dims", "--max-m", "3", "--max-n", "1"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
         (["symmetrize", "--m", "3", "--n", "1", "--maxdeg", "2"], 0, RECORD_MACHINERY),
         (["syzygy-check", "CONFIG"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
+        # the error is printed without the exact layer the command never used
+        (["discretize", "--case", "planar-i2", "--at", "0"], 2, EXACT_LAYER | RECORD_MACHINERY),
     ],
 )
 def test_subcommand_loads_only_what_it_calls(tmp_path, argv, expected_code, absent):

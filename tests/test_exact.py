@@ -5,7 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympjoint.exact import (
@@ -315,3 +315,46 @@ def test_random_symplectic_equals_the_fraction_product(n, steps, seed):
     M = random_symplectic(n, steps, seed)
     assert M == _random_symplectic_in_fractions(n, steps, seed)
     assert all(type(x) is Rat for row in M.data for x in row)
+
+
+def _symplectic_by_definition(M, n=None):
+    """M^T J M == J with matrix products, as `is_symplectic` was first written:
+    the outcome, or the type of the exception raised."""
+    try:
+        if n is None:
+            if M.rows % 2:
+                return False
+            n = M.rows // 2
+        J = symplectic_J(n)
+        return M.transpose() @ J @ M == J
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def witness_candidates(draw):
+    """(M, n): random_symplectic output, perturbed in one entry or not, or a
+    small random matrix of any shape (no rows, no columns, odd, non-square),
+    with n unset or any of 0..3."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        M = random_symplectic(k, draw(st.integers(0, 6)), draw(st.integers(0, 10**6)))
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, 2 * k - 1)), draw(st.integers(0, 2 * k - 1))
+            M.data[i][j] += draw(st.sampled_from([-1, 1, Rat(1, 2)]))
+    else:
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+        M = ExactMatrix([[Rat(draw(st.integers(-1, 1))) for _ in range(cols)] for _ in range(rows)])
+    return M, draw(st.one_of(st.none(), st.integers(0, 3)))
+
+
+@given(case=witness_candidates())
+@example(case=(random_symplectic(2, 5, seed=1), 1))  # 4 x 4 with n = 1: ValueError
+@settings(max_examples=300, deadline=None)
+def test_is_symplectic_agrees_with_the_matrix_definition(case):
+    M, n = case
+    try:
+        got = is_symplectic(M, n)
+    except Exception as exc:
+        got = type(exc)
+    assert got == _symplectic_by_definition(M, n)

@@ -11,6 +11,7 @@ from sympjoint.invariants import (
     PointConfig,
     _chain,
     _relations,
+    _table_pfaffian,
     all_min_syzygies,
     config_from_dict,
     config_to_dict,
@@ -223,3 +224,24 @@ def test_integer_pfaffians_match_the_fraction_expansion(g, n, data):
         idx = sorted(data.draw(st.sets(st.integers(1, g.m), min_size=size, max_size=size)))
         value = syzygy_value(g, idx)
         assert type(value) is Rat and value == _pf_expand(tuple(idx), g.value, Rat(0))
+
+
+@given(g=rational_tables())
+@settings(max_examples=50, deadline=None)
+def test_shared_memo_pfaffians_match_the_reference_on_every_subset(g):
+    # independent entries: these tables come from no points, so most of their
+    # Pfaffians are nonzero
+    assert g.ints.keys() == g.values.keys()
+    assert all(type(x) is int and Rat(x, g.den) == g.values[p] for p, x in g.ints.items())
+    subsets = [idx for k in range(2, g.m + 1, 2) for idx in combinations(range(1, g.m + 1), k)]
+    assert _table_pfaffian(g, subsets) == [pfaffian(g.subtable(idx)) for idx in subsets]
+
+
+@given(cfg=rational_configs())
+@settings(max_examples=100, deadline=None)
+def test_all_min_syzygies_is_the_per_subset_syzygy_list(cfg):
+    g = gram(cfg)
+    assert all(type(x) is int and Rat(x, g.den) == g.values[p] for p, x in g.ints.items())
+    size = 2 * cfg.n + 2
+    expected = [(idx, syzygy_value(g, idx)) for idx in combinations(range(1, cfg.m + 1), size)]
+    assert all_min_syzygies(cfg) == expected
