@@ -22,12 +22,16 @@ from math import gcd, lcm, prod
 from operator import attrgetter
 
 BACKEND = "fraction"
+# The largest decimal exponent `rat` reads, Python's default limit on the
+# digits of an int read from a string: Fraction builds 10**exponent in full.
+_MAX_EXPONENT = 4300
 
 
 def rat(value, den=None):
     """Build an exact rational from an int, a "p/q" or decimal string, or a Rat.
 
     Floats are rejected: they would smuggle rounding into exact code paths.
+    A decimal exponent beyond 4300 in magnitude raises ValueError.
     """
     if den is not None:
         return Rat(value, den)
@@ -38,8 +42,14 @@ def rat(value, den=None):
     if isinstance(value, int):
         return Rat(value)
     if isinstance(value, str):
+        text = value.strip()
+        _, e, exponent = text.lower().partition("e")
+        digits = exponent.lstrip("+-").replace("_", "").lstrip("0")
+        # the length test first, so that a huge exponent is never read as an int
+        if e and digits.isdecimal() and (len(digits) > 4 or int(digits) > _MAX_EXPONENT):
+            raise ValueError(f"decimal exponent of {value!r} exceeds {_MAX_EXPONENT} in magnitude")
         try:
-            return Rat(value.strip())
+            return Rat(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot convert {type(value).__name__} to exact rational")
@@ -253,11 +263,14 @@ class _IntRowSpace:
 
     Fraction-free: a new row is cleared at each stored pivot by integer
     cross-multiplication; a surviving row is stored divided by its content.
+    The given integer rows are inserted in order.
     """
 
-    def __init__(self):
+    def __init__(self, rows=()):
         self.rows = []
         self.pivots = []
+        for row in rows:
+            self.insert(row)
 
     def insert(self, vec):
         v = list(vec)
@@ -296,10 +309,7 @@ class _IntRowSpace:
 
 def _row_space(data):
     """The integer row space of exact rows."""
-    space = _IntRowSpace()
-    for row in data:
-        space.insert(_integer_row(row)[0])
-    return space
+    return _IntRowSpace([_integer_row(row)[0] for row in data])
 
 
 def det(M):

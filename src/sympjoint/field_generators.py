@@ -8,17 +8,18 @@ forced by the minimal Pfaffian syzygies.  The transcendence degree is
               C(m, 2)          for m <= 2n,
 
 and this module confirms it two independent ways: by exact Jacobian rank of
-the invariant map and by exact stabilizer dimensions.  The stabilizer of k
-points in sp(2n) has dimension C(2n - r + 1, 2), r the rank of the points: its
-elements are J H with H a symmetric form vanishing on their span.
+the invariant map, eliminated fraction-free on integer rows, and by exact
+stabilizer dimensions.  The stabilizer of k points in sp(2n) has dimension
+C(2n - r + 1, 2), r the rank of the points: its elements are J H with H a
+symmetric form vanishing on their span.
 """
 
 import random
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, _Record, rank
-from .invariants import GenericityError, GramTable, PointConfig, _table_pfaffian, random_config
+from .exact import ExactMatrix, _IntRowSpace, _Record, rank
+from .invariants import GenericityError, GramTable, PointConfig, _integer_points, _table_pfaffian, random_config
 
 
 def dim_d(m, n):
@@ -80,27 +81,30 @@ def stabilizer_dim(points, n):
 
 
 def _pair_jacobian(config: PointConfig):
-    """{(i, j): the row of partials of a_ij over all 2nm point coordinates}.
+    """{(i, j): d times the row of partials of a_ij over all 2nm point coordinates}.
 
     With J(x, y) = (y, -x), the partials are J A_j on point i and -J A_i on
-    point j; every other entry of the row is zero.
+    point j; every other entry of the row is zero.  The rows are in ints, the
+    points cleared of denominators together (A_i = u_i / d), and the blocks
+    run from point m down to point 1, so an elimination pivots on the later
+    point of each pair; neither the scale nor the column order moves a rank.
     """
     n, m = config.n, config.m
-    zero = (Rat(0),) * (2 * n)
+    pts, _ = _integer_points(config)
+    zero = [0] * (2 * n)
     rows = {}
     for i, j in combinations(range(1, m + 1), 2):
-        Ai, Aj = config.point(i), config.point(j)
+        Ai, Aj = pts[i - 1], pts[j - 1]
         blocks = [zero] * m
-        blocks[i - 1] = Aj[n:] + tuple([-c for c in Aj[:n]])
-        blocks[j - 1] = tuple([-c for c in Ai[n:]]) + Ai[:n]
+        blocks[m - i] = Aj[n:] + [-c for c in Aj[:n]]
+        blocks[m - j] = [-c for c in Ai[n:]] + Ai[:n]
         rows[(i, j)] = [c for block in blocks for c in block]
     return rows
 
 
 def jacobian_rank(config: PointConfig):
     """Exact rank of the Jacobian of config -> (a_ij)_{i<j} at the configuration."""
-    rows = list(_pair_jacobian(config).values())
-    return rank(ExactMatrix(rows)) if rows else 0
+    return _IntRowSpace(_pair_jacobian(config).values()).rank
 
 
 def generic_jacobian_rank(m, n, seed=0, samples=3):

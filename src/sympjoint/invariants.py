@@ -141,6 +141,12 @@ class GramTable:
         return f"GramTable(m={self.m}, {inner})"
 
 
+def _integer_points(config: PointConfig):
+    """(u_1, ..., u_m as int lists, d): the points cleared of denominators together, A_i = u_i / d."""
+    flat, d = _integer_row([x for p in config.points for x in p])
+    return [flat[k : k + 2 * config.n] for k in range(0, len(flat), 2 * config.n)], d
+
+
 def gram(config: PointConfig) -> GramTable:
     """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration.
 
@@ -148,9 +154,7 @@ def gram(config: PointConfig) -> GramTable:
     integral (d = 1 for integral points), so ints[i, j] = symp(u_i, u_j) and
     den = d^2, and a_ij takes one division.
     """
-    rows, d = _integer_row([x for p in config.points for x in p])
-    size = 2 * config.n
-    pts = [rows[k : k + size] for k in range(0, len(rows), size)]
+    pts, d = _integer_points(config)
     den = d * d
     ints, vals = {}, {}
     for i, u in enumerate(pts, 1):

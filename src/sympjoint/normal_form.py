@@ -4,9 +4,11 @@ A generic configuration is normalized by symplectic Gram-Schmidt run on its
 Gram table (Artin, Geometric Algebra, ch. III): points 2k-1 and 2k give the
 k-th frame pair (E_k, F_k), made omega-orthogonal to the earlier pairs with
 omega(E_k, F_k) = 1, and each point is written in that frame.  No linear
-system is solved.  Two generic configurations are equivalent iff their
-signatures (the values of the generating invariants in a fixed order)
-coincide exactly.
+system is solved: the pairings left after k frame pairs are bordered
+Pfaffians of the table's integer form over Pf(ints | 1..2k), computed in
+ints by Pfaffian condensation (`_condense`), one division per output entry.
+Two generic configurations are equivalent iff their signatures (the values
+of the generating invariants in a fixed order) coincide exactly.
 
 Coordinates are grouped (x^1..x^n, y^1..y^n); frame pair k fills the x^k and
 y^k slots, so e.g. for n = 2 the fourth column carries b_1234/a_12 in its
@@ -33,7 +35,7 @@ would build a second class.
 import sys
 from functools import cache, partial
 
-from .exact import ExactMatrix, Rat, _integer_row, _Record, is_symplectic, solve, symp
+from .exact import ExactMatrix, Rat, _integer_row, _Record, is_symplectic, solve
 from .field_generators import basic_set
 from .invariants import (
     GenericityError,
@@ -111,30 +113,46 @@ def _genericize(config: PointConfig):
     _require_generic(g, config.n)  # raises: no relabeling rescued the chain
 
 
+def _condense(P, e, f, prev):
+    """One step of Pfaffian condensation (Knuth, Overlapping Pfaffians, 1996),
+    in place on the 1-based skew int table P: P(i, j) = Pf(ints | 1..e-1, i, j)
+    becomes Pf(ints | 1..f, i, j) for i, j > f; prev = Pf(ints | 1..e-1), 1 for
+    e = 1, divides exactly."""
+    pivot, Pe, Pf = P[e][f], P[e], P[f]
+    for i in range(f + 1, len(P)):
+        Pi = P[i]
+        for j in range(i + 1, len(P)):
+            Pi[j] = v = (pivot * Pi[j] - Pe[i] * Pf[j] + Pe[j] * Pf[i]) // prev
+            P[j][i] = -v
+
+
 def _canonical_columns(g: GramTable, n):
     """Symplectic Gram-Schmidt on the Gram table: the points in the frame.
 
-    Pair k (0-based) takes E from A_{2k+1} and F from A_{2k+2}, each made
-    omega-orthogonal to the earlier pairs, with F scaled so omega(E, F) = 1.
-    Column j holds omega(A_j, F) in its x^{k+1} slot and omega(E, A_j) in
-    its y^{k+1} slot.  Both pairings are residuals of the table: a_ij minus
-    the pairing of the columns built so far.  The pivot omega(E, A_{2k+2})
-    is b_{1..2k+2}/b_{1..2k}, nonzero on a generic configuration.  With m
-    odd and m < 2n the last point alone spans the next E: its x slot is 1.
+    Pair k (0-based) takes E from A_e and F from A_f, e = 2k+1 and f = 2k+2,
+    each made omega-orthogonal to the earlier pairs, with F scaled so
+    omega(E, F) = 1.  Column j holds omega(A_j, F) = P(j, f) / P(e, f) in its
+    x^{k+1} slot and omega(E, A_j) = P(e, j) / (B_k den) in its y^{k+1} slot,
+    P(i, j) = Pf(ints | 1..2k, i, j) by `_condense` and B_k = Pf(ints | 1..2k).
+    The pivot P(e, f) = B_{k+1} is nonzero on a generic configuration.  With
+    m odd and m < 2n the last point alone spans the next E: its x slot is 1.
     """
     m = g.m
+    P = [[0] * (m + 1) for _ in range(m + 1)]
+    for (i, j), v in g.ints.items():
+        P[i][j], P[j][i] = v, -v
     cols = [[Rat(0)] * (2 * n) for _ in range(m)]
+    prev = 1
     for k in range(min(n, (m + 1) // 2)):
         e, f = 2 * k + 1, 2 * k + 2
         if f > m:
             cols[-1][k] = Rat(1)
             break
-        # the residual pairings of every point with E and F, before the update
-        with_e = [g.value(e, j) - symp(cols[e - 1], col) for j, col in enumerate(cols, 1)]
-        with_f = [g.value(j, f) - symp(col, cols[f - 1]) for j, col in enumerate(cols, 1)]
-        pivot = with_e[f - 1]
-        for col, y, x in zip(cols, with_e, with_f):
-            col[k], col[n + k] = x / pivot, y
+        Pe, Pf, pivot = P[e], P[f], P[e][f]
+        for j in range(e, m + 1):  # the points before A_e pair to zero with E and F
+            cols[j - 1][k], cols[j - 1][n + k] = Rat(-Pf[j], pivot), Rat(Pe[j], prev * g.den)
+        _condense(P, e, f, prev)
+        prev = pivot
     return cols
 
 

@@ -426,6 +426,39 @@ def test_zero_denominator_names_the_point(tmp_path, capsys, argv, obj, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv,obj,message",
+    [
+        (
+            ["invariants"],
+            {"n": 1, "points": [[1, "1e99999999"], [0, 1]]},
+            "point 1: decimal exponent of '1e99999999' exceeds 4300 in magnitude",
+        ),
+        (
+            ["equiv", "SAME", "--group", "contact"],
+            {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [2], "y": [0], "u": "-5e-99999999"}]},
+            "point 2: decimal exponent of '-5e-99999999' exceeds 4300 in magnitude",
+        ),
+    ],
+    ids=["invariants", "contact-u"],
+)
+def test_huge_decimal_exponent_is_a_prompt_input_error(tmp_path, argv, obj, message):
+    """A 40-byte config once made Fraction build 10**99999999 and ran for minutes;
+    the run is bounded at 5 s in a fresh process, so a hang fails the test."""
+    path = write_json(tmp_path / "big.json", obj)
+    src = os.path.dirname(os.path.dirname(sympjoint.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sympjoint.cli", argv[0], path, *(path if a == "SAME" else a for a in argv[1:])],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("args", [["--max-m", "1"], ["--max-m", "-3"], ["--max-n", "0"]])
 def test_dims_bad_sizes_are_input_errors(capsys, args):
     code = main(["dims", *args])

@@ -62,6 +62,27 @@ def test_rat_parsing():
         rat("1/0")
 
 
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("2.5e3", Rat(2500)),
+        ("1e-3", Rat(1, 1000)),
+        ("-3E+2", Rat(-300)),
+        ("1e4300", Rat(10**4300)),
+        ("1e-4_300", Rat(1, 10**4300)),
+    ],
+)
+def test_rat_reads_a_decimal_exponent_up_to_the_bound(text, value):
+    assert rat(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e99999999", "1E-4301", " 2.5e+4301 ", "1e99_999_999", "1e" + "9" * 5000])
+def test_rat_refuses_a_decimal_exponent_past_the_bound(text):
+    """Fraction would build 10**exponent in full: "1e99999999" ran for minutes."""
+    with pytest.raises(ValueError, match=r"^decimal exponent of '.*' exceeds 4300 in magnitude$"):
+        rat(text)
+
+
 def test_pfaffian_2x2_base_case():
     s = SkewMatrix(2, {(0, 1): rat(7, 3)})
     assert pfaffian(s) == Rat(7, 3)

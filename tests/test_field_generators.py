@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -14,7 +15,7 @@ from sympjoint.field_generators import (
     jacobian_rank,
     stabilizer_dim,
 )
-from sympjoint.invariants import GenericityError, GramTable, gram, random_config
+from sympjoint.invariants import GenericityError, GramTable, PointConfig, gram, random_config
 
 
 def test_dim_d_known_values():
@@ -215,6 +216,39 @@ def test_jacobian_rank_at_special_configuration():
     from sympjoint.invariants import PointConfig
 
     assert jacobian_rank(PointConfig(1, cfg_pts)) < dim_d(3, 1)
+
+
+def rat_pair_jacobian(config):
+    """The Jacobian rows as first written: partials of each a_ij in `Rat`,
+    blocks from point 1 to point m, unscaled."""
+    n, m = config.n, config.m
+    zero = (Rat(0),) * (2 * n)
+    rows = []
+    for i, j in combinations(range(1, m + 1), 2):
+        Ai, Aj = config.point(i), config.point(j)
+        blocks = [zero] * m
+        blocks[i - 1] = Aj[n:] + tuple(-c for c in Aj[:n])
+        blocks[j - 1] = tuple(-c for c in Ai[n:]) + Ai[:n]
+        rows.append([c for block in blocks for c in block])
+    return rows
+
+
+@given(st.integers(1, 3), st.integers(1, 7), st.sampled_from(["generic", "repeated", "zero", "collinear"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_jacobian_rank_matches_the_rat_rows(n, m, special, data):
+    coord = st.builds(Rat, st.integers(-6, 6), st.integers(1, 4))
+    pts = [tuple(data.draw(coord) for _ in range(2 * n)) for _ in range(m)]
+    if m > 1 and special != "generic":
+        k = data.draw(st.integers(0, m - 1))
+        base = pts[data.draw(st.integers(0, m - 1))]
+        pts[k] = {
+            "repeated": base,
+            "zero": (Rat(0),) * (2 * n),
+            "collinear": tuple(data.draw(coord) * c for c in base),
+        }[special]
+    cfg = PointConfig(n, tuple(pts))
+    rows = rat_pair_jacobian(cfg)
+    assert jacobian_rank(cfg) == (rank(ExactMatrix(rows)) if rows else 0)
 
 
 def _eliminate_in_fractions(values, k, l, n):

@@ -14,8 +14,10 @@ from sympjoint.exact import (
     solve,
     symp,
 )
-from sympjoint.invariants import GenericityError, PointConfig, gram, random_config
+from sympjoint.invariants import GenericityError, PointConfig, _table_pfaffian, gram, random_config
 from sympjoint.normal_form import (
+    _canonical_columns,
+    _condense,
     canonical,
     equivalent,
     genericity,
@@ -372,6 +374,66 @@ def test_canonical_matches_the_per_column_solve(cfg):
     want = ExactMatrix.from_columns(solved_columns(gram(cfg), cfg.n)).data
     assert got == want
     assert all(type(x) is Rat for row in got for x in row)
+
+
+def fraction_columns(g, n):
+    """The symplectic Gram-Schmidt as first written, in `Fraction`s: each
+    residual pairing is a_ij minus the pairing of the columns built so far."""
+    m = g.m
+    cols = [[Rat(0)] * (2 * n) for _ in range(m)]
+    for k in range(min(n, (m + 1) // 2)):
+        e, f = 2 * k + 1, 2 * k + 2
+        if f > m:
+            cols[-1][k] = Rat(1)
+            break
+        with_e = [g.value(e, j) - symp(cols[e - 1], col) for j, col in enumerate(cols, 1)]
+        with_f = [g.value(j, f) - symp(col, cols[f - 1]) for j, col in enumerate(cols, 1)]
+        pivot = with_e[f - 1]
+        for col, y, x in zip(cols, with_e, with_f):
+            col[k], col[n + k] = x / pivot, y
+    return cols
+
+
+@st.composite
+def rational_configs(draw, generic=True):
+    """Configurations with n <= 3, m <= 10 and mixed denominators; with
+    `generic`, passing the chain.  Half the draws take m below 2n (m = 2 for
+    n = 1), so the odd m < 2n branch is drawn too."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.one_of(st.integers(2, max(2, 2 * n - 1)), st.integers(2, 10)))
+    coord = st.builds(Rat, st.integers(-9, 9), st.integers(1, 6))
+    cfg = PointConfig(n, tuple(tuple(draw(coord) for _ in range(2 * n)) for _ in range(m)))
+    assume(not generic or genericity(cfg).generic)
+    return cfg
+
+
+@given(cfg=rational_configs())
+@settings(max_examples=200, deadline=None)
+def test_condensed_columns_match_the_fraction_gram_schmidt(cfg):
+    got = _canonical_columns(gram(cfg), cfg.n)
+    assert got == fraction_columns(gram(cfg), cfg.n)
+    assert all(type(x) is Rat for col in got for x in col)
+
+
+@given(cfg=rational_configs(generic=False))
+@settings(max_examples=100, deadline=None)
+def test_condensation_gives_every_bordered_pfaffian(cfg):
+    """After k steps, P(i, j) = Pf(ints | 1..2k, i, j) for 2k < i < j; the
+    steps run while the divisor Pf(ints | 1..2k) is nonzero."""
+    g, m = gram(cfg), cfg.m
+    P = [[0] * (m + 1) for _ in range(m + 1)]
+    for (i, j), v in g.ints.items():
+        P[i][j], P[j][i] = v, -v
+    prev = 1
+    for k in range(m // 2):
+        lead = tuple(range(1, 2 * k + 1))
+        pairs = [(i, j) for i in range(2 * k + 1, m + 1) for j in range(i + 1, m + 1)]
+        want = _table_pfaffian(g, [lead + p for p in pairs])
+        assert [P[i][j] for i, j in pairs] == [v * g.den ** (k + 1) for v in want]
+        if k + 1 == m // 2 or P[2 * k + 1][2 * k + 2] == 0:
+            break
+        _condense(P, 2 * k + 1, 2 * k + 2, prev)
+        prev = P[2 * k + 1][2 * k + 2]
 
 
 @given(cfg=generic_configs())

@@ -212,6 +212,13 @@ def test_q_sequence_ranks():
         q_sequence(6, 1)
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_q_sequence_pinned(seed):
+    report = q_sequence(3, 1, seed)
+    assert (report["rank"], report["expected"], report["independent"]) == (3, 3, True)
+    assert report["polys"] == [reynolds(A12**2, 3), reynolds(A12**2 * A13**2, 3), reynolds(A12**2 * A13**2 * A23**2, 3)]
+
+
 def test_q_sequence_first_element():
     report = q_sequence(3, 1)
     assert report["polys"][0] == reynolds(A12**2, 3)
