@@ -44,16 +44,27 @@ def _emit(obj):
     sys.stdout.write("\n")
 
 
-def _sig_json(sig):
-    """JSON of a (group, values) signature pair, as `normal_form._normalize` returns it."""
+def _rat_json(name, value):
+    """``rat_str(value)``; a numerator or denominator with more digits than
+    Python turns into a string raises a ValueError naming the output value."""
     from .exact import rat_str
 
+    try:
+        return rat_str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"output value {name} has more than {limit} digits, Python's limit for an int turned into a string"
+        ) from None
+
+
+def _sig_json(sig, key):
+    """JSON of a (group, values) signature pair, as `normal_form._normalize` returns it."""
     group, values = sig
-    return {"group": group, "values": [rat_str(v) for v in values]}
+    return {"group": group, "values": [_rat_json(f"{key}[{k}]", v) for k, v in enumerate(values)]}
 
 
 def cmd_invariants(args):
-    from .exact import rat_str
     from .invariants import _failed, gram, load_config
 
     config = load_config(args.config)
@@ -63,7 +74,9 @@ def cmd_invariants(args):
         {
             "n": config.n,
             "m": config.m,
-            "pairs": [[i, j, rat_str(g.value(i, j))] for (i, j) in g.pairs()],
+            "pairs": [
+                [i, j, _rat_json(f"a{i}{j}" if j < 10 else f"a{i}_{j}", g.value(i, j))] for (i, j) in g.pairs()
+            ],
             "genericity": {
                 "generic": not failed,
                 "failed_predicates": list(failed),
@@ -153,7 +166,6 @@ def _unordered_equivalent(a, b, normalize):
 
 
 def cmd_equiv(args):
-    from .exact import rat_str
     from .invariants import _relabel_compare, load_config
     from .normal_form import _normalize, recover_transform
 
@@ -175,13 +187,17 @@ def cmd_equiv(args):
         return EXIT_OK if result else EXIT_FAIL
     sig_a, sig_b, perm = _relabel_compare(a, b, normalize)
     result = sig_a == sig_b
-    out.update(equivalent=result, signature_a=_sig_json(sig_a), signature_b=_sig_json(sig_b))
+    out.update(
+        equivalent=result, signature_a=_sig_json(sig_a, "signature_a"), signature_b=_sig_json(sig_b, "signature_b")
+    )
     if result and group == "sp" and a.m >= 2 * a.n:
         # a map taking the relabeled A onto the relabeled B takes each A_i to B_i
         if perm:
             a, b = a.permute(perm), b.permute(perm)
         witness = recover_transform(a, b)
-        out["witness"] = [[rat_str(x) for x in row] for row in witness.data]
+        out["witness"] = [
+            [_rat_json(f"witness[{r}][{c}]", x) for c, x in enumerate(row)] for r, row in enumerate(witness.data)
+        ]
     _emit(out)
     return EXIT_OK if result else EXIT_FAIL
 
@@ -379,6 +395,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "syzygy-check" and not (args.config or args.identities):
+        parser.error("syzygy-check needs a config file, --identities, or both")
     try:
         return args.func(args)
     except (OSError, ValueError, TypeError, KeyError, ArithmeticError, RecursionError) as exc:

@@ -16,14 +16,19 @@ column subsets (no division, unlike the numeric Bareiss ``exact.det``).
 
 Products concatenate monomials whose variables do not interleave, as the
 Pfaffian kernel's head a_{i0 j} (smallest label first) never does, and a
-one-term factor maps the other's terms in one pass.  ``substitute`` works in
-Horner order: terms grouped by leading factor share one substitution of their
-cofactor, so the vanishing of a syzygy on point tables drops whole subtrees.
+one-term factor maps the other's terms in one pass.  A sum merges an operand
+that shares no monomial with the running total, as each head's block of a
+Pfaffian or determinant expansion, by one dict update.  A coefficient is
+brought to an int where a product or a colliding sum makes it integral, so no
+result is rescanned.  ``substitute`` works in Horner order: terms grouped by
+leading factor share one substitution of their cofactor, so the vanishing of a
+syzygy on point tables drops whole subtrees.
 """
 
 import math
 from bisect import bisect_left
 from itertools import combinations, permutations
+from operator import neg
 
 from .exact import Rat, _pf_expand, rat, rat_str
 
@@ -92,31 +97,48 @@ def _coef(c):
 
 
 def _wrap(terms):
-    """A MultiPoly over a dict of nonzero coefficients (integral Rats become int)."""
-    for mono, c in terms.items():
-        if type(c) is not int and c.denominator == 1:
-            terms[mono] = c.numerator
+    """A MultiPoly over a dict of nonzero coefficients already stored as `_coef` stores them."""
     res = MultiPoly.__new__(MultiPoly)
     res.terms = terms
     return res
 
 
-def _add_into(out, terms):
-    """out += terms in place, dropping monomials that cancel."""
-    for mono, c in terms.items():
+def _add_into(out, items):
+    """out += (monomial, coefficient) items in place, dropping monomials that cancel."""
+    for mono, c in items:
         s = out.get(mono, 0) + c
         if s:
-            out[mono] = s
+            out[mono] = s.numerator if type(s) is not int and s.denominator == 1 else s
         else:
             del out[mono]
 
 
 def _sum(polys, start):
-    """sum(polys, start) added into one dict, not one copy of the total per term."""
+    """sum(polys, start) added into one dict, not one copy of the total per
+    term; an operand disjoint from the total is merged by one ``dict.update``."""
     out = dict(start.terms)
     for p in polys:
-        _add_into(out, p.terms)
+        if out.keys().isdisjoint(p.terms.keys()):
+            out.update(p.terms)
+        else:
+            _add_into(out, p.terms.items())
     return _wrap(out)
+
+
+def _term_times(m1, c1, terms):
+    """{m1 * m2: c1 * c2 for m2, c2 in terms}, distinct products of distinct
+    monomials; m2 sorting above m1 is concatenated, and a +-1 factor cannot
+    make a coefficient integral."""
+    if m1:
+        last = m1[-1][0]
+        monos = [m1 + m2 if m2 and last < m2[0][0] else _mono_mul(m1, m2) for m2 in terms]
+    else:
+        monos = terms
+    if c1 == 1:
+        return dict(zip(monos, terms.values()))
+    if c1 == -1:
+        return dict(zip(monos, map(neg, terms.values())))
+    return {mono: _coef(c1 * c2) for mono, c2 in zip(monos, terms.values())}
 
 
 class MultiPoly:
@@ -142,8 +164,8 @@ class MultiPoly:
                 exps[v] = exps.get(v, 0) + e
             c = _coef(c)
             if c:
-                _add_into(out, {tuple(sorted((v, e) for v, e in exps.items() if e)): c})
-        self.terms = _wrap(out).terms
+                _add_into(out, [(tuple(sorted((v, e) for v, e in exps.items() if e)), c)])
+        self.terms = out
 
     @classmethod
     def constant(cls, c):
@@ -177,9 +199,7 @@ class MultiPoly:
     def __add__(self, other):
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other)
-        out = dict(self.terms)
-        _add_into(out, other.terms)
-        return _wrap(out)
+        return _sum((other,), self)
 
     __radd__ = __add__
 
@@ -197,21 +217,20 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             c = _coef(other)
-            return _wrap({m: c * v for m, v in self.terms.items()} if c else {})
+            return _wrap(_term_times((), c, self.terms) if c else {})
         a, b = self.terms, other.terms
-        if len(b) == 1:
+        if len(a) != 1 and len(b) == 1:
             a, b = b, a
         if len(a) == 1:
-            # a fixed monomial times distinct monomials gives distinct products
             ((m1, c1),) = a.items()
-            return _wrap({_mono_mul(m1, m2): c1 * c2 for m2, c2 in b.items()})
+            return _wrap(_term_times(m1, c1, b))
         out = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
                 s = out.get(mono, 0) + c1 * c2
                 if s:
-                    out[mono] = s
+                    out[mono] = s.numerator if type(s) is not int and s.denominator == 1 else s
                 else:
                     del out[mono]
         return _wrap(out)
@@ -241,7 +260,7 @@ class MultiPoly:
                 del exps[var]
             else:
                 exps[var] = e - 1
-            out[tuple(sorted(exps.items()))] = c * e
+            out[tuple(sorted(exps.items()))] = _coef(c * e)
         return _wrap(out)
 
     def substitute(self, mapping):
@@ -283,20 +302,18 @@ class MultiPoly:
         def horner(items, depth):
             # items share replaced[:depth]; return sum c * kept * image(replaced[depth:])
             out = {}
+            leaves = []  # scalar images can merge two terms
             groups = {}
             for replaced, kept, c in items:
                 if len(replaced) == depth:
-                    s = out.get(kept, 0) + c  # scalar images can merge two terms
-                    if s:
-                        out[kept] = s
-                    else:
-                        del out[kept]
+                    leaves.append((kept, c))
                 else:
                     groups.setdefault(replaced[depth], []).append((replaced, kept, c))
+            _add_into(out, leaves)
             for f, group in groups.items():
                 rest = horner(group, depth + 1)
                 if rest:
-                    _add_into(out, (_wrap(rest) * images[f]).terms)
+                    _add_into(out, (_wrap(rest) * images[f]).terms.items())
             return out
 
         return _wrap(horner(split, 0))

@@ -44,30 +44,37 @@ def _pairwise_indices(p: MultiPoly):
     return top
 
 
-def _permute_monomial(mono, images):
-    """Relabel a monomial's point indices; returns (new monomial, sign)."""
-    exps = {}
-    sign = 1
-    for (tag, i, j), e in mono:
-        ni, nj = images[i], images[j]
-        if ni > nj:
-            ni, nj = nj, ni
-            if e % 2:
-                sign = -sign
-        key = (tag, ni, nj)
-        exps[key] = exps.get(key, 0) + e
-    return tuple(sorted(exps.items())), sign
+def _relabelings(m):
+    """Yield, per permutation of 1..m, its action on the C(m, 2) pairwise
+    variables: {a_ij: (image variable, sign flip)}, as a_ji = -a_ij."""
+    labels = range(1, m + 1)
+    pairs = list(combinations(labels, 2))
+    for images in permutations(labels):
+        image = {}
+        for i, j in pairs:
+            ni, nj = images[i - 1], images[j - 1]
+            image[("a", i, j)] = (("a", ni, nj), False) if ni < nj else (("a", nj, ni), True)
+        yield image
 
 
-def _relabeling_sum(terms, m):
-    """m! times the Reynolds image of {monomial: coefficient}, as a dict that
-    keeps cancelled monomials (coefficient 0); int input gives int output."""
+def _relabeling_sum(terms, relabelings):
+    """m! times the Reynolds image of {monomial: coefficient}, summed over the
+    m! maps of ``_relabelings(m)``, as a dict that keeps cancelled monomials
+    (coefficient 0); int input gives int output.  Distinct variables have
+    distinct images, so a monomial is relabeled by lookups and one sort, with
+    no exponent merge, and each flipped variable of odd exponent flips its sign."""
     total = {}
-    for images in permutations(range(1, m + 1)):
-        lookup = dict(zip(range(1, m + 1), images))
+    for image in relabelings:
         for mono, c in terms.items():
-            new, sign = _permute_monomial(mono, lookup)
-            total[new] = total.get(new, 0) + sign * c
+            new = []
+            for v, e in mono:
+                w, flip = image[v]
+                if flip and e & 1:
+                    c = -c
+                new.append((w, e))
+            new.sort()
+            new = tuple(new)
+            total[new] = total.get(new, 0) + c
     return total
 
 
@@ -75,8 +82,11 @@ def reynolds(p: MultiPoly, m) -> MultiPoly:
     """Average over all m! point relabelings: the projection onto S_m-invariants."""
     if _pairwise_indices(p) > m:
         raise ValueError("polynomial mentions a point index beyond m")
-    scale = rat(1, factorial(m))
-    return MultiPoly({mono: c * scale for mono, c in _relabeling_sum(p.terms, m).items()})
+    # clear the common denominator first, so the m! relabelings sum ints
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    ints = {mono: (c * den).numerator for mono, c in p.terms.items()}
+    scale = rat(1, factorial(m) * den)
+    return MultiPoly({mono: c * scale for mono, c in _relabeling_sum(ints, _relabelings(m)).items()})
 
 
 def _partitions(m, top=None):
@@ -178,12 +188,13 @@ def _degree_monomials(m, k):
 def _orbit_sums(monos, m):
     """(first monomial, signed orbit sum) per S_m orbit with a nonzero sum, in
     scan order; the other monomials of an orbit symmetrize to +- the same."""
+    relabelings = list(_relabelings(m))  # one list per scan, shared by its orbits
     seen = set()
     out = []
     for mono in monos:
         if mono in seen:
             continue
-        total = _relabeling_sum({mono: 1}, m)
+        total = _relabeling_sum({mono: 1}, relabelings)
         seen.update(total)
         orbit = {x: c for x, c in total.items() if c}
         if orbit:

@@ -193,6 +193,31 @@ def test_usage_error_exit_code():
     assert info.value.code == 64
 
 
+def test_syzygy_check_without_config_or_identities_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["syzygy-check"])
+    assert info.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: syzygy-check needs a config file, --identities, or both\n")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["invariants", "BIG"], "a12"), (["equiv", "BIG", "BIG"], "signature_a[0]")],
+)
+def test_output_value_past_the_int_string_limit_is_an_input_error(tmp_path, capsys, argv, name):
+    # a12 = 1 - 10^4400 has 4401 digits, past Python's default limit of 4300
+    path = write_json(tmp_path / "big.json", {"n": 1, "points": [[1, "1e2200"], ["1e2200", 1]]})
+    code = main([path if a == "BIG" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: output value {name} has more than 4300 digits, Python's limit for an int turned into a string\n"
+    )
+
+
 def test_missing_file_is_input_error(capsys):
     code, _ = run(capsys, "invariants", "/does/not/exist.json")
     assert code == 2

@@ -10,6 +10,7 @@ from sympjoint.invariants import GramTable, gram, q_value, random_config
 from sympjoint.poly import (
     MultiPoly,
     _pf_poly,
+    _sum,
     aux_var,
     avar,
     contact_var,
@@ -203,6 +204,61 @@ def test_int_and_rat_valued_copies_agree():
     g = random_table(6, random.Random(24))
     assert isinstance(evaluate(p, g), Rat)
     assert evaluate(p, g) == evaluate(q, g)
+
+
+# --- whole-dict sums and one-term products ----------------------------------
+
+
+def _sum_reference(polys, start):
+    """Plain dict merge of every operand's terms; cancelled monomials dropped at the end."""
+    out = dict(start.terms)
+    for p in polys:
+        for mono, c in p.terms.items():
+            out[mono] = out.get(mono, 0) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+# two variables with exponents 0..2 give 9 monomials, so operands often
+# overlap; half-integer coefficients can sum to an integer
+_halves = st.integers(-3, 3).map(lambda k: rat(k, 2))
+_half = MultiPoly.constant(rat(1, 2))
+
+
+@given(
+    polys(_vars[:2], _halves),
+    st.lists(st.one_of(polys(_vars[:2], _halves), mixed_polys()), max_size=4),
+    st.booleans(),
+)
+@example(MultiPoly(), [_half * _a12, _half * _a12], False)  # 1/2 + 1/2 is stored as 1
+@example(_half * _a12, [_a13, -_half * _a12, _u1], False)  # disjoint, then cancelling
+@example(MultiPoly(), [_a12 + _a13, _u1], True)
+@settings(max_examples=200, deadline=None)
+def test_sum_matches_dict_merge(start, operands, cancel):
+    if cancel and operands:
+        operands.append(-operands[0])
+    before = [dict(p.terms) for p in [start, *operands]]
+    got = _sum(operands, start)
+    assert got.terms == _sum_reference(operands, start)
+    assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
+    assert [p.terms for p in [start, *operands]] == before  # operands are not mutated
+
+
+@pytest.mark.parametrize("factor", [1, -1, 2, -3, rat(1, 2), rat(-2, 3), rat(3, 2)])
+def test_one_term_product_stores_integral_coefficients_as_ints(factor):
+    # coefficients that a factor 2, 2/3 or 3/2 can make integral, and ints
+    p = rat(1, 2) * _a13 * _u1 + rat(3, 2) * _u2 - rat(2, 3) * _x1 + 2 * _a12 * _u2 - 1
+    # a constant, a monomial whose variables sort below p's (concatenated) and
+    # one whose variables interleave with them
+    for one in (MultiPoly.constant(factor), factor * _a12, factor * _u1 * _a12):
+        assert len(one.terms) == 1
+        expected = _product_reference(one, p)
+        for prod in (one * p, p * one):
+            assert prod.terms == expected
+            assert all(type(c) is int for c in prod.terms.values() if c.denominator == 1)
+            assert all(list(mono) == sorted(mono) for mono in prod.terms)
+    scaled = p * factor
+    assert scaled.terms == {mono: c * factor for mono, c in p.terms.items()}
+    assert all(type(c) is int for c in scaled.terms.values() if c.denominator == 1)
 
 
 # --- powers and substitution -------------------------------------------------

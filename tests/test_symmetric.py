@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
@@ -14,6 +14,8 @@ from sympjoint.symmetric import (
     _degree_monomials,
     _integer_tables,
     _orbit_sums,
+    _relabeling_sum,
+    _relabelings,
     generator_search,
     graded_dim,
     graded_dims,
@@ -89,6 +91,57 @@ def test_reynolds_idempotent_and_equivariant():
             }
         )
         assert reynolds(relabeled, 3) == reynolds(p, 3)
+
+
+def _permute_monomial(mono, images):
+    """Relabel a monomial's point indices, merging exponents; returns (new monomial, sign)."""
+    exps = {}
+    sign = 1
+    for (tag, i, j), e in mono:
+        ni, nj = images[i], images[j]
+        if ni > nj:
+            ni, nj = nj, ni
+            if e % 2:
+                sign = -sign
+        key = (tag, ni, nj)
+        exps[key] = exps.get(key, 0) + e
+    return tuple(sorted(exps.items())), sign
+
+
+def _relabeling_sum_oracle(terms, m):
+    """The sum over all m! relabelings, one exponent dict per monomial and relabeling."""
+    total = {}
+    for images in permutations(range(1, m + 1)):
+        lookup = dict(zip(range(1, m + 1), images))
+        for mono, c in terms.items():
+            new, sign = _permute_monomial(mono, lookup)
+            total[new] = total.get(new, 0) + sign * c
+    return total
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_relabeling_sum_matches_brute_force(m):
+    rng = random.Random(m)
+    pairs = [avar(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    relabelings = list(_relabelings(m))
+    assert len(relabelings) == factorial(m)
+    for trial in range(12):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            # exponents 1..5: repeated variables of odd and even exponent
+            chosen = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+            mono = tuple(sorted((v, rng.randint(1, 5)) for v in chosen))
+            terms[mono] = rng.randint(-4, 4) or 1
+        expected = _relabeling_sum_oracle(terms, m)
+        got = _relabeling_sum(terms, relabelings)
+        assert got == expected  # cancelled monomials kept, as zeros
+        assert all(type(c) is int for c in got.values())
+        # reynolds clears the denominators of Rat coefficients and sums the same ints
+        halves = {mono: rat(c, 2 + trial % 3) for mono, c in terms.items()}
+        want = {
+            mono: c / factorial(m) for mono, c in _relabeling_sum_oracle(halves, m).items() if c
+        }
+        assert reynolds(MultiPoly(halves), m).terms == want
 
 
 def test_reynolds_rejects_out_of_range():
