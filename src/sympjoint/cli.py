@@ -166,8 +166,8 @@ def _unordered_equivalent(a, b, normalize):
 
 
 def cmd_equiv(args):
-    from .invariants import _relabel_compare, load_config
-    from .normal_form import _normalize, recover_transform
+    from .invariants import load_config
+    from .normal_form import _normalize, _relabel_compare, recover_transform
 
     group = args.group
     if group == "contact":

@@ -4,26 +4,28 @@ A configuration is an ordered m-tuple of points in R^{2n}; the fundamental
 invariant of a pair is a_ij = omega(OA_i, OA_j), twice the symplectic area of
 the triangle through the origin.  All point indices are 1-based, matching the
 usual a_12, b_1234 notation; the skew extension a_ji = -a_ij is computed on
-access.  The leading-Pfaffian chain with its failed predicates, Witt's
-relations rule and the pair comparison live here because `normal_form`,
-`variants` and the `invariants` command use them; the `Signature` record is
-`normal_form`'s.
+access.  The contact records `ContactPoint` and `ContactConfig` live here
+beside `PointConfig`, with the reference R = x.y - 2u of a contact point and
+its plane part (x, y), so that `normal_form` decides every group without
+importing `variants`.
 
 Gram tables and their Pfaffians are computed in Python ints with one division
 per value.  A `GramTable` holds one integer form, a_ij = ints[i, j] / den,
 built with the table: `gram` clears the points' denominators together and
 keeps the symplectic products (`exact.symp` on int rows).  `_table_pfaffian`
 expands every label tuple it is given on those ints, with one memo of
-sub-Pfaffians shared across the tuples; the chain, the syzygies,
-`eliminate_entry` and the contact table R_ij go through it.  The public
-values stay `Rat`.
+sub-Pfaffians shared across the tuples; the syzygies and `eliminate_entry` go
+through it.  The leading-Pfaffian chain and its failed predicates are read
+off one Pfaffian condensation of the ints (`_condense`, which the canonical
+form of `normal_form` also runs), in time polynomial in n.  The public values
+stay `Rat`.
 """
 
 import json
 import random
 from itertools import combinations
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, _Record, det, nullspace, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -86,6 +88,67 @@ def _parse_points(points, parse):
         except (ValueError, TypeError) as exc:
             raise type(exc)(f"point {i}: {exc}") from None
     return tuple(out)
+
+
+class ContactPoint(_Record):
+    """A point (x, y, u) of the contact space R^{2n+1}.
+
+    Fields: x and y (tuples of n `Rat`) and u (a `Rat`).
+    """
+
+    __slots__ = ("x", "y", "u")
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple([rat(c) for c in self.x]))
+        object.__setattr__(self, "y", tuple([rat(c) for c in self.y]))
+        object.__setattr__(self, "u", rat(self.u))
+        if len(self.x) != len(self.y):
+            raise ValueError("x and y must have equal length")
+
+
+class ContactConfig(_Record):
+    """Ordered tuple of m contact points with n x-coordinates each.
+
+    Fields: n (int) and points (a tuple of `ContactPoint`).
+    """
+
+    __slots__ = ("n", "points")
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        pts = _parse_points(self.points, lambda p: p if isinstance(p, ContactPoint) else ContactPoint(*p))
+        if not pts:
+            raise ValueError("need at least one point")
+        for p in pts:
+            if len(p.x) != self.n:
+                raise ValueError(f"point with {len(p.x)} x-coordinates, expected {self.n}")
+        object.__setattr__(self, "points", pts)
+
+    @property
+    def m(self):
+        return len(self.points)
+
+    def point(self, k):
+        return self.points[k - 1]
+
+    def rotate(self):
+        """Cyclic relabeling (A_2, ..., A_m, A_1); used once when R_m = 0."""
+        return ContactConfig(self.n, self.points[1:] + self.points[:1])
+
+
+def _dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Rat(0))
+
+
+def _reference(p: ContactPoint):
+    """R of one point: x . y - 2u."""
+    return _dot(p.x, p.y) - 2 * p.u
+
+
+def _plane(config: ContactConfig) -> PointConfig:
+    """The plane parts (x, y) of the points: their Gram table is R_ij."""
+    return PointConfig(config.n, tuple([p.x + p.y for p in config.points]))
 
 
 class GramTable:
@@ -176,48 +239,57 @@ def _table_pfaffian(g: GramTable, subsets):
     return [Rat(_pf_expand(idx, entry, 0, memo=memo), den ** (len(idx) // 2)) for idx in subsets]
 
 
+def _condense(P, e, f, prev):
+    """One step of Pfaffian condensation (Knuth, Overlapping Pfaffians, 1996),
+    in place on the 1-based skew int table P: P(i, j) = Pf(ints | 1..e-1, i, j)
+    becomes Pf(ints | 1..f, i, j) for i, j > f; prev = Pf(ints | 1..e-1), 1 for
+    e = 1, divides exactly."""
+    pivot, Pe, Pf = P[e][f], P[e], P[f]
+    for i in range(f + 1, len(P)):
+        Pi = P[i]
+        for j in range(i + 1, len(P)):
+            Pi[j] = v = (pivot * Pi[j] - Pe[i] * Pf[j] + Pe[j] * Pf[i]) // prev
+            P[j][i] = -v
+
+
 def _chain(g: GramTable, n):
-    """The non-vanishing chain used by the canonical form: leading Pfaffians."""
-    subsets = [tuple(range(1, 2 * k + 1)) for k in range(1, min(n, g.m // 2) + 1)]
-    names = ["a12" if len(idx) == 2 else "b" + "".join([str(i) for i in idx]) for idx in subsets]
-    return list(zip(names, _table_pfaffian(g, subsets)))
+    """The non-vanishing chain used by the canonical form: leading Pfaffians.
+
+    b_{1..2k}, k <= min(n, m/2), is P(2k-1, 2k) once `_condense` has taken
+    pairs 1..2k-2.  A vanishing pivot P(e, e+1) swaps in the first later label
+    f with P(e, f) != 0, which flips the sign of the label sets holding both
+    and zeroes the sets holding e but not f (row e vanishes there); a row e
+    with no such f zeroes every longer leading Pfaffian.
+    """
+    top, ints = 2 * min(n, g.m // 2), g.ints
+    P = [[0] * (top + 1) for _ in range(top + 1)]
+    for i in range(1, top + 1):
+        for j in range(i + 1, top + 1):
+            P[i][j] = v = ints[i, j]
+            P[j][i] = -v
+    pfs, prev, sign, reach = [], 1, 1, 0  # reach: the furthest label swapped in
+    for e in range(1, top, 2):
+        pfs.append(sign * P[e][e + 1] if e + 1 >= reach else 0)
+        if e + 1 == top:
+            break
+        f = next((j for j in range(e + 1, top + 1) if P[e][j]), top + 1)
+        if f > top:
+            pfs += [0] * ((top - e - 1) // 2)
+            break
+        if f > e + 1:
+            P[e + 1], P[f] = P[f], P[e + 1]
+            for row in P:
+                row[e + 1], row[f] = row[f], row[e + 1]
+            sign, reach = -sign, max(reach, f)
+        _condense(P, e, e + 1, prev)
+        prev = P[e][e + 1]
+    names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k in range(1, len(pfs) + 1)]
+    return [(name, Rat(v, g.den**k)) for k, (name, v) in enumerate(zip(names, pfs), 1)]
 
 
 def _failed(g: GramTable, n):
     """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",)."""
     return tuple([f"{name} = 0" for name, v in _chain(g, n) if v == 0])
-
-
-def _relations(points, n, spanning):
-    """Witt's rule: the linear relations among the points, flattened.
-
-    The canonical (RREF) nullspace basis of the 2n x m point matrix, or ()
-    when the points span R^{2n}.  By Witt's extension theorem the Gram table
-    together with these relations determines the Sp orbit (Artin, Geometric
-    Algebra, ch. III).  `spanning` says the span is already proved (a passing
-    chain with m >= 2n makes the first 2n points a basis), so no nullspace is
-    computed.
-    """
-    if spanning:
-        return ()
-    basis = nullspace(ExactMatrix.from_columns(points))
-    if len(points) - len(basis) == 2 * n:  # rank 2n
-        return ()
-    return tuple([x for v in basis for x in v])
-
-
-def _relabel_compare(A, B, normalize):
-    """(signature of A, signature of B, relabeling) under one group's
-    normalize(config, relabel=None), which decides the fallback relabeling
-    when given None.  It is decided on A and applied unchanged to B, so equal
-    signatures mean genuine group equivalence.  A signature here is whatever
-    `normalize` returns: a plain (group, values) pair on the decision path.
-    """
-    if (A.n, A.m) != (B.n, B.m):
-        raise ValueError("configurations must share (n, m)")
-    sig_a, relabel = normalize(A)
-    sig_b, _ = normalize(B, relabel)
-    return sig_a, sig_b, relabel
 
 
 def _check_tuple(idx, m, length):

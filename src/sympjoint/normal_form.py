@@ -6,59 +6,51 @@ k-th frame pair (E_k, F_k), made omega-orthogonal to the earlier pairs with
 omega(E_k, F_k) = 1, and each point is written in that frame.  No linear
 system is solved: the pairings left after k frame pairs are bordered
 Pfaffians of the table's integer form over Pf(ints | 1..2k), computed in
-ints by Pfaffian condensation (`_condense`), one division per output entry.
-Two generic configurations are equivalent iff their signatures (the values
-of the generating invariants in a fixed order) coincide exactly.
+ints by Pfaffian condensation (`invariants._condense`), one division per
+output entry.  Two generic configurations are equivalent iff their
+signatures (the values of the generating invariants in a fixed order)
+coincide exactly.
 
 Coordinates are grouped (x^1..x^n, y^1..y^n); frame pair k fills the x^k and
 y^k slots, so e.g. for n = 2 the fourth column carries b_1234/a_12 in its
 y^2 slot.
 
 Every signature and equivalence decision, for Sp, CSp, ASp and the contact
-lift, goes through `_normalize`: one configuration, with its fallback
-relabeling either decided or given.  A pair is compared by
-`invariants._relabel_compare`, which decides the relabeling on the first
-configuration and applies it to the second.  That path carries plain
-(group, values) pairs; only the public `signature` (and `csp_signature` and
-`contact_absolute` in `variants`) builds a `Signature`.  The import of
-`variants` (the conformal and contact values) is lazy, in the CSp and contact
-branches of `_normalize` (`_variants`), so an Sp or ASp decision does not
-load it; `variants` imports this module only for `Signature`.
+lift, is made here, by `_normalize`: one configuration, with its fallback
+relabeling either decided or given.  The conformal values (`_csp_values`),
+the absolute contact values (`_contact_normal`) and Witt's relations rule
+(`_relations`) are its parts.  A pair is compared by `_relabel_compare`,
+which decides the relabeling on the first configuration and applies it to
+the second.  That path carries plain (group, values) pairs; only the public
+`signature` (and `csp_signature` in `variants`) builds a `Signature`.  The
+imports run one way: `variants` imports this module, never the reverse.
 
 `Signature` stays a frozen dataclass, built on its first read (PEP 562), so
 that importing this module does not load `dataclasses`.  Read it as a module
-attribute (`from .normal_form import Signature`, or `_module.Signature` here):
-the hook builds the class once and caches it, and calling the hook again
-would build a second class.
+attribute (`from .normal_form import Signature`, `normal_form.Signature`, or
+`_module.Signature` here): the hook builds the class once and caches it, and
+calling the hook again would build a second class.
 """
 
 import sys
-from functools import cache, partial
+from functools import partial
 
-from .exact import ExactMatrix, Rat, _integer_row, _Record, is_symplectic, solve
+from .exact import ExactMatrix, Rat, _integer_row, _Record, is_symplectic, nullspace, solve
 from .field_generators import basic_set
 from .invariants import (
+    ContactConfig,
     GenericityError,
     GramTable,
     PointConfig,
+    _condense,
     _failed,
-    _relabel_compare,
-    _relations,
+    _plane,
+    _reference,
     gram,
 )
 
 _GROUPS = {"sp": "Sp", "csp": "CSp", "asp": "ASp", "contact": "Contact"}
 _module = sys.modules[__name__]  # reads its attributes through the PEP 562 hook below
-
-
-@cache
-def _variants():
-    """(ContactConfig, _contact_normal, _csp_values) of `variants`, imported on
-    first use; an import statement in `_normalize` would cost microseconds on
-    every call."""
-    from .variants import ContactConfig, _contact_normal, _csp_values
-
-    return ContactConfig, _contact_normal, _csp_values
 
 
 def __getattr__(name):
@@ -111,19 +103,6 @@ def _genericize(config: PointConfig):
         if not _failed(moved_g, config.n):
             return moved, moved_g, perm
     _require_generic(g, config.n)  # raises: no relabeling rescued the chain
-
-
-def _condense(P, e, f, prev):
-    """One step of Pfaffian condensation (Knuth, Overlapping Pfaffians, 1996),
-    in place on the 1-based skew int table P: P(i, j) = Pf(ints | 1..e-1, i, j)
-    becomes Pf(ints | 1..f, i, j) for i, j > f; prev = Pf(ints | 1..e-1), 1 for
-    e = 1, divides exactly."""
-    pivot, Pe, Pf = P[e][f], P[e], P[f]
-    for i in range(f + 1, len(P)):
-        Pi = P[i]
-        for j in range(i + 1, len(P)):
-            Pi[j] = v = (pivot * Pi[j] - Pe[i] * Pf[j] + Pe[j] * Pf[i]) // prev
-            P[j][i] = -v
 
 
 def _canonical_columns(g: GramTable, n):
@@ -217,11 +196,77 @@ def _translated(config):
     return PointConfig(config.n, config.points[1:]).translate([-c for c in config.point(1)])
 
 
+def _relations(points, n, spanning):
+    """Witt's rule: the linear relations among the points, flattened.
+
+    The canonical (RREF) nullspace basis of the 2n x m point matrix, or ()
+    when the points span R^{2n}.  By Witt's extension theorem the Gram table
+    together with these relations determines the Sp orbit (Artin, Geometric
+    Algebra, ch. III).  `spanning` says the span is already proved (a passing
+    chain with m >= 2n makes the first 2n points a basis), so no nullspace is
+    computed.
+    """
+    if spanning:
+        return ()
+    basis = nullspace(ExactMatrix.from_columns(points))
+    if len(points) - len(basis) == 2 * n:  # rank 2n
+        return ()
+    return tuple([x for v in basis for x in v])
+
+
+def _csp_values(g: GramTable, n):
+    """The conformal values: sign(a12), then a_ij/a12 over the basic set."""
+    if g.m < 2:
+        raise ValueError("conformal signature needs at least two points")
+    a12 = g.value(1, 2)
+    if a12 == 0:
+        raise GenericityError("a12 = 0")
+    sign = Rat(1) if a12 > 0 else Rat(-1)
+    ratios = tuple([g.value(i, j) / a12 for (i, j) in basic_set(g.m, n).pairs if (i, j) != (1, 2)])
+    return (sign,) + ratios
+
+
+def _eliminated_pairs(m, n):
+    """The pairs outside the basic set: those with i > 2n."""
+    return [(i, j) for i in range(2 * n + 1, m + 1) for j in range(i + 1, m + 1)]
+
+
+def _absolute_values(config: ContactConfig):
+    m, n = config.m, config.n
+    rm = _reference(config.point(m))
+    if rm == 0:
+        raise GenericityError(f"R_{m} = 0")
+    plane = _plane(config)
+    R = gram(plane)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
+    eliminated = _eliminated_pairs(m, n)
+    if eliminated and R.value(1, 2) == 0:
+        raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
+    values = tuple([_reference(p) / rm for p in config.points[: m - 1]])
+    values += tuple([R.value(i, j) / rm for (i, j) in basic_set(m, n).pairs])
+    # the elimination divides by every link b_{1..2k}(T) of the leading
+    # chain; unless all n links pass, the basic set does not determine the
+    # eliminated T_ij, so they join the signature (each is invariant), and
+    # the plane parts may not span, so their linear relations join too
+    spanning = m >= 2 * n and not _failed(R, n)
+    if not spanning:
+        values += tuple([R.value(i, j) / rm for (i, j) in eliminated])
+    return values + _relations(plane.points, n, spanning)
+
+
+def _contact_normal(config: ContactConfig, rotated=None):
+    """(("Contact", values), rotated): the one cyclic relabeling is decided
+    here when `rotated` is None (rotate iff R_m = 0), else applied as given."""
+    if rotated is None:
+        rotated = _reference(config.point(config.m)) == 0
+    values = _absolute_values(config.rotate() if rotated else config)
+    return ("Contact", values), rotated
+
+
 def _normalize(group, config, relabel=None):
     """((group key, values), relabeling) of one configuration under `group`.
 
     The relabeling is decided here when `relabel` is None (the one fallback
-    of `_genericize`, or the contact rotation of `variants._contact_normal`)
+    of `_genericize`, or the contact rotation of `_contact_normal`)
     and applied unchanged otherwise; a given relabeling is always the first
     configuration's, applied to the second, which must then be generic.
     Sp: the basic-set values; CSp: sign(a12) and the ratios; ASp: either
@@ -229,10 +274,9 @@ def _normalize(group, config, relabel=None):
     """
     key = _group_key(group)
     if key == "Contact":
-        contact_config, contact_normal, _ = _variants()
-        if not isinstance(config, contact_config):
+        if not isinstance(config, ContactConfig):
             raise ValueError("the contact signature takes a ContactConfig")
-        return contact_normal(config, relabel)
+        return _contact_normal(config, relabel)
     if key == "ASp":
         # translation removes the base point, then the linear theory applies
         config = _translated(config)
@@ -244,12 +288,25 @@ def _normalize(group, config, relabel=None):
         g = gram(config)
         _require_generic(g, config.n, "second configuration non-generic")
     if key == "CSp":
-        _, _, csp_values = _variants()
-        values = csp_values(g, config.n)
+        values = _csp_values(g, config.n)
     else:
         values = tuple([g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs])
     relations = _relations(config.points, config.n, config.m >= 2 * config.n)
     return (key, values + relations), relabel
+
+
+def _relabel_compare(A, B, normalize):
+    """(signature of A, signature of B, relabeling) under one group's
+    normalize(config, relabel=None), which decides the fallback relabeling
+    when given None.  It is decided on A and applied unchanged to B, so equal
+    signatures mean genuine group equivalence.  A signature here is whatever
+    `normalize` returns: a plain (group, values) pair on the decision path.
+    """
+    if (A.n, A.m) != (B.n, B.m):
+        raise ValueError("configurations must share (n, m)")
+    sig_a, relabel = normalize(A)
+    sig_b, _ = normalize(B, relabel)
+    return sig_a, sig_b, relabel
 
 
 def signature(config, group) -> "Signature":

@@ -302,12 +302,14 @@ def generator_search(m, n, maxdeg, seed=0):
     degree.  Only the first monomial of each S_m orbit is tested (the others
     symmetrize to the same image up to sign), as one integer row, with
     fraction-free elimination.  Every scanned degree ends up saturated by
-    construction; no claim is made beyond maxdeg.
+    construction; no claim is made beyond maxdeg.  The configurations lie in
+    R^{2n'}, n' = min(n, max(1, m // 2)): the a_ij of m <= 2n'+1 points are
+    algebraically independent, so each such n' samples the same algebra.
     """
     _check_sizes(m, n, maxdeg)
     if m > _MAX_SEARCH_POINTS or maxdeg > _MAX_SEARCH_DEGREE:
         raise ValueError(f"cost guard: need m <= {_MAX_SEARCH_POINTS} and maxdeg <= {_MAX_SEARCH_DEGREE}")
-    rng = random.Random(seed)
+    rng, n = random.Random(seed), min(n, max(1, m // 2))
     kept = []  # (poly with int coefficients, degree)
     for k in range(1, maxdeg + 1):
         monos = _degree_monomials(m, k)

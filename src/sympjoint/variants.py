@@ -12,109 +12,27 @@ invariant field.  The T_ij satisfy the same Pfaffian relations as the a_ij,
 which eliminates all pairs outside the basic set.  R_ij is the `gram` of the
 plane parts (x, y), and T = R/R_m has the vanishing Pfaffians of R.
 
-This module sits below `normal_form`, which imports it only in its CSp and
-contact branches: `normal_form` dispatches the contact group to
-`_contact_normal` here, and the pair comparison both use is
-`invariants._relabel_compare`.  The decision path carries (group, values)
-pairs; only the public `csp_signature` and `contact_absolute` build a
-`normal_form.Signature`.
+This module sits above `normal_form`, which makes every CSp and contact
+decision: `csp_signature`, `contact_absolute` and `contact_equivalent` read
+its values, `signature` and `equivalent`.  The contact records are defined in
+`invariants` and exported from here.
 """
 
 import json
-from functools import cache
 from math import comb
 
-from .exact import ExactMatrix, Rat, _Record, rat, rat_str
-from .field_generators import basic_set
-from .invariants import (
-    GenericityError,
-    GramTable,
-    PointConfig,
-    _chain,
-    _half_dimension,
-    _parse_points,
-    _point_list,
-    _relabel_compare,
-    _relations,
-    gram,
-)
+from . import normal_form
+from .exact import ExactMatrix, rat_str
+from .invariants import ContactConfig, ContactPoint, _dot, _half_dimension, _plane, _point_list, _reference, gram
 
 
-class ContactPoint(_Record):
-    """A point (x, y, u) of the contact space R^{2n+1}.
-
-    Fields: x and y (tuples of n `Rat`) and u (a `Rat`).
-    """
-
-    __slots__ = ("x", "y", "u")
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple([rat(c) for c in self.x]))
-        object.__setattr__(self, "y", tuple([rat(c) for c in self.y]))
-        object.__setattr__(self, "u", rat(self.u))
-        if len(self.x) != len(self.y):
-            raise ValueError("x and y must have equal length")
-
-
-class ContactConfig(_Record):
-    """Ordered tuple of m contact points with n x-coordinates each.
-
-    Fields: n (int) and points (a tuple of `ContactPoint`).
-    """
-
-    __slots__ = ("n", "points")
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        pts = _parse_points(self.points, lambda p: p if isinstance(p, ContactPoint) else ContactPoint(*p))
-        if not pts:
-            raise ValueError("need at least one point")
-        for p in pts:
-            if len(p.x) != self.n:
-                raise ValueError(f"point with {len(p.x)} x-coordinates, expected {self.n}")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def m(self):
-        return len(self.points)
-
-    def point(self, k):
-        return self.points[k - 1]
-
-    def rotate(self):
-        """Cyclic relabeling (A_2, ..., A_m, A_1); used once when R_m = 0."""
-        return ContactConfig(self.n, self.points[1:] + self.points[:1])
-
-
-@cache
-def _signature():
-    """`normal_form.Signature`, read once: an import statement on every call
-    would cost microseconds."""
-    from .normal_form import Signature
-
-    return Signature
-
-
-def csp_signature(g: GramTable, n) -> "Signature":
-    """Conformal signature: sign of a12 followed by the basic-set ratios.
+def csp_signature(g, n) -> "Signature":
+    """Conformal signature of a Gram table: sign of a12, then the basic-set ratios.
 
     The conformal factor is positive, so a12 keeps its sign while every ratio
     a_ij/a12 is an absolute invariant; there are d(m, n) - 1 of them.
     """
-    return _signature()("CSp", _csp_values(g, n))
-
-
-def _csp_values(g: GramTable, n):
-    """The values of `csp_signature`."""
-    if g.m < 2:
-        raise ValueError("conformal signature needs at least two points")
-    a12 = g.value(1, 2)
-    if a12 == 0:
-        raise GenericityError("a12 = 0")
-    sign = Rat(1) if a12 > 0 else Rat(-1)
-    ratios = tuple([g.value(i, j) / a12 for (i, j) in basic_set(g.m, n).pairs if (i, j) != (1, 2)])
-    return (sign,) + ratios
+    return normal_form.Signature("CSp", normal_form._csp_values(g, n))
 
 
 def asp_invariants(config) -> list:
@@ -131,10 +49,6 @@ def asp_invariants(config) -> list:
         for k in range(j + 1, config.m + 1):
             out.append(g.value(1, j) + g.value(j, k) + g.value(k, 1))
     return out
-
-
-def _dot(x, y):
-    return sum((a * b for a, b in zip(x, y)), Rat(0))
 
 
 def _lift(M: ExactMatrix, c, p: ContactPoint) -> ContactPoint:
@@ -177,55 +91,9 @@ def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactCon
     return ContactConfig(config.n, tuple([_lift(M, 1, p) for p in config.points]))
 
 
-def _reference(p: ContactPoint):
-    """R of one point: x . y - 2u."""
-    return _dot(p.x, p.y) - 2 * p.u
-
-
-def _plane(config: ContactConfig) -> PointConfig:
-    """The plane parts (x, y) of the points: their Gram table is R_ij."""
-    return PointConfig(config.n, tuple([p.x + p.y for p in config.points]))
-
-
 def contact_relative(config: ContactConfig):
     """All relative invariants: R_k per point and R_ij per pair (1-based keys)."""
     return {"R_k": [_reference(p) for p in config.points], "R_ij": gram(_plane(config)).values}
-
-
-def _eliminated_pairs(m, n):
-    """The pairs outside the basic set: those with i > 2n."""
-    return [(i, j) for i in range(2 * n + 1, m + 1) for j in range(i + 1, m + 1)]
-
-
-def _absolute_values(config: ContactConfig):
-    m, n = config.m, config.n
-    rm = _reference(config.point(m))
-    if rm == 0:
-        raise GenericityError(f"R_{m} = 0")
-    plane = _plane(config)
-    R = gram(plane)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
-    eliminated = _eliminated_pairs(m, n)
-    if eliminated and R.value(1, 2) == 0:
-        raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
-    values = tuple([_reference(p) / rm for p in config.points[: m - 1]])
-    values += tuple([R.value(i, j) / rm for (i, j) in basic_set(m, n).pairs])
-    # the elimination divides by every link b_{1..2k}(T) of the leading
-    # chain; unless all n links pass, the basic set does not determine the
-    # eliminated T_ij, so they join the signature (each is invariant), and
-    # the plane parts may not span, so their linear relations join too
-    spanning = m >= 2 * n and all(v != 0 for _, v in _chain(R, n))
-    if not spanning:
-        values += tuple([R.value(i, j) / rm for (i, j) in eliminated])
-    return values + _relations(plane.points, n, spanning)
-
-
-def _contact_normal(config: ContactConfig, rotated=None):
-    """(("Contact", values), rotated): the one cyclic relabeling is decided
-    here when `rotated` is None (rotate iff R_m = 0), else applied as given."""
-    if rotated is None:
-        rotated = _reference(config.point(config.m)) == 0
-    values = _absolute_values(config.rotate() if rotated else config)
-    return ("Contact", values), rotated
 
 
 def contact_absolute(config: ContactConfig) -> "Signature":
@@ -233,23 +101,18 @@ def contact_absolute(config: ContactConfig) -> "Signature":
 
     Cardinality is (2n+1)m - n(2n+1) - 1 for m >= 2n (3m - 4 when n = 1).
     When a leading Pfaffian b_{1..2k}(T) vanishes, the basic set does not
-    determine the eliminated T_ij, and they follow in `_eliminated_pairs` order.
-    Unless the plane parts (x, y) span R^{2n}, their linear relations follow
-    (Witt's rule, `invariants._relations`).  The last point's R is the
-    reference denominator; when it vanishes a single cyclic relabeling is
-    attempted before rejecting.
+    determine the eliminated T_ij, and they follow in `_eliminated_pairs`
+    order.  Unless the plane parts (x, y) span R^{2n}, their linear relations
+    follow (Witt's rule, `_relations`).  The last point's R is the reference
+    denominator; when it vanishes a single cyclic relabeling is attempted
+    before rejecting.  The values are `normal_form`'s, as for `signature`.
     """
-    return _signature()(*_contact_normal(config)[0])
+    return normal_form.signature(config, "contact")
 
 
 def contact_equivalent(A: ContactConfig, B: ContactConfig) -> bool:
-    """Exact comparison of absolute contact invariants.
-
-    The fallback relabeling is decided on the first configuration and applied
-    to both, so the test is genuine group equivalence.
-    """
-    sig_a, sig_b, _ = _relabel_compare(A, B, _contact_normal)
-    return sig_a == sig_b
+    """Exact comparison of absolute contact invariants: `equivalent` for the contact group."""
+    return normal_form.equivalent(A, B, "contact")
 
 
 def dim_bbar(m, n):

@@ -361,6 +361,19 @@ def test_package_import_loads_no_submodule():
     assert not [name for name in modules if name.startswith("sympjoint.")]
 
 
+def test_imports_run_one_way_without_dataclasses():
+    # `normal_form` decides every group without `variants`; `variants` reads
+    # `normal_form.Signature` only when it builds one
+    code, modules = fresh_imports("-c", "import sympjoint.normal_form")
+    assert code == 0
+    assert "sympjoint.normal_form" in modules
+    assert not modules & {"sympjoint.variants", "dataclasses"}
+    code, modules = fresh_imports("-c", "import sympjoint.variants")
+    assert code == 0
+    assert "sympjoint.normal_form" in modules
+    assert "dataclasses" not in modules
+
+
 def test_lazy_export_import_is_reported():
     # a module loaded by reading `sympjoint.<module>` or `sympjoint.<export>`
     # is listed like one loaded by an import statement

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympjoint.exact import Rat, _pf_expand, pfaffian, random_symplectic, symp
+from sympjoint.exact import Rat, _pf_expand, det, pfaffian, random_symplectic, symp
 from sympjoint.invariants import (
     GramTable,
     PointConfig,
     _chain,
-    _relations,
     _table_pfaffian,
     all_min_syzygies,
     config_from_dict,
@@ -20,6 +19,7 @@ from sympjoint.invariants import (
     random_config,
     syzygy_value,
 )
+from sympjoint.normal_form import _relations
 
 
 def test_gram_hand_values():
@@ -179,6 +179,40 @@ def test_chain_and_syzygy_value_are_subtable_pfaffians(g, n, data):
         size = data.draw(st.sampled_from(range(4, g.m + 1, 2)))
         idx = sorted(data.draw(st.sets(st.integers(1, g.m), min_size=size, max_size=size)))
         assert syzygy_value(g, idx) == pfaffian(g.subtable(idx))
+
+
+def test_chain_pivots_past_vanishing_leading_pfaffians():
+    # mostly-zero entries, a12 .. a1r zero: a vanishing pivot P(e, e+1) makes
+    # the condensation swap in a later label, or find a zero row
+    rng = random.Random(2)
+    for _ in range(1500):
+        m, n = rng.randint(2, 10), rng.randint(1, 5)
+        values = {p: rng.choice([0, 0, 0, 0, 1, -1, 2]) for p in combinations(range(1, m + 1), 2)}
+        g = GramTable(m, values | {(1, j): 0 for j in range(2, rng.randint(2, m + 1))})
+        chain = _chain(g, n)
+        assert len(chain) == min(n, m // 2)
+        for k, (_, value) in enumerate(chain, 1):
+            assert value == _pf_expand(tuple(range(1, 2 * k + 1)), g.value, Rat(0))
+
+
+def test_chain_names_survive_a_swapped_pivot():
+    # a12 = 0 and a13 != 0: label 3 is swapped in, b1234 = a14 a23 - a13 a24
+    g = GramTable(4, {(1, 2): 0, (1, 3): 1, (1, 4): 0, (2, 3): 0, (2, 4): 1, (3, 4): 5})
+    assert _chain(g, 2) == [("a12", 0), ("b1234", -1)]
+    # row 1 vanishes on labels 2..4 only: b1234 = 0 although the labels 1, 5,
+    # 3, 4 the condensation then holds have a nonzero Pfaffian
+    nonzero = {(1, 5): 1, (2, 3): 1, (2, 6): 1, (3, 4): 1, (4, 6): 1}
+    g = GramTable(6, {p: nonzero.get(p, 0) for p in combinations(range(1, 7), 2)})
+    assert _chain(g, 3) == [("a12", 0), ("b1234", 0), ("b123456", -2)]
+
+
+def test_chain_at_a_size_the_expansion_cannot_reach():
+    # Pf(a | 1..2k)^2 = det(a | 1..2k); Bareiss is polynomial in the size
+    g = gram(random_config(20, 40, seed=20))
+    chain = _chain(g, 20)
+    assert [name for name, _ in chain][-1] == "b" + "".join([str(i) for i in range(1, 41)])
+    for k, (_, value) in enumerate(chain, 1):
+        assert value**2 == det(g.subtable(tuple(range(1, 2 * k + 1))).full())
 
 
 # p/q with q in 1..12: the integer path clears these denominators

@@ -295,6 +295,13 @@ def test_generator_search_m2():
     assert [g.degree() for g in gens] == [2]
 
 
+def test_generator_search_does_not_depend_on_n():
+    # three points have algebraically independent a_ij in every R^{2n}
+    expected = generator_search(3, 1, 6)
+    assert generator_search(3, 2, 6) == expected
+    assert generator_search(3, 50, 6) == expected
+
+
 def test_generator_search_reads_generators_off_the_orbit_sums(monkeypatch):
     expected = generator_search(3, 1, 6)
 
