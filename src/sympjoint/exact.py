@@ -82,27 +82,27 @@ def symp(u, v):
 class _Record:
     """Base of the immutable records (`PointConfig`, `GenericityReport`, ...).
 
-    The fields are the subclass's `__slots__`, in order, at least two of them
-    (an attrgetter of one name returns a bare value).  The constructor
-    binds them, positionally or by keyword, then runs `__post_init__`, which
-    may normalize a field through `object.__setattr__`; any other assignment
-    raises `AttributeError`.  Equality, hashing, the repr and pickling read
-    the field values, as a frozen dataclass would, without importing
-    `dataclasses` (and the `inspect` it loads) on every command path.
+    The fields are the subclass's public `__slots__`, in order, at least two
+    (an attrgetter of one name returns a bare value).  The constructor binds
+    them, positionally or by keyword, then runs `__post_init__`, which may
+    normalize a field, or set a `_` slot, through `object.__setattr__`; any
+    other assignment raises `AttributeError`.  Equality, hashing, the repr
+    and pickling read the field values, as a frozen dataclass would, without
+    importing `dataclasses` (and the `inspect` it loads) on every command path.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
-        fields = cls.__slots__
+        cls._fields = fields = tuple([name for name in cls.__slots__ if not name.startswith("_")])
         cls._field_values = attrgetter(*fields)  # a plain callable: self._field_values(self)
         # the slots' own setters: no attribute lookup per field, so building a
         # record costs about what a frozen dataclass's generated __init__ does
         cls._field_setters = tuple([getattr(cls, name).__set__ for name in fields])
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != len(self.__slots__):
+        if kwargs or len(args) != len(self._fields):
             args = self._bind(args, kwargs)
         for set_field, value in zip(self._field_setters, args):
             set_field(self, value)
@@ -111,7 +111,7 @@ class _Record:
     @classmethod
     def _bind(cls, args, kwargs):
         """The field values of a call with keyword or missing arguments, in order."""
-        fields, values = cls.__slots__, list(args)
+        fields, values = cls._fields, list(args)
         if len(values) > len(fields):
             raise TypeError(f"{cls.__name__}() takes {len(fields)} arguments, got {len(values)}")
         for name in fields[len(values) :]:
@@ -140,7 +140,7 @@ class _Record:
         return hash(self._field_values(self))
 
     def __repr__(self):
-        pairs = zip(self.__slots__, self._field_values(self))
+        pairs = zip(self._fields, self._field_values(self))
         return f"{type(self).__qualname__}({', '.join([f'{name}={value!r}' for name, value in pairs])})"
 
     def __reduce__(self):
@@ -243,18 +243,20 @@ class SkewMatrix:
 def _integer_row(row):
     """An exact row scaled to integers by its common denominator: (ints, den).
 
-    Entries go through ``rat``, so a float raises TypeError.
+    Entries other than ints go through ``rat``, so a float raises TypeError.
     """
-    row = [rat(x) for x in row]
+    row = [x if type(x) is int else rat(x) for x in row]
     den = lcm(*[x.denominator for x in row])
     return [x.numerator * (den // x.denominator) for x in row], den
 
 
 def _clear(v, row, p):
-    """v with column p cleared by integer cross-multiplication with row (row[p] != 0)."""
+    """v with column p cleared by cross-multiplication with row, zero before row[p] != 0."""
     f, r = v[p], row[p]
     g = gcd(f, r)
     f, r = f // g, r // g
+    if r == 1:  # the head before p stays; scaling a head slice costs more than one pass
+        return v[:p] + [x - f * y for x, y in zip(v[p:], row[p:])]
     return [r * x - f * y for x, y in zip(v, row)]
 
 
@@ -449,8 +451,12 @@ def is_symplectic(M, n=None):
         raise ValueError(f"shape mismatch: a {M.rows}x{M.cols} matrix for n = {n}")
     if M.cols != 2 * n:
         return False
-    cols = M.columns()
-    return all(symp(cols[i], cols[j]) == int(j == i + n) for i, j in combinations(range(2 * n), 2))
+    return _symplectic_columns(M.columns(), n, 1)
+
+
+def _symplectic_columns(cols, n, scale):
+    """Whether omega(cols[i], cols[j]) = scale [j = i + n] for all i < j < 2n (D^2 for M = N / D)."""
+    return all(symp(cols[i], cols[j]) == (scale if j == i + n else 0) for i, j in combinations(range(2 * n), 2))
 
 
 def random_symplectic(n, steps, seed):

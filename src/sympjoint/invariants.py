@@ -9,21 +9,22 @@ beside `PointConfig`, with the reference R = x.y - 2u of a contact point and
 its plane part (x, y), so that `normal_form` decides every group without
 importing `variants`.
 
-Gram tables and their Pfaffians are computed in Python ints with one division
-per value.  A `GramTable` holds one integer form, a_ij = ints[i, j] / den,
-built with the table: `gram` clears the points' denominators together and
-keeps the symplectic products (`exact.symp` on int rows).  `_table_pfaffian`
+Gram tables and their Pfaffians are computed in Python ints; a `Rat` is built
+only for a returned value.  A `PointConfig` carries one integer form, A_i =
+u_i / d, built with the record, and `_gram_of` builds a table's, a_ij =
+ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2; tables
+compare by it, and their `Rat` values are built on first read.  `_table_pfaffian`
 expands every label tuple it is given on those ints, with one memo of
-sub-Pfaffians shared across the tuples; the syzygies and `eliminate_entry` go
-through it.  The leading-Pfaffian chain and its failed predicates are read
-off one Pfaffian condensation of the ints (`_condense`, which the canonical
-form of `normal_form` also runs), in time polynomial in n.  The public values
-stay `Rat`.
+sub-Pfaffians shared across the tuples; the syzygies go through it.  The
+leading-Pfaffian chain and its failed predicates are read off one Pfaffian
+condensation of the ints (`_condense`, which the canonical form of
+`normal_form` and `eliminate_entry` also run), in time polynomial in n.
 """
 
 import json
 import random
 from itertools import combinations
+from types import MappingProxyType
 
 from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
 
@@ -38,7 +39,7 @@ class PointConfig(_Record):
     Fields: n (int) and points (a tuple of m tuples of 2n `Rat`).
     """
 
-    __slots__ = ("n", "points")
+    __slots__ = ("n", "points", "_ints")
 
     def __post_init__(self):
         if self.n < 1:
@@ -50,6 +51,8 @@ class PointConfig(_Record):
             if len(p) != 2 * self.n:
                 raise ValueError(f"point of length {len(p)}, expected {2 * self.n}")
         object.__setattr__(self, "points", pts)
+        flat, d = _integer_row([x for p in pts for x in p])
+        object.__setattr__(self, "_ints", ([flat[k : k + 2 * self.n] for k in range(0, len(flat), 2 * self.n)], d))
 
     @property
     def m(self):
@@ -154,13 +157,14 @@ def _plane(config: ContactConfig) -> PointConfig:
 class GramTable:
     """The skew table a_ij = omega(OA_i, OA_j), stored for i < j (1-based).
 
-    `values` maps each pair (i, j) to the `Rat` a_ij; `ints` (same keys)
-    and `den` are its integer form, a_ij = ints[i, j] / den.  All three are
-    built with the table and read-only after, so the table Pfaffians read
-    the ints without scaling them again.
+    `ints` maps each pair (i, j) to an int and `den` is their common
+    denominator, a_ij = ints[i, j] / den: the integer form, built with the
+    table, that the table Pfaffians and the decisions read.  `values` is a
+    read-only view mapping each pair to the `Rat` a_ij, built on its first
+    read.
     """
 
-    __slots__ = ("m", "values", "ints", "den")
+    __slots__ = ("m", "ints", "den", "_values")
 
     def __init__(self, m, values):
         for i, j in values:
@@ -168,14 +172,21 @@ class GramTable:
                 raise ValueError(f"bad pair {(i, j)} for m={m}")
         row = [rat(v) for v in values.values()]
         ints, self.den = _integer_row(row)
-        self.m, self.values, self.ints = m, dict(zip(values, row)), dict(zip(values, ints))
+        self.m, self.ints, self._values = m, dict(zip(values, ints)), MappingProxyType(dict(zip(values, row)))
 
     @classmethod
-    def _exact(cls, m, values, ints, den):
-        """The table on its `Rat` values and their integer form, keyed by valid pairs, unchecked."""
+    def _exact(cls, m, ints, den):
+        """The table on an integer form keyed by valid pairs, unchecked."""
         g = cls.__new__(cls)
-        g.m, g.values, g.ints, g.den = m, values, ints, den
+        g.m, g.ints, g.den, g._values = m, ints, den, None
         return g
+
+    @property
+    def values(self):
+        if self._values is None:
+            den = self.den
+            self._values = MappingProxyType({p: Rat(x, den) for p, x in self.ints.items()})
+        return self._values
 
     def value(self, i, j):
         if i == j:
@@ -195,9 +206,13 @@ class GramTable:
         )
 
     def __eq__(self, other):
+        """Equal values, read off the integer forms (cross-multiplied when the dens differ)."""
         if not isinstance(other, GramTable):
             return NotImplemented
-        return self.m == other.m and self.values == other.values
+        if self.m != other.m or self.ints.keys() != other.ints.keys():
+            return False
+        d, e, theirs = self.den, other.den, other.ints
+        return self.ints == theirs if d == e else all([x * e == theirs[p] * d for p, x in self.ints.items()])
 
     def __repr__(self):
         inner = ", ".join(f"a{i}{j}={rat_str(v)}" for (i, j), v in sorted(self.values.items()))
@@ -205,26 +220,20 @@ class GramTable:
 
 
 def _integer_points(config: PointConfig):
-    """(u_1, ..., u_m as int lists, d): the points cleared of denominators together, A_i = u_i / d."""
-    flat, d = _integer_row([x for p in config.points for x in p])
-    return [flat[k : k + 2 * config.n] for k in range(0, len(flat), 2 * config.n)], d
+    """(u_1, ..., u_m as int lists, d), A_i = u_i / d, built with the record; read-only."""
+    return config._ints
+
+
+def _gram_of(pts, d):
+    """The Gram table of the points A_i = u_i / d, given as the int lists u_i:
+    ints[i, j] = symp(u_i, u_j) over den = d^2 (d = 1 for integral points)."""
+    ints = {(i, j): symp(u, v) for i, u in enumerate(pts, 1) for j, v in enumerate(pts[i:], i + 1)}
+    return GramTable._exact(len(pts), ints, d * d)
 
 
 def gram(config: PointConfig) -> GramTable:
-    """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration.
-
-    The points are cleared of denominators together, A_i = u_i / d with u_i
-    integral (d = 1 for integral points), so ints[i, j] = symp(u_i, u_j) and
-    den = d^2, and a_ij takes one division.
-    """
-    pts, d = _integer_points(config)
-    den = d * d
-    ints, vals = {}, {}
-    for i, u in enumerate(pts, 1):
-        for j, v in enumerate(pts[i:], i + 1):
-            ints[i, j] = s = symp(u, v)
-            vals[i, j] = Rat(s) if den == 1 else Rat(s, den)
-    return GramTable._exact(config.m, vals, ints, den)
+    """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration."""
+    return _gram_of(*_integer_points(config))
 
 
 def _table_pfaffian(g: GramTable, subsets):
@@ -252,6 +261,24 @@ def _condense(P, e, f, prev):
             P[j][i] = -v
 
 
+def _skew_rows(ints, labels):
+    """The skew int table P(a, b) = ints[labels[a], labels[b]] on 1-based
+    positions a, b of the ascending labels (row and column 0 unused)."""
+    rows = [[0] + [ints[i, j] if i < j else -ints[j, i] if j < i else 0 for j in labels] for i in labels]
+    return [[0] * (len(labels) + 1)] + rows
+
+
+def _pivot(P, e, last):
+    """Swap position e + 1 with the first f in e+1..last where P(e, f) != 0 and
+    return f; None when row e vanishes there (so does Pf on 1..last)."""
+    f = next((j for j in range(e + 1, last + 1) if P[e][j]), None)
+    if f is not None and f > e + 1:
+        P[e + 1], P[f] = P[f], P[e + 1]
+        for row in P:
+            row[e + 1], row[f] = row[f], row[e + 1]
+    return f
+
+
 def _chain(g: GramTable, n):
     """The non-vanishing chain used by the canonical form: leading Pfaffians.
 
@@ -261,25 +288,18 @@ def _chain(g: GramTable, n):
     and zeroes the sets holding e but not f (row e vanishes there); a row e
     with no such f zeroes every longer leading Pfaffian.
     """
-    top, ints = 2 * min(n, g.m // 2), g.ints
-    P = [[0] * (top + 1) for _ in range(top + 1)]
-    for i in range(1, top + 1):
-        for j in range(i + 1, top + 1):
-            P[i][j] = v = ints[i, j]
-            P[j][i] = -v
+    top = 2 * min(n, g.m // 2)
+    P = _skew_rows(g.ints, range(1, top + 1))
     pfs, prev, sign, reach = [], 1, 1, 0  # reach: the furthest label swapped in
     for e in range(1, top, 2):
         pfs.append(sign * P[e][e + 1] if e + 1 >= reach else 0)
         if e + 1 == top:
             break
-        f = next((j for j in range(e + 1, top + 1) if P[e][j]), top + 1)
-        if f > top:
+        f = _pivot(P, e, top)
+        if f is None:
             pfs += [0] * ((top - e - 1) // 2)
             break
         if f > e + 1:
-            P[e + 1], P[f] = P[f], P[e + 1]
-            for row in P:
-                row[e + 1], row[f] = row[f], row[e + 1]
             sign, reach = -sign, max(reach, f)
         _condense(P, e, e + 1, prev)
         prev = P[e][e + 1]
@@ -330,11 +350,12 @@ def q_value(g: GramTable, idx, n):
     """det(a_{i_s, i_{t+2n+1}})_{s,t=1..2n+1} on an ascending (4n+2)-tuple.
 
     Another syzygy family: vanishes on every table coming from actual points.
+    Each entry has s < t + 2n + 1, so the determinant is taken on the ints.
     """
     idx = _check_tuple(idx, g.m, 4 * n + 2)
-    k = 2 * n + 1
-    M = ExactMatrix([[g.value(idx[s], idx[t + k]) for t in range(k)] for s in range(k)])
-    return det(M)
+    k, ints = 2 * n + 1, g.ints
+    M = ExactMatrix([[ints[idx[s], idx[t + k]] for t in range(k)] for s in range(k)])
+    return det(M) / g.den**k
 
 
 def random_config(n, m, rng=None, lo=-9, hi=9, seed=None):

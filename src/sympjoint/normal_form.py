@@ -17,12 +17,15 @@ y^2 slot.
 
 Every signature and equivalence decision, for Sp, CSp, ASp and the contact
 lift, is made here, by `_normalize`: one configuration, with its fallback
-relabeling either decided or given.  The conformal values (`_csp_values`),
-the absolute contact values (`_contact_normal`) and Witt's relations rule
-(`_relations`) are its parts.  A pair is compared by `_relabel_compare`,
-which decides the relabeling on the first configuration and applies it to
-the second.  That path carries plain (group, values) pairs; only the public
-`signature` (and `csp_signature` in `variants`) builds a `Signature`.  The
+relabeling either decided or given.  It reads integer forms only, points
+u_i / d and tables ints / den (built by `_gram_of`, for ASp from u_i - u_1),
+and builds a `Rat` only for a value it returns.  The conformal values
+(`_csp_values`), the absolute contact values (`_contact_normal`) and Witt's
+relations rule (`_relations`) are its parts.  A pair is compared by
+`_relabel_compare`, which decides the relabeling on the first configuration
+and applies it to the second.  That path carries plain (group, values)
+pairs; only the public `signature` (and `csp_signature` in `variants`)
+builds a `Signature`.  The
 imports run one way: `variants` imports this module, never the reverse.
 
 `Signature` stays a frozen dataclass, built on its first read (PEP 562), so
@@ -34,8 +37,9 @@ calling the hook again would build a second class.
 
 import sys
 from functools import partial
+from math import lcm
 
-from .exact import ExactMatrix, Rat, _integer_row, _Record, is_symplectic, nullspace, solve
+from .exact import ExactMatrix, Rat, _IntRowSpace, _Record, _symplectic_columns, nullspace
 from .field_generators import basic_set
 from .invariants import (
     ContactConfig,
@@ -44,9 +48,11 @@ from .invariants import (
     PointConfig,
     _condense,
     _failed,
+    _gram_of,
+    _integer_points,
     _plane,
     _reference,
-    gram,
+    _skew_rows,
 )
 
 _GROUPS = {"sp": "Sp", "csp": "CSp", "asp": "ASp", "contact": "Contact"}
@@ -73,7 +79,7 @@ class GenericityReport(_Record):
 
 def genericity(config: PointConfig) -> GenericityReport:
     """Check every leading-Pfaffian predicate; report all failures."""
-    failed = _failed(gram(config), config.n)
+    failed = _failed(_gram_of(*_integer_points(config)), config.n)
     return GenericityReport(not failed, failed)
 
 
@@ -84,25 +90,25 @@ def _require_generic(g: GramTable, n, prefix="non-generic configuration"):
         raise GenericityError(f"{prefix}: " + ", ".join(failed))
 
 
-def _genericize(config: PointConfig):
-    """Return (config, its Gram table, perm) with a passing chain, relabeling once if needed.
+def _genericize(pts, d, n):
+    """Return (points, their Gram table, perm) with a passing chain, relabeling once if needed.
 
-    The single fallback moves the first pair (i, j) with a_ij != 0 to the
-    front (perm lists the new order; () when none was needed); anything still
-    failing after that is rejected.
+    The points are A_i = u_i / d, given as the u_i.  The single fallback moves
+    the first pair (i, j) with a_ij != 0 to the front (perm lists the new
+    order; () when none was needed); anything still failing is rejected.
     """
-    g = gram(config)
-    if not _failed(g, config.n):
-        return config, g, ()
-    first = next((p for p in g.pairs() if g.value(*p) != 0), None)
+    g = _gram_of(pts, d)
+    if not _failed(g, n):
+        return pts, g, ()
+    first = next((p for p, x in g.ints.items() if x), None)
     if first is not None and first != (1, 2):
         i, j = first
-        perm = [i, j] + [k for k in range(1, config.m + 1) if k not in (i, j)]
-        moved = config.permute(perm)
-        moved_g = gram(moved)
-        if not _failed(moved_g, config.n):
+        perm = [i, j] + [k for k in range(1, len(pts) + 1) if k not in (i, j)]
+        moved = [pts[k - 1] for k in perm]
+        moved_g = _gram_of(moved, d)
+        if not _failed(moved_g, n):
             return moved, moved_g, perm
-    _require_generic(g, config.n)  # raises: no relabeling rescued the chain
+    _require_generic(g, n)  # raises: no relabeling rescued the chain
 
 
 def _canonical_columns(g: GramTable, n):
@@ -117,9 +123,7 @@ def _canonical_columns(g: GramTable, n):
     m odd and m < 2n the last point alone spans the next E: its x slot is 1.
     """
     m = g.m
-    P = [[0] * (m + 1) for _ in range(m + 1)]
-    for (i, j), v in g.ints.items():
-        P[i][j], P[j][i] = v, -v
+    P = _skew_rows(g.ints, range(1, m + 1))
     cols = [[Rat(0)] * (2 * n) for _ in range(m)]
     prev = 1
     for k in range(min(n, (m + 1) // 2)):
@@ -143,11 +147,11 @@ def canonical(config: PointConfig) -> ExactMatrix:
     """
     if config.m < 2:
         raise ValueError("canonical form needs at least two points")
-    g = gram(config)
+    g = _gram_of(*_integer_points(config))
     _require_generic(g, config.n)
     cols = _canonical_columns(g, config.n)
     result = ExactMatrix.from_columns(cols)
-    if gram(PointConfig(config.n, tuple(cols))) != g:
+    if _gram_of(*_integer_points(PointConfig(config.n, tuple(cols)))) != g:
         raise RuntimeError("canonical columns fail to reproduce the Gram table")
     return result
 
@@ -156,31 +160,35 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     """Explicit symplectic witness M with M A_i = B_i for all i.
 
     Requires m >= 2n (otherwise the stabilizer is positive-dimensional and the
-    witness is not unique) and equal Gram tables.  One solve maps the first 2n
-    points of A onto those of B (M A_i = B_i reads A^T M^T = B^T); the
-    remaining points follow automatically and are verified exactly.
+    witness is not unique) and equal Gram tables.  M A_i = B_i reads
+    A^T M^T = B^T; on the first 2n points, A_i = u_i / d_a and B_i = v_i / d_b,
+    its rows [u_i d_b | v_i d_a] are eliminated in ints to M = N / D.  The
+    remaining points follow automatically; every check is exact, in ints.
     """
     if (A.n, A.m) != (B.n, B.m):
         raise ValueError("configurations must share (n, m)")
     n, m = A.n, A.m
     if m < 2 * n:
         raise ValueError("underdetermined: fewer than 2n points leave a nontrivial stabilizer")
-    tables = gram(A), gram(B)
+    (us, d_a), (vs, d_b) = _integer_points(A), _integer_points(B)
+    tables = _gram_of(us, d_a), _gram_of(vs, d_b)
     for label, g in zip(("first", "second"), tables):
         _require_generic(g, n, f"{label} configuration non-generic")
     if tables[0] != tables[1]:
         raise ValueError("not equivalent: Gram tables differ")
-    M = solve(ExactMatrix(A.points[: 2 * n]), ExactMatrix(B.points[: 2 * n])).transpose()
-    if not is_symplectic(M, n):
+    augmented = [[x * d_b for x in u] + [y * d_a for y in v] for u, v in zip(us[: 2 * n], vs[: 2 * n])]
+    reduced = _IntRowSpace(augmented).reduced()
+    if [p for p, _ in reduced] != list(range(2 * n)):
+        raise ValueError("singular matrix")
+    D = lcm(*[row[p] for p, row in reduced])
+    cols = [[x * (D // row[p]) for x in row[2 * n :]] for p, row in reduced]
+    if not _symplectic_columns(cols, n, D * D):
         raise RuntimeError("recovered transform is not symplectic")
-    # in ints: row r of M is N_r / D_r, A_i = u / d_a and B_i = v / d_b, so
-    # M A_i = B_i reads (N_r . u) d_b = D_r d_a v_r for every r
-    rows = [_integer_row(row) for row in M.data]
-    for i, (a, b) in enumerate(zip(A.points, B.points), 1):
-        (u, d_a), (v, d_b) = _integer_row(a), _integer_row(b)
-        if any(sum([x * y for x, y in zip(N, u)]) * d_b != D * d_a * y for (N, D), y in zip(rows, v)):
+    rows = list(zip(*cols))  # (N u_i) d_b = D d_a v_i for every point
+    for i, (u, v) in enumerate(zip(us, vs), 1):
+        if any(sum([x * y for x, y in zip(N, u)]) * d_b != D * d_a * y for N, y in zip(rows, v)):
             raise RuntimeError(f"recovered transform fails to move point {i}")
-    return M
+    return ExactMatrix([[Rat(x, D) for x in N] for N in rows])
 
 
 def _group_key(group):
@@ -188,12 +196,6 @@ def _group_key(group):
     if key is None:
         raise ValueError(f"unknown group {group!r}; expected sp, csp, asp or contact")
     return key
-
-
-def _translated(config):
-    if config.m < 2:
-        raise ValueError("affine signature needs at least two points")
-    return PointConfig(config.n, config.points[1:]).translate([-c for c in config.point(1)])
 
 
 def _relations(points, n, spanning):
@@ -204,7 +206,7 @@ def _relations(points, n, spanning):
     together with these relations determines the Sp orbit (Artin, Geometric
     Algebra, ch. III).  `spanning` says the span is already proved (a passing
     chain with m >= 2n makes the first 2n points a basis), so no nullspace is
-    computed.
+    computed.  Integer points u_i = d A_i give the same relations.
     """
     if spanning:
         return ()
@@ -215,15 +217,15 @@ def _relations(points, n, spanning):
 
 
 def _csp_values(g: GramTable, n):
-    """The conformal values: sign(a12), then a_ij/a12 over the basic set."""
+    """The conformal values: sign(a12), then a_ij/a12 over the basic set, in ints."""
     if g.m < 2:
         raise ValueError("conformal signature needs at least two points")
-    a12 = g.value(1, 2)
+    ints = g.ints
+    a12 = ints[1, 2]
     if a12 == 0:
         raise GenericityError("a12 = 0")
     sign = Rat(1) if a12 > 0 else Rat(-1)
-    ratios = tuple([g.value(i, j) / a12 for (i, j) in basic_set(g.m, n).pairs if (i, j) != (1, 2)])
-    return (sign,) + ratios
+    return (sign,) + tuple([Rat(ints[p], a12) for p in basic_set(g.m, n).pairs[1:]])
 
 
 def _eliminated_pairs(m, n):
@@ -236,21 +238,23 @@ def _absolute_values(config: ContactConfig):
     rm = _reference(config.point(m))
     if rm == 0:
         raise GenericityError(f"R_{m} = 0")
-    plane = _plane(config)
-    R = gram(plane)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
+    pts, d = _integer_points(_plane(config))
+    R = _gram_of(pts, d)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
     eliminated = _eliminated_pairs(m, n)
-    if eliminated and R.value(1, 2) == 0:
+    if eliminated and R.ints[1, 2] == 0:
         raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
+    # T_ij = ints[i, j] / (den R_m), R_m = top / bottom: one Rat per value
+    top, bottom = rm.numerator * R.den, rm.denominator
     values = tuple([_reference(p) / rm for p in config.points[: m - 1]])
-    values += tuple([R.value(i, j) / rm for (i, j) in basic_set(m, n).pairs])
+    values += tuple([Rat(R.ints[p] * bottom, top) for p in basic_set(m, n).pairs])
     # the elimination divides by every link b_{1..2k}(T) of the leading
     # chain; unless all n links pass, the basic set does not determine the
     # eliminated T_ij, so they join the signature (each is invariant), and
     # the plane parts may not span, so their linear relations join too
     spanning = m >= 2 * n and not _failed(R, n)
     if not spanning:
-        values += tuple([R.value(i, j) / rm for (i, j) in eliminated])
-    return values + _relations(plane.points, n, spanning)
+        values += tuple([Rat(R.ints[p] * bottom, top) for p in eliminated])
+    return values + _relations(pts, n, spanning)
 
 
 def _contact_normal(config: ContactConfig, rotated=None):
@@ -277,22 +281,25 @@ def _normalize(group, config, relabel=None):
         if not isinstance(config, ContactConfig):
             raise ValueError("the contact signature takes a ContactConfig")
         return _contact_normal(config, relabel)
+    n, (pts, d) = config.n, _integer_points(config)
     if key == "ASp":
-        # translation removes the base point, then the linear theory applies
-        config = _translated(config)
+        # translation by -A_1 removes the base point, then the linear theory applies
+        if config.m < 2:
+            raise ValueError("affine signature needs at least two points")
+        pts = [[x - y for x, y in zip(u, pts[0])] for u in pts[1:]]
     if relabel is None:
-        config, g, relabel = _genericize(config)
+        pts, g, relabel = _genericize(pts, d, n)
     else:
         if relabel:
-            config = config.permute(relabel)
-        g = gram(config)
-        _require_generic(g, config.n, "second configuration non-generic")
+            pts = [pts[k - 1] for k in relabel]
+        g = _gram_of(pts, d)
+        _require_generic(g, n, "second configuration non-generic")
     if key == "CSp":
-        values = _csp_values(g, config.n)
+        values = _csp_values(g, n)
     else:
-        values = tuple([g.value(i, j) for (i, j) in basic_set(config.m, config.n).pairs])
-    relations = _relations(config.points, config.n, config.m >= 2 * config.n)
-    return (key, values + relations), relabel
+        ints, den = g.ints, g.den
+        values = tuple([Rat(ints[p], den) for p in basic_set(g.m, n).pairs])
+    return (key, values + _relations(pts, n, g.m >= 2 * n)), relabel
 
 
 def _relabel_compare(A, B, normalize):

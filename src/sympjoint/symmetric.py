@@ -164,11 +164,11 @@ def verify_R8() -> bool:
 
 
 def _integer_tables(m, n, count, rng):
-    """Gram tables {a_ij: int} of random integer configurations."""
+    """Gram tables {a_ij: int} of random integer configurations (den = 1)."""
     out = []
     for _ in range(count):
         g = gram(random_config(n, m, rng, lo=-20, hi=20))
-        out.append({avar(i, j): int(v) for (i, j), v in g.values.items()})
+        out.append({avar(i, j): v for (i, j), v in g.ints.items()})
     return out
 
 

@@ -93,7 +93,7 @@ def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactCon
 
 def contact_relative(config: ContactConfig):
     """All relative invariants: R_k per point and R_ij per pair (1-based keys)."""
-    return {"R_k": [_reference(p) for p in config.points], "R_ij": gram(_plane(config)).values}
+    return {"R_k": [_reference(p) for p in config.points], "R_ij": dict(gram(_plane(config)).values)}
 
 
 def contact_absolute(config: ContactConfig) -> "Signature":

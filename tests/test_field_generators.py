@@ -283,3 +283,44 @@ def test_eliminate_entry_equals_the_fraction_expansion(n, form, data):
             eliminate_entry(known, k, l, n)
     else:
         assert eliminate_entry(known, k, l, n) == expected
+
+
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_eliminate_entry_past_a_vanishing_leading_pair(n, data):
+    # a12 = 0 (and a13 = 0 half the time) while b_1..2n need not vanish: the
+    # condensation swaps a later label in past the vanishing pivot
+    m = data.draw(st.integers(2 * n + 2, 2 * n + 3))
+    k = data.draw(st.integers(2 * n + 1, m - 1))
+    l = data.draw(st.integers(k + 1, m))
+    entry = st.builds(Rat, st.integers(-9, 9), st.integers(1, 12))
+    values = {(i, j): data.draw(entry) for i in range(1, m + 1) for j in range(i + 1, m + 1)}
+    values[1, 2] = Rat(0)
+    if data.draw(st.booleans()):
+        values[1, 3] = Rat(0)
+    expected = _eliminate_in_fractions(values, k, l, n)
+    if expected is None:
+        with pytest.raises(GenericityError):
+            eliminate_entry(GramTable(m, values), k, l, n)
+    else:
+        assert eliminate_entry(GramTable(m, values), k, l, n) == eliminate_entry(values, k, l, n) == expected
+
+
+def test_eliminate_entry_with_vanishing_a12_by_hand():
+    # n = 2 on e1, e2, f1, f2, ...: a12 = 0 and b_1234 = a13 a24 - a14 a23 = 1
+    cfg = PointConfig(2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 2, 3, 4), (2, -1, 1, 3)))
+    g = gram(cfg)
+    assert g.value(1, 2) == 0
+    assert eliminate_entry(g, 5, 6, 2) == g.value(5, 6)
+
+
+def test_eliminate_entry_is_polynomial_in_n():
+    import time
+
+    n = 12
+    cfg = random_config(n, 2 * n + 2, seed=1)
+    g = gram(cfg)
+    start = time.perf_counter()
+    value = eliminate_entry(g, 2 * n + 1, 2 * n + 2, n)
+    assert time.perf_counter() - start < 1.0
+    assert value == g.value(2 * n + 1, 2 * n + 2)

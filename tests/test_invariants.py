@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympjoint.exact import Rat, _pf_expand, det, pfaffian, random_symplectic, symp
+from sympjoint.exact import ExactMatrix, Rat, _pf_expand, det, pfaffian, random_symplectic, symp
 from sympjoint.invariants import (
     GramTable,
     PointConfig,
@@ -119,6 +119,16 @@ def test_q_value_rejects_malformed_tuples():
         q_value(g, (1, 2, 3, 4, 5), 1)  # wrong length
     with pytest.raises(ValueError):
         q_value(g, (2, 1, 3, 4, 5, 6), 1)  # not ascending
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_q_value_is_the_determinant_of_the_values(data):
+    # mixed denominators: the determinant of the integer entries is scaled back by den^(2n+1)
+    m = data.draw(st.integers(6, 8))
+    g = GramTable(m, {p: data.draw(FRACTIONS) for p in combinations(range(1, m + 1), 2)})
+    idx = sorted(data.draw(st.sets(st.integers(1, m), min_size=6, max_size=6)))
+    assert q_value(g, idx, 1) == det(ExactMatrix([[g.value(idx[s], idx[t + 3]) for t in range(3)] for s in range(3)]))
 
 
 def test_q_value_nonzero_on_free_table():
@@ -279,3 +289,27 @@ def test_all_min_syzygies_is_the_per_subset_syzygy_list(cfg):
     size = 2 * cfg.n + 2
     expected = [(idx, syzygy_value(g, idx)) for idx in combinations(range(1, cfg.m + 1), size)]
     assert all_min_syzygies(cfg) == expected
+
+
+@given(cfg=rational_configs(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_gram_tables_compare_by_their_values(cfg, data):
+    g = gram(cfg)  # den = d^2 of the points
+    values = dict(g.values)
+    same = GramTable(cfg.m, values)  # den = lcm of the values' denominators
+    assert (g == same) == (g.values == same.values) is True
+    if values:
+        p = data.draw(st.sampled_from(sorted(values)))
+        changed = GramTable(cfg.m, {**values, p: values[p] + data.draw(FRACTIONS.filter(bool))})
+        assert g != changed and changed != g
+    assert g != GramTable(cfg.m + 1, values)
+
+
+@given(g=st.one_of(rational_tables(), rational_configs().map(gram)))
+@settings(max_examples=100, deadline=None)
+def test_gram_values_are_the_integer_form_over_den(g):
+    for p in g.pairs():
+        assert type(g.values[p]) is Rat
+        assert g.values[p] == g.value(*p) == Rat(g.ints[p], g.den) == -g.value(p[1], p[0])
+    with pytest.raises(TypeError):
+        g.values[1, 2] = Rat(0)

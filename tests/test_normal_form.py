@@ -215,12 +215,15 @@ def test_relabeling_congruence():
     ],
 )
 def test_one_gram_table_per_configuration(monkeypatch, call, tables):
+    # every table of the decision path, the ASp one of translated integer
+    # points included, is built by the one table builder `_gram_of`
     import sympjoint.normal_form as nf
 
     a = generic_sample(2, 5, random.Random(44))
     b = a.transform(random_symplectic(2, 6, seed=5))
     calls = []
-    monkeypatch.setattr(nf, "gram", lambda cfg: calls.append(cfg) or gram(cfg))
+    build = nf._gram_of
+    monkeypatch.setattr(nf, "_gram_of", lambda pts, d: calls.append(pts) or build(pts, d))
     call(a, b)
     assert len(calls) == tables
 
@@ -466,3 +469,52 @@ def test_recover_transform_equals_basis_product(n, extra, steps, seed, data):
     basis_a = ExactMatrix.from_columns([A.point(i) for i in range(1, 2 * n + 1)])
     basis_b = ExactMatrix.from_columns([B.point(i) for i in range(1, 2 * n + 1)])
     assert recover_transform(A, B) == basis_b @ inverse(basis_a)
+
+
+def test_canonical_rejects_columns_that_miss_the_gram_table(monkeypatch):
+    import sympjoint.normal_form as nf
+
+    def perturbed(g, n):
+        cols = _canonical_columns(g, n)
+        cols[-1][0] += 1
+        return cols
+
+    cfg = generic_sample(2, 5, random.Random(45))
+    monkeypatch.setattr(nf, "_canonical_columns", perturbed)
+    with pytest.raises(RuntimeError, match="canonical columns fail to reproduce the Gram table"):
+        canonical(cfg)
+
+
+def test_recover_transform_with_different_denominators():
+    # S = diag(2, 1/2) is symplectic with rational entries, so B = S A clears
+    # its denominators with a d_b other than A's
+    S = ExactMatrix([[Rat(2), Rat(0)], [Rat(0), Rat(1, 2)]])
+    for points in (((1, 0), (0, 1)), (("1/3", 5), (7, "-2/5"), (3, 1)), ((3, 1), (1, 1), ("1/7", 0))):
+        a = PointConfig(1, points)
+        b = a.transform(S)
+        assert recover_transform(a, b) == S
+        assert recover_transform(b, a) == inverse(S)
+
+
+def test_recover_transform_on_dependent_points():
+    # m < 2n: the stabilizer is positive-dimensional, so no witness is unique
+    for a, b in ((DEPENDENT, INDEPENDENT), (INDEPENDENT, DEPENDENT), (DEPENDENT, DEPENDENT)):
+        with pytest.raises(ValueError, match="underdetermined"):
+            recover_transform(a, b)
+    # a fourth point makes m = 2n, but A_3 = A_1 leaves b_1234 = 0
+    pad = ((0, 0, 0, 1),)
+    a, b = PointConfig(2, DEPENDENT.points + pad), PointConfig(2, INDEPENDENT.points + pad)
+    with pytest.raises(GenericityError, match="first configuration non-generic: b1234 = 0"):
+        recover_transform(a, b)
+    assert recover_transform(b, b) == ExactMatrix.identity(4)
+
+
+def test_recover_transform_checks_every_point(monkeypatch):
+    import sympjoint.normal_form as nf
+
+    a = generic_sample(1, 4, random.Random(46))
+    b = PointConfig(1, a.points[:-1] + ((a.points[-1][0] + 1, a.points[-1][1]),))
+    table = gram(a)
+    monkeypatch.setattr(nf, "_gram_of", lambda pts, d: table)  # hides that the tables differ
+    with pytest.raises(RuntimeError, match="fails to move point 4"):
+        recover_transform(a, b)

@@ -417,3 +417,25 @@ def test_contact_relative_pairs_are_the_pairwise_symp(n, m, data):
     assert R == expected
     assert list(R) == list(expected)
     assert all(type(v) is Rat for v in R.values())
+
+
+def test_csp_separates_an_antisymplectic_image():
+    # swapping the x and y blocks negates every a_ij: the ratios agree, the
+    # sign of a12 does not, and the conformal factor is positive
+    for cfg in (PointConfig(1, ((1, 0), (0, 2), (-3, 3))), PointConfig(2, ((1, 0, 2, 0), (0, 1, 3, 1), (2, 2, 0, 1)))):
+        n = cfg.n
+        swapped = PointConfig(n, tuple([p[n:] + p[:n] for p in cfg.points]))
+        sig, other = csp_signature(gram(cfg), n), csp_signature(gram(swapped), n)
+        assert (sig.values[0], other.values[0]) == (1, -1)
+        assert sig.values[1:] == other.values[1:]
+        assert not equivalent(cfg, swapped, "csp")
+
+
+def test_contact_values_are_the_relative_ratios():
+    # fractional coordinates and a fractional R_m: T_k = R_k / R_m, T_ij = R_ij / R_m
+    cfg = ContactConfig(1, (((1,), (2,), "1/3"), (("1/2",), (3,), 1), ((2,), ("-1/5",), "2/7")))
+    rel = contact_relative(cfg)
+    rm = rel["R_k"][-1]
+    assert rm.denominator != 1
+    expected = [r / rm for r in rel["R_k"][:-1]] + [rel["R_ij"][p] / rm for p in ((1, 2), (1, 3), (2, 3))]
+    assert list(contact_absolute(cfg).values) == expected
