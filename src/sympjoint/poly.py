@@ -16,13 +16,18 @@ column subsets (no division, unlike the numeric Bareiss ``exact.det``).
 
 Products concatenate monomials whose variables do not interleave, as the
 Pfaffian kernel's head a_{i0 j} (smallest label first) never does, and a
-one-term factor maps the other's terms in one pass.  A sum merges an operand
-that shares no monomial with the running total, as each head's block of a
-Pfaffian or determinant expansion, by one dict update.  A coefficient is
-brought to an int where a product or a colliding sum makes it integral, so no
-result is rescanned.  ``substitute`` works in Horner order: terms grouped by
-leading factor share one substitution of their cofactor, so the vanishing of a
-syzygy on point tables drops whole subtrees.
+one-term factor maps the other's terms in one pass.  The kernel's head blocks
+are disjoint by construction (every term of the block of a_{i0 j} holds
+a_{i0 j}, and no other block does), so they merge by dict update alone; each
+entry's one-term polynomial is built once per expansion.  A general sum adds a
+one-term operand by one lookup and merges a larger operand that shares no
+monomial with the running total by one dict update.  A coefficient is brought
+to an int where a product or a colliding sum makes it integral, so no result
+is rescanned.  ``substitute`` works in Horner order: terms grouped by leading
+factor share one substitution of their cofactor, and cofactors equal up to
+sign (a sub-Pfaffian reached through a12*a34 and a13*a24) are substituted
+once per call, so the vanishing of a syzygy on point tables drops whole
+subtrees and reaches each of them once.
 """
 
 import math
@@ -115,13 +120,30 @@ def _add_into(out, items):
 
 def _sum(polys, start):
     """sum(polys, start) added into one dict, not one copy of the total per
-    term; an operand disjoint from the total is merged by one ``dict.update``."""
+    term.  A one-term operand takes one lookup (no key views); a larger one
+    disjoint from the total is merged by one ``dict.update``."""
     out = dict(start.terms)
     for p in polys:
-        if out.keys().isdisjoint(p.terms.keys()):
-            out.update(p.terms)
+        terms = p.terms
+        if len(terms) == 1:
+            ((mono, c),) = terms.items()
+            if mono in out:
+                _add_into(out, terms.items())
+            else:
+                out[mono] = c
+        elif out.keys().isdisjoint(terms.keys()):
+            out.update(terms)
         else:
-            _add_into(out, p.terms.items())
+            _add_into(out, terms.items())
+    return _wrap(out)
+
+
+def _merge_blocks(polys, start):
+    """sum(polys, start) for operands known to share no monomial, with each
+    other or with ``start``: one ``dict.update`` each, no overlap test."""
+    out = dict(start.terms)
+    for p in polys:
+        out.update(p.terms)
     return _wrap(out)
 
 
@@ -273,7 +295,12 @@ class MultiPoly:
         cofactor and one product with the factor's image, and a zero image or
         cofactor drops the whole group.  That is never more products than term
         by term, and far fewer when leading factors are shared, as in the
-        first-row expansion of a Pfaffian.
+        first-row expansion of a Pfaffian.  A group of two or more terms is
+        also looked up by its terms past the shared factors, with the sign
+        set by its first coefficient: a cofactor equal up to sign to one
+        already substituted in this call (a sub-Pfaffian reached through
+        a12*a34 and a13*a24) reuses that result, negated if need be.  The
+        memo lives for one call; a group listed in another order only misses.
         """
         images = {}  # (v, e) -> None when v is kept, else rep**e; a miss reads as f itself
         split = []
@@ -297,26 +324,47 @@ class MultiPoly:
                 else:
                     c = c * img
             if c:
-                split.append((replaced, tuple(kept), c))
+                split.append((tuple(replaced), tuple(kept), c))
+
+        memo = {}  # a group's key up to sign -> (its Horner sum, whether its first coefficient is negative)
 
         def horner(items, depth):
             # items share replaced[:depth]; return sum c * kept * image(replaced[depth:])
             out = {}
             leaves = []  # scalar images can merge two terms
             groups = {}
-            for replaced, kept, c in items:
-                if len(replaced) == depth:
-                    leaves.append((kept, c))
+            for item in items:
+                if len(item[0]) == depth:
+                    leaves.append(item[1:])
                 else:
-                    groups.setdefault(replaced[depth], []).append((replaced, kept, c))
+                    groups.setdefault(item[0][depth], []).append(item)
             _add_into(out, leaves)
+            depth += 1
             for f, group in groups.items():
-                rest = horner(group, depth + 1)
+                flip = False
+                if len(group) == 1:  # one term: cheaper to redo than to key
+                    rest = horner(group, depth)
+                else:
+                    neg_first = group[0][2] < 0
+                    if neg_first:
+                        key = tuple([(replaced[depth:], kept, -c) for replaced, kept, c in group])
+                    else:
+                        key = tuple([(replaced[depth:], kept, c) for replaced, kept, c in group])
+                    got = memo.get(key)
+                    if got is None:
+                        rest = horner(group, depth)
+                        memo[key] = rest, neg_first
+                    else:
+                        rest, stored_neg = got
+                        flip = stored_neg is not neg_first
                 if rest:
-                    _add_into(out, (_wrap(rest) * images[f]).terms.items())
+                    prod = (_wrap(rest) * images[f]).terms
+                    _add_into(out, zip(prod, map(neg, prod.values())) if flip else prod.items())
             return out
 
-        return _wrap(horner(split, 0))
+        total = horner(split, 0)
+        horner = None  # the closure refers to itself: break that cycle so the memo is freed now
+        return _wrap(total)
 
     def __str__(self):
         if not self.terms:
@@ -346,20 +394,37 @@ class MultiPoly:
 
 
 def _avar_signed(i, j):
-    """a_ij as a polynomial for arbitrary i != j, using a_ji = -a_ij."""
+    """a_ij as a polynomial for arbitrary labels i != j, using a_ji = -a_ij."""
     if i < j:
-        return _wrap({((avar(i, j), 1),): 1})
-    return _wrap({((avar(j, i), 1),): -1})
+        return _wrap({((("a", i, j), 1),): 1})
+    return _wrap({((("a", j, i), 1),): -1})
 
 
 def _check_labels(idx):
-    if list(idx) != sorted(set(idx)) or any(i < 1 for i in idx):
+    if list(idx) != sorted(set(idx)) or (idx and idx[0] < 1):
         raise ValueError(f"indices must be ascending, distinct and positive, got {idx}")
 
 
-def _pf_poly(idx):
-    """Symbolic Pfaffian of the sub-table on idx (any order, distinct labels)."""
-    return _pf_expand(idx, _avar_signed, MultiPoly(), _sum)
+def _entry_table(pairs):
+    """{(i, j): a_ij as a one-term polynomial} over the given label pairs."""
+    table = {}
+    for i, j in pairs:
+        table[i, j] = _avar_signed(i, j)
+    return table
+
+
+def _pf_poly(idx, table=None):
+    """Symbolic Pfaffian of the sub-table on idx (any order, distinct labels).
+
+    ``table`` maps each pair the expansion reads (i before j in idx) to a_ij
+    as a one-term polynomial; built here unless calls on one label set share
+    it, so an entry is built once, not once per read.  Every term of the head
+    block of a_{i0 j} holds a_{i0 j} and no other block does, so the blocks
+    merge without an overlap test.
+    """
+    if table is None:
+        table = _entry_table(combinations(idx, 2))
+    return _pf_expand(idx, lambda i, j: table[i, j], _wrap({}), _merge_blocks)
 
 
 def pfaffian_poly(idx, n):
@@ -387,16 +452,21 @@ def _det_poly(rows):
     det(A) = (-1)^(k(k-1)/2) Pf([[0, A], [-A^T, 0]]), and the Pfaffian kernel's
     zero-skipping, memoized expansion of that block table is the Laplace
     expansion of A along its rows, memoized over column subsets: 2^k minors
-    instead of k! cofactor calls.
+    instead of k! cofactor calls.  The sign is applied to the first row's k
+    entries, not to the k! terms of the result.  The entries of ``rows``
+    must be distinct signed variables, as ``q_poly`` builds them: then the
+    head block of column t holds the entry of column t in every term and no
+    other block does, so the blocks merge without an overlap test.
     """
     k = len(rows)
     zero = MultiPoly()
+    if k * (k - 1) // 2 % 2:
+        rows = [[-a for a in rows[0]], *rows[1:]]
 
     def entry(s, t):  # s < t: only a row label against a column label is nonzero
         return rows[s][t - k] if s < k <= t else zero
 
-    pf = _pf_expand(range(2 * k), entry, zero, _sum)
-    return -pf if k * (k - 1) // 2 % 2 else pf
+    return _pf_expand(range(2 * k), entry, zero, _merge_blocks)
 
 
 def _value(terms, values):
@@ -441,26 +511,28 @@ def verify_pfaffian_expansion(n):
         raise ValueError("expansion check supported for n in {1, 2} only")
     size = 2 * n + 2
     idx = tuple(range(1, size + 1))
-    lhs = _pf_poly(idx)
+    table = _entry_table(permutations(idx, 2))  # the inner label orders read both a_ij and a_ji
+    lhs = _pf_poly(idx, table)
     total = MultiPoly()
     for tail in permutations(range(1, size)):
         images = (0,) + tail
         sign = _perm_sign(images)
-        head = _avar_signed(idx[0], idx[images[1]])
+        head = table[idx[0], idx[images[1]]]
         inner = tuple(idx[images[p]] for p in range(2, size))
-        total = total + sign * head * _pf_poly(inner)
+        total = total + sign * head * _pf_poly(inner, table)
     rhs = total * rat(1, math.factorial(2 * n))
     return rhs == lhs
 
 
 def verify_weyl_reduction():
     """Check the 8-index Pfaffian against its expansion into 6-index ones (n=2)."""
-    lhs = _pf_poly(tuple(range(1, 9)))
+    table = _entry_table(combinations(range(1, 9), 2))
+    lhs = _pf_poly(tuple(range(1, 9)), table)
     rhs = MultiPoly()
     sign = 1
     for j in range(2, 9):
         rest = tuple(k for k in range(2, 9) if k != j)
-        rhs = rhs + sign * _avar_signed(1, j) * _pf_poly(rest)
+        rhs = rhs + sign * table[1, j] * _pf_poly(rest, table)
         sign = -sign
     return rhs == lhs
 
@@ -468,11 +540,12 @@ def verify_weyl_reduction():
 def verify_q_reduction():
     """Check q_123456 = a12*b3456 - a34*b1256 + a35*b1246 - a36*b1245 (n=1)."""
     lhs = q_poly(tuple(range(1, 7)), 1)
+    a = _entry_table(combinations(range(1, 7), 2))
     rhs = (
-        _avar_signed(1, 2) * _pf_poly((3, 4, 5, 6))
-        - _avar_signed(3, 4) * _pf_poly((1, 2, 5, 6))
-        + _avar_signed(3, 5) * _pf_poly((1, 2, 4, 6))
-        - _avar_signed(3, 6) * _pf_poly((1, 2, 4, 5))
+        a[1, 2] * _pf_poly((3, 4, 5, 6), a)
+        - a[3, 4] * _pf_poly((1, 2, 5, 6), a)
+        + a[3, 5] * _pf_poly((1, 2, 4, 6), a)
+        - a[3, 6] * _pf_poly((1, 2, 4, 5), a)
     )
     return rhs == lhs
 
@@ -556,18 +629,21 @@ def verify_resolution_tower(m):
         raise ValueError("resolution tower implemented for m in {4, 5}")
 
     checks = {}
+    # the five b-generators, each expanded once
+    table = _entry_table(combinations(range(1, 6), 2))
+    b = {key: _pf_poly(key, table) for key in combinations(range(1, 6), 4)}
     # first-to-second level: phi_1(c_i) = sum_j (-1)^j a_ij b_{1..j^..5} = 0 in R[a]
     for i in range(1, 6):
         total = MultiPoly()
         for key, coeff in _c_elt(i).components.items():
-            total = total + coeff * _pf_poly(key)
+            total = total + coeff * b[key]
         checks[f"c{i} expands to zero"] = total.is_zero()
 
     # third level: d = sum_i (-1)^(i+1) b_{1..i^..5} c_i has zero b-components
     d = FreeModuleElt()
     for i in range(1, 6):
         complement = tuple(k for k in range(1, 6) if k != i)
-        coeff = (-1) ** (i + 1) * _pf_poly(complement)
+        coeff = (-1) ** (i + 1) * b[complement]
         d = d + _c_elt(i).scale(coeff)
     checks["d components all zero"] = d.is_zero()
 

@@ -299,12 +299,10 @@ def test_substitute_matches_reference(p):
     )
 
 
-@given(mixed_polys())
-@settings(max_examples=60, deadline=None)
-def test_substitute_matches_reference_on_mixed_variables(p):
+def _mixed_mappings():
     a12, a13, a23, u1, u2, x1, y1 = (MultiPoly.variable(v) for v in _mixed_vars)
     zero = MultiPoly()
-    mappings = [
+    return [
         # a13 and u1 are kept and sort between replaced variables; images
         # bring in variables that sort before the factors they replace
         {avar(1, 2): x1 - 2 * u2, avar(2, 3): rat(2, 3), contact_var(2): a12 * y1 + a13, aux_var("y", 1): u1**2 - 1},
@@ -314,7 +312,12 @@ def test_substitute_matches_reference_on_mixed_variables(p):
         # images that merge with kept factors, and a zero image behind kept ones
         {avar(2, 3): a13 - a12, contact_var(1): zero, contact_var(2): u1},
     ]
-    for mapping in mappings:
+
+
+@given(mixed_polys())
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_reference_on_mixed_variables(p):
+    for mapping in _mixed_mappings():
         assert p.substitute(mapping) == _substitute_reference(p, mapping)
 
 
@@ -352,6 +355,84 @@ def test_plucker_does_not_vanish_in_dimension_four():
     got = b.substitute(mapping)
     assert not got.is_zero()
     assert got == _substitute_reference(b, mapping)
+
+
+# --- shared Horner cofactors ---------------------------------------------------
+#
+# substitute substitutes a group of terms once per call when another group
+# equal up to sign was already substituted: the sub-Pfaffian on 5..8 is the
+# cofactor of a12*a34, a13*a24 (negated) and a14*a23.
+
+
+def _b8_one_cofactor_flipped():
+    """b_{1..8} with the cofactor b_5678 of a13*a24 negated: no syzygy, and
+    its other 4-label cofactors still recur with both signs."""
+    a13_a24 = MultiPoly.variable(avar(1, 3)) * MultiPoly.variable(avar(2, 4))
+    return pfaffian_poly(range(1, 9), 3) - 2 * a13_a24 * pfaffian_poly((5, 6, 7, 8), 1)
+
+
+def test_substitute_shares_cofactors_with_nonzero_images():
+    # n = 3: no 6-label Pfaffian vanishes on points in R^6
+    b6, map3 = pfaffian_poly(range(1, 7), 2), _point_map(range(1, 7), 3)
+    got = b6.substitute(map3)
+    assert not got.is_zero() and got == _substitute_reference(b6, map3)
+    # n = 2: the 3x3 minors do not vanish on points in R^4
+    q6, map2 = q_poly(range(1, 7), 1), _point_map(range(1, 7), 2)
+    got = q6.substitute(map2)
+    assert not got.is_zero() and got == _substitute_reference(q6, map2)
+    # n = 2: the 4-label cofactors are nonzero and recur with both signs; the
+    # 8-label Pfaffian vanishes, so a cofactor reused with the wrong sign shows
+    map2 = _point_map(range(1, 9), 2)
+    assert pfaffian_poly(range(1, 9), 3).substitute(map2).is_zero()
+    flipped = _b8_one_cofactor_flipped()
+    got = flipped.substitute(map2)
+    assert not got.is_zero() and got == _substitute_reference(flipped, map2)
+
+
+_a14, _a23, _a24, _a34, _a56 = (MultiPoly.variable(avar(*ij)) for ij in ((1, 4), (2, 3), (2, 4), (3, 4), (5, 6)))
+
+
+def test_substitute_tells_cofactors_apart_by_coefficient_and_kept_factor():
+    # the cofactors of a12, a13 and a14 have the same replaced factors; they
+    # differ in a coefficient (a12 against a13), in sign only (a13 against
+    # a14), or in a kept factor x1 (a15 against a13)
+    p = (
+        _a12 * (_a34 * _x1 + 2 * _a56)
+        + _a13 * (_a34 * _x1 + _a56)
+        - _a14 * (_a34 * _x1 + _a56)
+        + MultiPoly.variable(avar(1, 5)) * (_a34 + _a56)
+    )
+    mapping = _point_map(range(1, 7), 2)
+    assert p.substitute(mapping) == _substitute_reference(p, mapping)
+
+
+@given(mixed_polys(), mixed_polys())
+@example(MultiPoly.constant(1), MultiPoly.constant(-1))
+@example(_u1, _u1 * _x1 - 2)
+@settings(max_examples=60, deadline=None)
+def test_substitute_cofactors_equal_up_to_sign(x, y):
+    # X and Y multiply cofactors a34, a24, a23 that recur up to sign under
+    # a12, a13 and a14; the mixed mappings replace a12, a13, a23 (scalars
+    # among them, which merge terms) and keep a14, a24, a34
+    p = x * (_a12 * _a34 - _a13 * _a24 + _a14 * _a23) + y * (_a12 * _a34 + _a13 * _a24)
+    for mapping in _mixed_mappings():
+        assert p.substitute(mapping) == _substitute_reference(p, mapping)
+
+
+def test_substitute_results_share_no_state():
+    b8 = pfaffian_poly(range(1, 9), 3)
+    map1, map2 = _point_map(range(1, 9), 1), _point_map(range(1, 9), 2)
+    first, second = b8.substitute(map2), b8.substitute(map2)
+    assert first == second and first.terms is not second.terms
+    assert b8.substitute(map1).is_zero()
+    flipped = _b8_one_cofactor_flipped()
+    expected = _substitute_reference(flipped, map2)
+    # a call under another mapping, before and after, leaves each result as it was
+    before = flipped.substitute(map2)
+    flipped.substitute(map1)
+    after = flipped.substitute(map2)
+    assert before == after == expected and before.terms is not after.terms
+    assert first == second  # earlier results are not touched by later calls
 
 
 # --- symbolic Pfaffians ----------------------------------------------------
