@@ -140,7 +140,7 @@ def cmd_syzygy_check(args):
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _unordered_equivalent(a, b, normalize):
+def _unordered_equivalent(a, b, group):
     """Brute-force search over point relabelings of the second configuration.
 
     Plumbing for the S_m-quotient question at desk scale (m <= 6: at most 720
@@ -149,15 +149,16 @@ def _unordered_equivalent(a, b, normalize):
     non-generic ordering are skipped.
     """
     from .invariants import GenericityError
+    from .normal_form import _normalize
 
     if a.m > 6:
         raise ValueError("unordered comparison is limited to m <= 6")
     if (a.n, a.m) != (b.n, b.m):
         raise ValueError("configurations must share (n, m)")
-    sig_a, relabel = normalize(a)
+    sig_a, relabel = _normalize(group, a)
     for perm in permutations(range(1, b.m + 1)):
         try:
-            sig_b, _ = normalize(b.permute(perm), relabel)
+            sig_b, _ = _normalize(group, b.permute(perm), relabel)
         except GenericityError:
             continue
         if sig_b == sig_a:
@@ -167,7 +168,7 @@ def _unordered_equivalent(a, b, normalize):
 
 def cmd_equiv(args):
     from .invariants import load_config
-    from .normal_form import _normalize, _relabel_compare, recover_transform
+    from .normal_form import _relabel_compare, recover_transform
 
     group = args.group
     if group == "contact":
@@ -176,16 +177,15 @@ def cmd_equiv(args):
         load = load_config
     a, b = load(args.config_a), load(args.config_b)
     out = {"group": group}
-    normalize = functools.partial(_normalize, group)
     if args.unordered:
         if group == "contact":
             raise ValueError("unordered comparison is not provided for the contact group")
-        result, perm = _unordered_equivalent(a, b, normalize)
+        result, perm = _unordered_equivalent(a, b, group)
         out["equivalent"] = result
         out["relabeling"] = perm
         _emit(out)
         return EXIT_OK if result else EXIT_FAIL
-    sig_a, sig_b, perm = _relabel_compare(a, b, normalize)
+    sig_a, sig_b, perm = _relabel_compare(a, b, group)
     result = sig_a == sig_b
     out.update(
         equivalent=result, signature_a=_sig_json(sig_a, "signature_a"), signature_b=_sig_json(sig_b, "signature_b")
@@ -327,11 +327,14 @@ def cmd_discretize(args):
     steps = (
         tuple(float(v) for v in args.steps.split(",")) if args.steps else disc.DEFAULT_STEPS
     )
-    quantities = _discretize_reports(args.case, model, at)
     reports = {}
-    for name, (est, target) in quantities.items():
-        reports[name] = disc.convergence_order(est, target, steps).to_dict()
-        reports[name]["target"] = list(target) if isinstance(target, tuple) else target
+    try:  # a float ** raises where * would give inf
+        quantities = _discretize_reports(args.case, model, at)
+        for name, (est, target) in quantities.items():
+            reports[name] = disc.convergence_order(est, target, steps).to_dict()
+            reports[name]["target"] = list(target) if isinstance(target, tuple) else target
+    except OverflowError:
+        raise ValueError(f"--case {args.case} --at {','.join(map(repr, at))}: a value overflows the float range") from None
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("quantity,h,estimate,error\n")

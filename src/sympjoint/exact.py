@@ -18,7 +18,7 @@ interpreter's free lists, which only a full cyclic collection empties.
 import random
 from fractions import Fraction as Rat
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from operator import attrgetter
 
 BACKEND = "fraction"
@@ -377,6 +377,19 @@ def solve(A, B):
 
 def inverse(M):
     return solve(M, ExactMatrix.identity(M.rows))
+
+
+def _check_tuple(idx, length, m=inf):
+    """idx as a tuple of `length` strictly ascending labels in 1..m; the
+    label check of the syzygies, numeric and symbolic (no m: any positive)."""
+    idx = tuple(idx)
+    if len(idx) != length:
+        raise ValueError(f"index tuple of length {len(idx)}, expected {length}")
+    if list(idx) != sorted(set(idx)):
+        raise ValueError(f"indices must be strictly ascending, got {idx}")
+    if idx and (idx[0] < 1 or idx[-1] > m):
+        raise ValueError(f"indices out of range 1..{m}: {idx}")
+    return idx
 
 
 def _pf_expand(labels, entry, zero, add=sum, memo=None):

@@ -26,7 +26,7 @@ import random
 from itertools import combinations
 from types import MappingProxyType
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _check_tuple, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -136,7 +136,7 @@ class ContactConfig(_Record):
         return self.points[k - 1]
 
     def rotate(self):
-        """Cyclic relabeling (A_2, ..., A_m, A_1); used once when R_m = 0."""
+        """Cyclic relabeling (A_2, ..., A_m, A_1), the contact fallback when R_m = 0."""
         return ContactConfig(self.n, self.points[1:] + self.points[:1])
 
 
@@ -312,17 +312,6 @@ def _failed(g: GramTable, n):
     return tuple([f"{name} = 0" for name, v in _chain(g, n) if v == 0])
 
 
-def _check_tuple(idx, m, length):
-    idx = tuple(idx)
-    if len(idx) != length:
-        raise ValueError(f"index tuple of length {len(idx)}, expected {length}")
-    if list(idx) != sorted(set(idx)):
-        raise ValueError(f"indices must be strictly ascending, got {idx}")
-    if idx[0] < 1 or idx[-1] > m:
-        raise ValueError(f"indices out of range 1..{m}: {idx}")
-    return idx
-
-
 def syzygy_value(g: GramTable, idx, n=None):
     """Pfaffian b_{i_1...i_{2n+2}} of the sub-table on the given ascending indices.
 
@@ -332,9 +321,7 @@ def syzygy_value(g: GramTable, idx, n=None):
     idx = tuple(idx)
     if len(idx) % 2 or len(idx) < 4:
         raise ValueError(f"index tuple length must be even and >= 4, got {len(idx)}")
-    if n is not None and len(idx) != 2 * n + 2:
-        raise ValueError(f"tuple length {len(idx)} != 2n+2 = {2 * n + 2}")
-    return _table_pfaffian(g, [_check_tuple(idx, g.m, len(idx))])[0]
+    return _table_pfaffian(g, [_check_tuple(idx, len(idx) if n is None else 2 * n + 2, g.m)])[0]
 
 
 def all_min_syzygies(config: PointConfig):
@@ -352,7 +339,7 @@ def q_value(g: GramTable, idx, n):
     Another syzygy family: vanishes on every table coming from actual points.
     Each entry has s < t + 2n + 1, so the determinant is taken on the ints.
     """
-    idx = _check_tuple(idx, g.m, 4 * n + 2)
+    idx = _check_tuple(idx, 4 * n + 2, g.m)
     k, ints = 2 * n + 1, g.ints
     M = ExactMatrix([[ints[idx[s], idx[t + k]] for t in range(k)] for s in range(k)])
     return det(M) / g.den**k

@@ -20,13 +20,15 @@ lift, is made here, by `_normalize`: one configuration, with its fallback
 relabeling either decided or given.  It reads integer forms only, points
 u_i / d and tables ints / den (built by `_gram_of`, for ASp from u_i - u_1),
 and builds a `Rat` only for a value it returns.  The conformal values
-(`_csp_values`), the absolute contact values (`_contact_normal`) and Witt's
-relations rule (`_relations`) are its parts.  A pair is compared by
-`_relabel_compare`, which decides the relabeling on the first configuration
-and applies it to the second.  That path carries plain (group, values)
-pairs; only the public `signature` (and `csp_signature` in `variants`)
-builds a `Signature`.  The
-imports run one way: `variants` imports this module, never the reverse.
+(`_csp_values`), the absolute contact values (`_absolute_values`) and Witt's
+relations rule (`_relations`) are its parts.  The relabeling is one value for
+every group, a list of point images or () for none: the fallback of
+`_genericize`, or for contact the rotation [2, ..., m, 1] when R_m = 0.  A pair
+is compared by `_relabel_compare`, which decides the relabeling on the first
+configuration and applies it to the second.  That path carries plain
+(group, values) pairs; only the public `signature` (and `csp_signature` in
+`variants`) builds a `Signature`.  The imports run one way: `variants`
+imports this module, never the reverse.
 
 `Signature` stays a frozen dataclass, built on its first read (PEP 562), so
 that importing this module does not load `dataclasses`.  Read it as a module
@@ -36,7 +38,6 @@ calling the hook again would build a second class.
 """
 
 import sys
-from functools import partial
 from math import lcm
 
 from .exact import ExactMatrix, Rat, _IntRowSpace, _Record, _symplectic_columns, nullspace
@@ -191,13 +192,6 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     return ExactMatrix([[Rat(x, D) for x in N] for N in rows])
 
 
-def _group_key(group):
-    key = _GROUPS.get(str(group).lower())
-    if key is None:
-        raise ValueError(f"unknown group {group!r}; expected sp, csp, asp or contact")
-    return key
-
-
 def _relations(points, n, spanning):
     """Witt's rule: the linear relations among the points, flattened.
 
@@ -240,9 +234,6 @@ def _absolute_values(config: ContactConfig):
         raise GenericityError(f"R_{m} = 0")
     pts, d = _integer_points(_plane(config))
     R = _gram_of(pts, d)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
-    eliminated = _eliminated_pairs(m, n)
-    if eliminated and R.ints[1, 2] == 0:
-        raise GenericityError("T_12 = 0 blocks the Pfaffian elimination")
     # T_ij = ints[i, j] / (den R_m), R_m = top / bottom: one Rat per value
     top, bottom = rm.numerator * R.den, rm.denominator
     values = tuple([_reference(p) / rm for p in config.points[: m - 1]])
@@ -253,34 +244,34 @@ def _absolute_values(config: ContactConfig):
     # the plane parts may not span, so their linear relations join too
     spanning = m >= 2 * n and not _failed(R, n)
     if not spanning:
-        values += tuple([Rat(R.ints[p] * bottom, top) for p in eliminated])
+        values += tuple([Rat(R.ints[p] * bottom, top) for p in _eliminated_pairs(m, n)])
     return values + _relations(pts, n, spanning)
-
-
-def _contact_normal(config: ContactConfig, rotated=None):
-    """(("Contact", values), rotated): the one cyclic relabeling is decided
-    here when `rotated` is None (rotate iff R_m = 0), else applied as given."""
-    if rotated is None:
-        rotated = _reference(config.point(config.m)) == 0
-    values = _absolute_values(config.rotate() if rotated else config)
-    return ("Contact", values), rotated
 
 
 def _normalize(group, config, relabel=None):
     """((group key, values), relabeling) of one configuration under `group`.
 
-    The relabeling is decided here when `relabel` is None (the one fallback
-    of `_genericize`, or the contact rotation of `_contact_normal`)
+    The relabeling is a list of 1-based images (new point i is old point
+    relabel[i-1]), or () for none.  It is decided here when `relabel` is None
+    (the one fallback of `_genericize`; for contact [2, ..., m, 1] iff R_m = 0)
     and applied unchanged otherwise; a given relabeling is always the first
     configuration's, applied to the second, which must then be generic.
     Sp: the basic-set values; CSp: sign(a12) and the ratios; ASp: either
     after translating by -A_1; each followed by the linear relations.
+    Contact: the absolute values of `_absolute_values`.
     """
-    key = _group_key(group)
+    key = _GROUPS.get(str(group).lower())
+    if key is None:
+        raise ValueError(f"unknown group {group!r}; expected sp, csp, asp or contact")
+    record = ContactConfig if key == "Contact" else PointConfig
+    if not isinstance(config, record):
+        raise ValueError(f"the {key} group takes a {record.__name__}, got {type(config).__name__}")
     if key == "Contact":
-        if not isinstance(config, ContactConfig):
-            raise ValueError("the contact signature takes a ContactConfig")
-        return _contact_normal(config, relabel)
+        if relabel is None:
+            relabel = [*range(2, config.m + 1), 1] if _reference(config.point(config.m)) == 0 else ()
+        if relabel:
+            config = ContactConfig(config.n, tuple([config.points[k - 1] for k in relabel]))
+        return (key, _absolute_values(config)), relabel
     n, (pts, d) = config.n, _integer_points(config)
     if key == "ASp":
         # translation by -A_1 removes the base point, then the linear theory applies
@@ -302,17 +293,16 @@ def _normalize(group, config, relabel=None):
     return (key, values + _relations(pts, n, g.m >= 2 * n)), relabel
 
 
-def _relabel_compare(A, B, normalize):
-    """(signature of A, signature of B, relabeling) under one group's
-    normalize(config, relabel=None), which decides the fallback relabeling
-    when given None.  It is decided on A and applied unchanged to B, so equal
-    signatures mean genuine group equivalence.  A signature here is whatever
-    `normalize` returns: a plain (group, values) pair on the decision path.
+def _relabel_compare(A, B, group):
+    """(signature of A, signature of B, relabeling) under `group`.  The
+    relabeling is decided on A by `_normalize` and applied unchanged to B, so
+    equal signatures mean genuine group equivalence.  A signature here is a
+    plain (group, values) pair.
     """
     if (A.n, A.m) != (B.n, B.m):
         raise ValueError("configurations must share (n, m)")
-    sig_a, relabel = normalize(A)
-    sig_b, _ = normalize(B, relabel)
+    sig_a, relabel = _normalize(group, A)
+    sig_b, _ = _normalize(group, B, relabel)
     return sig_a, sig_b, relabel
 
 
@@ -336,5 +326,5 @@ def equivalent(A, B, group) -> bool:
     Any fallback relabeling is decided on the first configuration and applied
     to both, so the comparison always tests genuine group equivalence.
     """
-    sig_a, sig_b, _ = _relabel_compare(A, B, partial(_normalize, group))
+    sig_a, sig_b, _ = _relabel_compare(A, B, group)
     return sig_a == sig_b

@@ -19,9 +19,9 @@ Pfaffian kernel's head a_{i0 j} (smallest label first) never does, and a
 one-term factor maps the other's terms in one pass.  The kernel's head blocks
 are disjoint by construction (every term of the block of a_{i0 j} holds
 a_{i0 j}, and no other block does), so they merge by dict update alone; each
-entry's one-term polynomial is built once per expansion.  A general sum adds a
-one-term operand by one lookup and merges a larger operand that shares no
-monomial with the running total by one dict update.  A coefficient is brought
+entry's one-term polynomial is built once per expansion.  A sum (``+``) adds
+a one-term operand by one lookup and merges a larger operand that shares no
+monomial with the other by one dict update.  A coefficient is brought
 to an int where a product or a colliding sum makes it integral, so no result
 is rescanned.  ``substitute`` works in Horner order: terms grouped by leading
 factor share one substitution of their cofactor, and cofactors equal up to
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from itertools import combinations, permutations
 from operator import neg
 
-from .exact import Rat, _pf_expand, rat, rat_str
+from .exact import Rat, _check_tuple, _pf_expand, rat, rat_str
 
 
 def avar(i, j):
@@ -116,26 +116,6 @@ def _add_into(out, items):
             out[mono] = s.numerator if type(s) is not int and s.denominator == 1 else s
         else:
             del out[mono]
-
-
-def _sum(polys, start):
-    """sum(polys, start) added into one dict, not one copy of the total per
-    term.  A one-term operand takes one lookup (no key views); a larger one
-    disjoint from the total is merged by one ``dict.update``."""
-    out = dict(start.terms)
-    for p in polys:
-        terms = p.terms
-        if len(terms) == 1:
-            ((mono, c),) = terms.items()
-            if mono in out:
-                _add_into(out, terms.items())
-            else:
-                out[mono] = c
-        elif out.keys().isdisjoint(terms.keys()):
-            out.update(terms)
-        else:
-            _add_into(out, terms.items())
-    return _wrap(out)
 
 
 def _merge_blocks(polys, start):
@@ -219,9 +199,23 @@ class MultiPoly:
         return hash(tuple(sorted(self.terms.items())))
 
     def __add__(self, other):
+        """The sum in one new dict: a one-term operand takes one lookup (no
+        key views); a larger one disjoint from self is merged by one
+        ``dict.update``."""
         if not isinstance(other, MultiPoly):
             other = MultiPoly.constant(other)
-        return _sum((other,), self)
+        out, terms = dict(self.terms), other.terms
+        if len(terms) == 1:
+            ((mono, c),) = terms.items()
+            if mono in out:
+                _add_into(out, terms.items())
+            else:
+                out[mono] = c
+        elif out.keys().isdisjoint(terms.keys()):
+            out.update(terms)
+        else:
+            _add_into(out, terms.items())
+        return _wrap(out)
 
     __radd__ = __add__
 
@@ -400,11 +394,6 @@ def _avar_signed(i, j):
     return _wrap({((("a", j, i), 1),): -1})
 
 
-def _check_labels(idx):
-    if list(idx) != sorted(set(idx)) or (idx and idx[0] < 1):
-        raise ValueError(f"indices must be ascending, distinct and positive, got {idx}")
-
-
 def _entry_table(pairs):
     """{(i, j): a_ij as a one-term polynomial} over the given label pairs."""
     table = {}
@@ -429,20 +418,13 @@ def _pf_poly(idx, table=None):
 
 def pfaffian_poly(idx, n):
     """The syzygy polynomial b_{i_1...i_{2n+2}} = Pf(a_{i_p i_q})."""
-    idx = tuple(idx)
-    if len(idx) != 2 * n + 2:
-        raise ValueError(f"expected tuple of length {2 * n + 2}, got {len(idx)}")
-    _check_labels(idx)
-    return _pf_poly(idx)
+    return _pf_poly(_check_tuple(idx, 2 * n + 2))
 
 
 def q_poly(idx, n):
     """The determinant syzygy q_{i_1...i_{4n+2}} = det(a_{i_s, i_{t+2n+1}})."""
-    idx = tuple(idx)
+    idx = _check_tuple(idx, 4 * n + 2)
     k = 2 * n + 1
-    if len(idx) != 4 * n + 2:
-        raise ValueError(f"expected tuple of length {4 * n + 2}, got {len(idx)}")
-    _check_labels(idx)
     return _det_poly([[_avar_signed(idx[s], idx[t + k]) for t in range(k)] for s in range(k)])
 
 

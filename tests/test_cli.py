@@ -795,3 +795,61 @@ def test_syzygy_check_cost_guard_refuses_past_the_bound(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: cost guard: need C(m, 2n+2)*4^(n+1) + C(m, 4n+2)*(2n+1)^3 <= 2000000")
     assert captured.err.endswith(f"got {_syzygy_cost(22, 1)} for m = 22, n = 1\n")
+
+
+def test_equiv_contact_with_vanishing_r12(tmp_path, capsys):
+    # R_12 = 0 and m = 4 >= 2n + 2: decided (exit 0 and 1), not refused
+    planes, us = [(1, 2), (2, 4), (0, 1), (3, -1)], [1, 0, 2, -1]
+    a = ContactConfig(1, tuple(ContactPoint(p[:1], p[1:], u) for p, u in zip(planes, us)))
+    b = contact_lift_symplectic(random_symplectic(1, 6, seed=8), a)
+    pts = list(b.points)
+    pts[1] = ContactPoint(pts[1].x, pts[1].y, pts[1].u + 1)
+    pa, pb, pc = (
+        write_json(tmp_path / f"{name}.json", contact_config_to_dict(cfg))
+        for name, cfg in (("a", a), ("b", b), ("c", ContactConfig(1, tuple(pts))))
+    )
+    for other, expected in ((pb, 0), (pc, 1)):
+        code, out = run(capsys, "equiv", pa, other, "--group", "contact")
+        assert code == expected
+        assert json.loads(out)["equivalent"] is (expected == 0)
+
+
+@pytest.mark.parametrize(
+    "group,move",
+    [("csp", lambda c: c.scale(rat(1, 2))), ("asp", lambda c: c.translate((rat(1, 3), -2)))],
+)
+def test_equiv_unordered_beyond_sp(tmp_path, capsys, group, move):
+    a = random_config(1, 5, random.Random(94))
+    b = move(a.transform(random_symplectic(1, 8, seed=22))).permute([3, 5, 1, 2, 4])
+    pa = write_json(tmp_path / "a.json", config_to_dict(a))
+    pb = write_json(tmp_path / "b.json", config_to_dict(b))
+    code, out = run(capsys, "equiv", pa, pb, "--group", group, "--unordered")
+    assert code == 0
+    assert json.loads(out) == {"group": group, "equivalent": True, "relabeling": [3, 4, 1, 5, 2]}
+    perturbed = config_to_dict(b)
+    perturbed["points"][2][0] = str(b.point(3)[0] + 1)
+    pc = write_json(tmp_path / "c.json", perturbed)
+    code, out = run(capsys, "equiv", pa, pc, "--group", group, "--unordered")
+    assert code == 1
+    assert json.loads(out) == {"group": group, "equivalent": False, "relabeling": None}
+
+
+def test_equiv_unordered_refusals(tmp_path, capsys):
+    contact = write_json(tmp_path / "c.json", {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}] * 2})
+    seven = write_json(tmp_path / "s.json", config_to_dict(random_config(1, 7, seed=5)))
+    for argv, message in (
+        ([contact, contact, "--group", "contact"], "unordered comparison is not provided for the contact group"),
+        ([seven, seven], "unordered comparison is limited to m <= 6"),
+    ):
+        code = main(["equiv", *argv, "--unordered"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case,at,shown", [("contact", "1e200", "1e+200"), ("function", "1e200,1", "1e+200,1.0")])
+def test_discretize_float_overflow_is_named(capsys, case, at, shown):
+    code = main(["discretize", "--case", case, "--at", at])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: --case {case} --at {shown}: a value overflows the float range\n")

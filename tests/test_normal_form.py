@@ -14,10 +14,12 @@ from sympjoint.exact import (
     solve,
     symp,
 )
-from sympjoint.invariants import GenericityError, PointConfig, _table_pfaffian, gram, random_config
+from sympjoint.invariants import ContactConfig, ContactPoint, GenericityError, PointConfig, _table_pfaffian, gram, random_config
 from sympjoint.normal_form import (
     _canonical_columns,
     _condense,
+    _normalize,
+    _relabel_compare,
     canonical,
     equivalent,
     genericity,
@@ -518,3 +520,39 @@ def test_recover_transform_checks_every_point(monkeypatch):
     monkeypatch.setattr(nf, "_gram_of", lambda pts, d: table)  # hides that the tables differ
     with pytest.raises(RuntimeError, match="fails to move point 4"):
         recover_transform(a, b)
+
+
+CONTACT3 = ContactConfig(1, (((1,), (1,), 0), ((0,), (1,), 1), ((2,), (3,), 1)))
+POINTS3 = PointConfig(1, ((1, 0), (0, 1), (2, 3)))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: signature(CONTACT3, "sp"), "the Sp group takes a PointConfig, got ContactConfig"),
+        (lambda: equivalent(CONTACT3, CONTACT3, "csp"), "the CSp group takes a PointConfig, got ContactConfig"),
+        (lambda: equivalent(POINTS3, CONTACT3, "asp"), "the ASp group takes a PointConfig, got ContactConfig"),
+        (lambda: signature(POINTS3, "contact"), "the Contact group takes a ContactConfig, got PointConfig"),
+        (lambda: equivalent(CONTACT3, POINTS3, "contact"), "the Contact group takes a ContactConfig, got PointConfig"),
+    ],
+)
+def test_each_group_names_the_record_it_takes(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_contact_relabeling_is_a_list_decided_on_the_first():
+    # R_3 = 2 * 3 - 2 = 4 here, and 0 once u_3 = 3: the rotation [2, 3, 1]
+    assert _normalize("contact", CONTACT3)[1] == ()
+    last = ContactPoint((2,), (3,), 3)
+    rotated = ContactConfig(1, CONTACT3.points[:2] + (last,))
+    sig_a, relabel = _normalize("contact", rotated)
+    assert relabel == [2, 3, 1]
+    assert sig_a == _normalize("contact", ContactConfig(1, (CONTACT3.points[1], last, CONTACT3.points[0])))[0]
+    # the second configuration is read under the first one's relabeling
+    assert _relabel_compare(rotated, rotated, "contact") == (sig_a, sig_a, [2, 3, 1])
+    # R_1 = 0 here: it needs no rotation of its own, and rotated its last R is 0
+    other = ContactConfig(1, (ContactPoint((1,), (0,), 0),) + CONTACT3.points[1:])
+    assert _normalize("contact", other)[1] == ()
+    with pytest.raises(GenericityError, match="^R_3 = 0$"):
+        _relabel_compare(rotated, other, "contact")

@@ -10,7 +10,6 @@ from sympjoint.invariants import GramTable, gram, q_value, random_config
 from sympjoint.poly import (
     MultiPoly,
     _pf_poly,
-    _sum,
     aux_var,
     avar,
     contact_var,
@@ -237,7 +236,7 @@ def test_sum_matches_dict_merge(start, operands, cancel):
     if cancel and operands:
         operands.append(-operands[0])
     before = [dict(p.terms) for p in [start, *operands]]
-    got = _sum(operands, start)
+    got = sum(operands, start)
     assert got.terms == _sum_reference(operands, start)
     assert all(type(c) is int for c in got.terms.values() if c.denominator == 1)
     assert [p.terms for p in [start, *operands]] == before  # operands are not mutated

@@ -439,3 +439,30 @@ def test_contact_values_are_the_relative_ratios():
     assert rm.denominator != 1
     expected = [r / rm for r in rel["R_k"][:-1]] + [rel["R_ij"][p] / rm for p in ((1, 2), (1, 3), (2, 3))]
     assert list(contact_absolute(cfg).values) == expected
+
+
+# plane parts whose first two pair to zero (R_12 = 0), with m >= 2n + 2, so
+# the leading chain fails and the eliminated T_ij join the signature
+R12_ZERO = [
+    (1, [(1, 2), (2, 4), (0, 1), (3, -1)], [1, 0, 2, -1]),
+    (1, [(1, 2), (-1, -2), (0, 1), (3, -1), (2, 5)], [1, 0, 2, 3, -1]),
+    (2, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 0, 1), (2, -1, 3, 1), (0, 3, 1, 2)], [1, 0, 2, -1, 1, 2]),
+]
+
+
+def r12_zero_contact(n, planes, us):
+    cfg = ContactConfig(n, tuple(ContactPoint(p[:n], p[n:], u) for p, u in zip(planes, us)))
+    assert contact_relative(cfg)["R_ij"][1, 2] == 0 and contact_relative(cfg)["R_k"][-1] != 0
+    return cfg
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n,planes,us", R12_ZERO)
+def test_contact_with_vanishing_r12_is_decided(n, planes, us, seed):
+    A = r12_zero_contact(n, planes, us)
+    B = contact_lift_symplectic(random_symplectic(n, 6, seed=seed), A)
+    assert contact_equivalent(A, B)
+    assert contact_absolute(A) == contact_absolute(B)
+    pts = list(B.points)
+    pts[1] = ContactPoint(pts[1].x, pts[1].y, pts[1].u + 1)
+    assert not contact_equivalent(A, ContactConfig(n, tuple(pts)))
