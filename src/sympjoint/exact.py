@@ -385,6 +385,9 @@ def _check_tuple(idx, length, m=inf):
     idx = tuple(idx)
     if len(idx) != length:
         raise ValueError(f"index tuple of length {len(idx)}, expected {length}")
+    for i in idx:
+        if type(i) is not int:  # bool too: True would print as the label "True"
+            raise ValueError(f"indices must be ints, got {i!r} in {idx}")
     if list(idx) != sorted(set(idx)):
         raise ValueError(f"indices must be strictly ascending, got {idx}")
     if idx and (idx[0] < 1 or idx[-1] > m):

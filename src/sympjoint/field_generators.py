@@ -18,9 +18,8 @@ import random
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, _IntRowSpace, _Record, rank
-from .invariants import GenericityError, GramTable, PointConfig, _integer_points, random_config
-from .invariants import _condense, _pivot, _skew_rows
+from .exact import ExactMatrix, Rat, _check_tuple, _IntRowSpace, _Record, rank
+from .invariants import GenericityError, GramTable, PointConfig, _integer_points, _leading, random_config
 
 
 def dim_d(m, n):
@@ -53,22 +52,20 @@ def eliminate_entry(known, k, l, n):
     or a mapping {(i, j): value} with i < j, values in any form `rat` reads.
     The Pfaffian is linear in the single unknown entry; as (k, l) are its last
     two labels, the coefficient is b_{1..2n}, which must not vanish.  Both are
-    read off one condensation of the ints (a_kl = 0) over labels 1..2n, in
-    time polynomial in n: P(k, l) and the last pivot.
+    the last two leading Pfaffians of the ints (a_kl = 0) over labels
+    (1..2n, k, l), read off one condensation (`_leading`) in time polynomial in n.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     if not (2 * n < k < l):
         raise ValueError(f"expected 2n < k < l, got k={k}, l={l} for n={n}")
     labels = tuple(range(1, 2 * n + 1)) + (k, l)
     if not isinstance(known, GramTable):
         known = GramTable(l, {p: 0 if p == (k, l) else known[p] for p in combinations(labels, 2)})
-    P = _skew_rows({**known.ints, (k, l): 0}, labels)
-    prev = 1
-    for e in range(1, 2 * n, 2):
-        if _pivot(P, e, 2 * n) is None:
-            raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
-        _condense(P, e, e + 1, prev)
-        prev = P[e][e + 1]
-    return Rat(-P[2 * n + 1][2 * n + 2], prev * known.den)
+    *_, b, c = _leading({**known.ints, (k, l): 0}, _check_tuple(labels, 2 * n + 2, known.m))
+    if not b:
+        raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
+    return Rat(-c, b * known.den)
 
 
 def stabilizer_dim(points, n):

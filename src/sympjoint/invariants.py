@@ -13,12 +13,15 @@ Gram tables and their Pfaffians are computed in Python ints; a `Rat` is built
 only for a returned value.  A `PointConfig` carries one integer form, A_i =
 u_i / d, built with the record, and `_gram_of` builds a table's, a_ij =
 ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2; tables
-compare by it, and their `Rat` values are built on first read.  `_table_pfaffian`
-expands every label tuple it is given on those ints, with one memo of
-sub-Pfaffians shared across the tuples; the syzygies go through it.  The
-leading-Pfaffian chain and its failed predicates are read off one Pfaffian
-condensation of the ints (`_condense`, which the canonical form of
-`normal_form` and `eliminate_entry` also run), in time polynomial in n.
+compare by it, and their `Rat` values are built on first read.  The leading
+Pfaffians of a label tuple are read off one Pfaffian condensation of the ints
+(`_leading`, which swaps in a later label past a vanishing pivot), in time
+polynomial in the tuple length: the chain and its failed predicates, the
+syzygy value of one tuple and `eliminate_entry` all take it.  A batch of
+tuples goes through `_table_pfaffian`, which expands each on the ints with
+one memo of sub-Pfaffians shared across the tuples: `all_min_syzygies` and
+`syzygy-check` take that.  The canonical form of `normal_form` runs the
+condensation step `_condense` itself, with no pivot search.
 """
 
 import json
@@ -268,41 +271,39 @@ def _skew_rows(ints, labels):
     return [[0] * (len(labels) + 1)] + rows
 
 
-def _pivot(P, e, last):
-    """Swap position e + 1 with the first f in e+1..last where P(e, f) != 0 and
-    return f; None when row e vanishes there (so does Pf on 1..last)."""
-    f = next((j for j in range(e + 1, last + 1) if P[e][j]), None)
-    if f is not None and f > e + 1:
-        P[e + 1], P[f] = P[f], P[e + 1]
-        for row in P:
-            row[e + 1], row[f] = row[f], row[e + 1]
-    return f
+def _leading(ints, labels):
+    """The leading Pfaffians Pf(ints | labels[:2k]), k = 1..len(labels) / 2, in ints.
 
-
-def _chain(g: GramTable, n):
-    """The non-vanishing chain used by the canonical form: leading Pfaffians.
-
-    b_{1..2k}, k <= min(n, m/2), is P(2k-1, 2k) once `_condense` has taken
-    pairs 1..2k-2.  A vanishing pivot P(e, e+1) swaps in the first later label
-    f with P(e, f) != 0, which flips the sign of the label sets holding both
+    Pf on positions 1..2k is P(2k-1, 2k) once `_condense` has taken pairs
+    1..2k-2.  A vanishing pivot P(e, e+1) swaps in the first later position f
+    with P(e, f) != 0, which flips the sign of the position sets holding both
     and zeroes the sets holding e but not f (row e vanishes there); a row e
-    with no such f zeroes every longer leading Pfaffian.
+    with no such f zeroes every longer leading Pfaffian.  O(len^3)
+    multiplications where the expansion grows like 4^len.
     """
-    top = 2 * min(n, g.m // 2)
-    P = _skew_rows(g.ints, range(1, top + 1))
-    pfs, prev, sign, reach = [], 1, 1, 0  # reach: the furthest label swapped in
+    P, top = _skew_rows(ints, labels), len(labels)
+    pfs, prev, sign, reach = [], 1, 1, 0  # reach: the furthest position swapped in
     for e in range(1, top, 2):
         pfs.append(sign * P[e][e + 1] if e + 1 >= reach else 0)
         if e + 1 == top:
             break
-        f = _pivot(P, e, top)
+        f = next((j for j in range(e + 1, top + 1) if P[e][j]), None)
         if f is None:
             pfs += [0] * ((top - e - 1) // 2)
             break
         if f > e + 1:
             sign, reach = -sign, max(reach, f)
+            P[e + 1], P[f] = P[f], P[e + 1]
+            for row in P:
+                row[e + 1], row[f] = row[f], row[e + 1]
         _condense(P, e, e + 1, prev)
         prev = P[e][e + 1]
+    return pfs
+
+
+def _chain(g: GramTable, n):
+    """The chain used by the canonical form: the leading Pfaffians b_{1..2k}, k <= min(n, m/2), named."""
+    pfs = _leading(g.ints, range(1, 2 * min(n, g.m // 2) + 1))
     names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k in range(1, len(pfs) + 1)]
     return [(name, Rat(v, g.den**k)) for k, (name, v) in enumerate(zip(names, pfs), 1)]
 
@@ -313,7 +314,9 @@ def _failed(g: GramTable, n):
 
 
 def syzygy_value(g: GramTable, idx, n=None):
-    """Pfaffian b_{i_1...i_{2n+2}} of the sub-table on the given ascending indices.
+    """Pfaffian b_{i_1...i_{2n+2}} of the sub-table on the given ascending indices,
+    the last leading Pfaffian of one condensation (`_leading`): its cost is
+    polynomial in the tuple length.
 
     Vanishes identically when the table comes from points in R^{2n} and the
     tuple has length 2n+2 (or more): 2n+2 vectors in R^{2n} are dependent.
@@ -321,7 +324,8 @@ def syzygy_value(g: GramTable, idx, n=None):
     idx = tuple(idx)
     if len(idx) % 2 or len(idx) < 4:
         raise ValueError(f"index tuple length must be even and >= 4, got {len(idx)}")
-    return _table_pfaffian(g, [_check_tuple(idx, len(idx) if n is None else 2 * n + 2, g.m)])[0]
+    idx = _check_tuple(idx, len(idx) if n is None else 2 * n + 2, g.m)
+    return Rat(_leading(g.ints, idx)[-1], g.den ** (len(idx) // 2))
 
 
 def all_min_syzygies(config: PointConfig):

@@ -108,6 +108,16 @@ def test_eliminate_entry_zero_denominator():
         eliminate_entry(vals, 3, 4, 1)
 
 
+def test_eliminate_entry_rejects_labels_past_its_table():
+    g = gram(random_config(1, 6, seed=1))
+    with pytest.raises(ValueError, match=r"^indices out of range 1\.\.6: \(1, 2, 5, 9\)$"):
+        eliminate_entry(g, 5, 9, 1)
+    with pytest.raises(ValueError, match=r"^expected 2n < k < l, got k=2, l=5 for n=1$"):
+        eliminate_entry(g, 2, 5, 1)
+    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+        eliminate_entry(g, 5, 6, 0)
+
+
 def test_stabilizer_dims_match_binomial_formula():
     rng = random.Random(53)
     for n in (1, 2, 3):

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -20,6 +21,7 @@ from sympjoint.invariants import (
     syzygy_value,
 )
 from sympjoint.normal_form import _relations
+from sympjoint.poly import pfaffian_poly, q_poly
 
 
 def test_gram_hand_values():
@@ -93,6 +95,26 @@ def test_syzygy_value_rejects_malformed_tuples():
         syzygy_value(g, (4, 3, 2, 1))
     with pytest.raises(ValueError):
         syzygy_value(g, (1, 2, 3, 9))
+
+
+@pytest.mark.parametrize(
+    "call, length",
+    [
+        (lambda g, idx: pfaffian_poly(idx, 1), 4),
+        (lambda g, idx: q_poly(idx, 1), 6),
+        (lambda g, idx: syzygy_value(g, idx), 4),
+        (lambda g, idx: q_value(g, idx, 1), 6),
+    ],
+    ids=["pfaffian_poly", "q_poly", "syzygy_value", "q_value"],
+)
+@pytest.mark.parametrize("label, at", [(1.5, 0), (True, 0), (Rat(2), 1), ("6", -1), (None, -1)])
+def test_non_int_labels_are_rejected_by_name(call, length, label, at):
+    # one label check for the numeric and symbolic syzygies; a bool is no label
+    g = gram(random_config(1, 6, seed=1))
+    idx = list(range(1, length + 1))
+    idx[at] = label
+    with pytest.raises(ValueError, match=rf"^indices must be ints, got {re.escape(repr(label))} in "):
+        call(g, tuple(idx))
 
 
 def test_all_min_syzygies():
@@ -194,7 +216,7 @@ def test_chain_and_syzygy_value_are_subtable_pfaffians(g, n, data):
 def test_chain_pivots_past_vanishing_leading_pfaffians():
     # mostly-zero entries, a12 .. a1r zero: a vanishing pivot P(e, e+1) makes
     # the condensation swap in a later label, or find a zero row
-    rng = random.Random(2)
+    rng, pick = random.Random(2), random.Random(3)
     for _ in range(1500):
         m, n = rng.randint(2, 10), rng.randint(1, 5)
         values = {p: rng.choice([0, 0, 0, 0, 1, -1, 2]) for p in combinations(range(1, m + 1), 2)}
@@ -203,6 +225,11 @@ def test_chain_pivots_past_vanishing_leading_pfaffians():
         assert len(chain) == min(n, m // 2)
         for k, (_, value) in enumerate(chain, 1):
             assert value == _pf_expand(tuple(range(1, 2 * k + 1)), g.value, Rat(0))
+        if m >= 5:
+            # syzygy_value runs the same condensation on positions of labels
+            # other than 1..2k: an ascending subset without label 1
+            idx = tuple(sorted(pick.sample(range(2, m + 1), pick.choice(range(4, m, 2)))))
+            assert syzygy_value(g, idx) == _pf_expand(idx, g.value, Rat(0))
 
 
 def test_chain_names_survive_a_swapped_pivot():
@@ -223,6 +250,9 @@ def test_chain_at_a_size_the_expansion_cannot_reach():
     assert [name for name, _ in chain][-1] == "b" + "".join([str(i) for i in range(1, 41)])
     for k, (_, value) in enumerate(chain, 1):
         assert value**2 == det(g.subtable(tuple(range(1, 2 * k + 1))).full())
+    for idx in (tuple(range(1, 41)), tuple(sorted(random.Random(30).sample(range(1, 41), 30)))):
+        assert syzygy_value(g, idx) ** 2 == det(g.subtable(idx).full())
+    assert syzygy_value(g, range(1, 41)) == chain[-1][1]
 
 
 # p/q with q in 1..12: the integer path clears these denominators
