@@ -59,9 +59,13 @@ def _rat_json(name, value):
 
 
 def _sig_json(sig, key):
-    """JSON of a (group, values) signature pair, as `normal_form._normalize` returns it."""
-    group, values = sig
-    return {"group": group, "values": [_rat_json(f"{key}[{k}]", v) for k, v in enumerate(values)]}
+    """JSON of a (group, row, D, relations) signature, as `normal_form._normalize`
+    returns it: one `Rat` x / D per printed value of the row (`normal_form._values`),
+    then the relations."""
+    from .normal_form import _values
+
+    group, *parts = sig
+    return {"group": group, "values": [_rat_json(f"{key}[{k}]", v) for k, v in enumerate(_values(*parts))]}
 
 
 def cmd_invariants(args):
@@ -149,7 +153,7 @@ def _unordered_equivalent(a, b, group):
     non-generic ordering are skipped.
     """
     from .invariants import GenericityError
-    from .normal_form import _normalize
+    from .normal_form import _normalize, _same
 
     if a.m > 6:
         raise ValueError("unordered comparison is limited to m <= 6")
@@ -161,14 +165,14 @@ def _unordered_equivalent(a, b, group):
             sig_b, _ = _normalize(group, b.permute(perm), relabel)
         except GenericityError:
             continue
-        if sig_b == sig_a:
+        if _same(sig_a, sig_b):
             return True, list(perm)
     return False, None
 
 
 def cmd_equiv(args):
     from .invariants import load_config
-    from .normal_form import _relabel_compare, recover_transform
+    from .normal_form import _relabel_compare, _same, recover_transform
 
     group = args.group
     if group == "contact":
@@ -186,7 +190,7 @@ def cmd_equiv(args):
         _emit(out)
         return EXIT_OK if result else EXIT_FAIL
     sig_a, sig_b, perm = _relabel_compare(a, b, group)
-    result = sig_a == sig_b
+    result = _same(sig_a, sig_b)
     out.update(
         equivalent=result, signature_a=_sig_json(sig_a, "signature_a"), signature_b=_sig_json(sig_b, "signature_b")
     )

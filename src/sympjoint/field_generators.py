@@ -49,7 +49,8 @@ def eliminate_entry(known, k, l, n):
     """Value of a_kl forced by the syzygy b_{1,...,2n,k,l} = 0.
 
     `known` supplies the other entries on indices (1..2n, k, l), as a GramTable
-    or a mapping {(i, j): value} with i < j, values in any form `rat` reads.
+    or a mapping {(i, j): value} with i < j, values in any form `rat` reads;
+    a missing entry raises ValueError naming it.
     The Pfaffian is linear in the single unknown entry; as (k, l) are its last
     two labels, the coefficient is b_{1..2n}, which must not vanish.  Both are
     the last two leading Pfaffians of the ints (a_kl = 0) over labels
@@ -61,8 +62,13 @@ def eliminate_entry(known, k, l, n):
         raise ValueError(f"expected 2n < k < l, got k={k}, l={l} for n={n}")
     labels = tuple(range(1, 2 * n + 1)) + (k, l)
     if not isinstance(known, GramTable):
-        known = GramTable(l, {p: 0 if p == (k, l) else known[p] for p in combinations(labels, 2)})
-    *_, b, c = _leading({**known.ints, (k, l): 0}, _check_tuple(labels, 2 * n + 2, known.m))
+        known = GramTable(l, {p: known[p] for p in combinations(labels, 2) if p != (k, l) and p in known})
+    labels, ints = _check_tuple(labels, 2 * n + 2, known.m), {**known.ints, (k, l): 0}
+    lacking = next((p for p in combinations(labels, 2) if p not in ints), None)
+    if lacking is not None:
+        i, j = lacking
+        raise ValueError(f"known lacks a{i}{j}" if j < 10 else f"known lacks a{i}_{j}")
+    *_, b, c = _leading(ints, labels)
     if not b:
         raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
     return Rat(-c, b * known.den)

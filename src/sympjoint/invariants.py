@@ -5,15 +5,18 @@ invariant of a pair is a_ij = omega(OA_i, OA_j), twice the symplectic area of
 the triangle through the origin.  All point indices are 1-based, matching the
 usual a_12, b_1234 notation; the skew extension a_ji = -a_ij is computed on
 access.  The contact records `ContactPoint` and `ContactConfig` live here
-beside `PointConfig`, with the reference R = x.y - 2u of a contact point and
-its plane part (x, y), so that `normal_form` decides every group without
+beside `PointConfig`, so that `normal_form` decides every group without
 importing `variants`.
 
 Gram tables and their Pfaffians are computed in Python ints; a `Rat` is built
 only for a returned value.  A `PointConfig` carries one integer form, A_i =
 u_i / d, built with the record, and `_gram_of` builds a table's, a_ij =
-ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2; tables
-compare by it, and their `Rat` values are built on first read.  The leading
+ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2; their `Rat`
+values are built on first read.  A `ContactConfig` carries one too
+(`_contact_ints`): its plane parts, whose `_gram_of` is the contact table
+R_ij, and its references R_i = x_i.y_i - 2 u_i, all over one d^2.  Two
+integer forms, tables or signature rows, compare by one rule, `_same_values`
+(x e == y d entry by entry).  The leading
 Pfaffians of a label tuple are read off one Pfaffian condensation of the ints
 (`_leading`, which swaps in a later label past a vanishing pivot), in time
 polynomial in the tuple length: the chain and its failed predicates, the
@@ -118,7 +121,7 @@ class ContactConfig(_Record):
     Fields: n (int) and points (a tuple of `ContactPoint`).
     """
 
-    __slots__ = ("n", "points")
+    __slots__ = ("n", "points", "_ints")
 
     def __post_init__(self):
         if self.n < 1:
@@ -130,6 +133,11 @@ class ContactConfig(_Record):
             if len(p.x) != self.n:
                 raise ValueError(f"point with {len(p.x)} x-coordinates, expected {self.n}")
         object.__setattr__(self, "points", pts)
+        n, k = self.n, 2 * self.n + 1
+        flat, d = _integer_row([c for p in pts for c in p.x + p.y + (p.u,)])
+        planes = [flat[i : i + 2 * n] for i in range(0, len(flat), k)]
+        refs = [sum([a * b for a, b in zip(u[:n], u[n:])]) - 2 * w * d for u, w in zip(planes, flat[2 * n :: k])]
+        object.__setattr__(self, "_ints", (planes, refs, d))
 
     @property
     def m(self):
@@ -141,20 +149,6 @@ class ContactConfig(_Record):
     def rotate(self):
         """Cyclic relabeling (A_2, ..., A_m, A_1), the contact fallback when R_m = 0."""
         return ContactConfig(self.n, self.points[1:] + self.points[:1])
-
-
-def _dot(x, y):
-    return sum((a * b for a, b in zip(x, y)), Rat(0))
-
-
-def _reference(p: ContactPoint):
-    """R of one point: x . y - 2u."""
-    return _dot(p.x, p.y) - 2 * p.u
-
-
-def _plane(config: ContactConfig) -> PointConfig:
-    """The plane parts (x, y) of the points: their Gram table is R_ij."""
-    return PointConfig(config.n, tuple([p.x + p.y for p in config.points]))
 
 
 class GramTable:
@@ -209,21 +203,40 @@ class GramTable:
         )
 
     def __eq__(self, other):
-        """Equal values, read off the integer forms (cross-multiplied when the dens differ)."""
+        """Equal values, read off the integer forms by `_same_values`."""
         if not isinstance(other, GramTable):
             return NotImplemented
         if self.m != other.m or self.ints.keys() != other.ints.keys():
             return False
-        d, e, theirs = self.den, other.den, other.ints
-        return self.ints == theirs if d == e else all([x * e == theirs[p] * d for p, x in self.ints.items()])
+        theirs = other.ints
+        return _same_values(list(self.ints.values()), self.den, [theirs[p] for p in self.ints], other.den)
 
     def __repr__(self):
         inner = ", ".join(f"a{i}{j}={rat_str(v)}" for (i, j), v in sorted(self.values.items()))
         return f"GramTable(m={self.m}, {inner})"
 
 
+def _same_values(xs, d, ys, e):
+    """Whether x / d == y / e entry by entry, for int lists xs, ys over nonzero
+    ints d, e of any sign: equal lengths, then x e == y d (list equality when
+    d == e).  The one comparison of integer forms, for Gram tables and
+    signature rows alike."""
+    if len(xs) != len(ys):
+        return False
+    return xs == ys if d == e else all([x * e == y * d for x, y in zip(xs, ys)])
+
+
 def _integer_points(config: PointConfig):
     """(u_1, ..., u_m as int lists, d), A_i = u_i / d, built with the record; read-only."""
+    return config._ints
+
+
+def _contact_ints(config: ContactConfig):
+    """(planes, refs, d), the integer form of a contact configuration, built
+    with the record; read-only.  d is the common denominator of every
+    coordinate, u included; planes[i] = d (x_i, y_i) as an int list, and
+    refs[i] = x'.y' - 2 u' d for x' = d x_i, y' = d y_i, u' = d u_i, so that
+    R_i = refs[i] / d^2 and R_ij = symp(planes[i], planes[j]) / d^2."""
     return config._ints
 
 

@@ -17,18 +17,24 @@ y^2 slot.
 
 Every signature and equivalence decision, for Sp, CSp, ASp and the contact
 lift, is made here, by `_normalize`: one configuration, with its fallback
-relabeling either decided or given.  It reads integer forms only, points
-u_i / d and tables ints / den (built by `_gram_of`, for ASp from u_i - u_1),
-and builds a `Rat` only for a value it returns.  The conformal values
-(`_csp_values`), the absolute contact values (`_absolute_values`) and Witt's
-relations rule (`_relations`) are its parts.  The relabeling is one value for
-every group, a list of point images or () for none: the fallback of
-`_genericize`, or for contact the rotation [2, ..., m, 1] when R_m = 0.  A pair
-is compared by `_relabel_compare`, which decides the relabeling on the first
-configuration and applies it to the second.  That path carries plain
-(group, values) pairs; only the public `signature` (and `csp_signature` in
-`variants`) builds a `Signature`.  The imports run one way: `variants`
-imports this module, never the reverse.
+relabeling either decided or given.  It reads integer forms only, points u_i /
+d, tables ints / den (built by `_gram_of`, for ASp from u_i - u_1) and the
+contact form of `_contact_ints`, and returns a signature as one integer row
+over one nonzero integer D, plus Witt's relations: (key, row, D, relations),
+the values being x / D for each x of the row.  Sp and ASp take the basic-set
+ints over den, CSp |a12| and the basic-set ints after (1, 2) over a12
+(`_csp_values`), contact r_1..r_{m-1} and the plane parts' table ints over r_m
+(`_absolute_values`).  Two signatures compare by one rule, `_same`: equal rows
+by `invariants._same_values` (x D_b == y D_a entry by entry, the rule
+`GramTable.__eq__` uses) and equal relations, so no value of a decision
+becomes a `Rat`; `_values` builds one per value that `signature`,
+`csp_signature` (in `variants`) or the CLI returns.  The relabeling is one
+value for every group, a list of point images or () for none: the fallback of
+`_genericize`, or for contact the rotation [2, ..., m, 1] when R_m = 0,
+applied to the integer form.  A pair is compared by `_relabel_compare`, which
+decides the relabeling on the first configuration and applies it to the
+second.  The imports run one way: `variants` imports this module, never the
+reverse.
 
 `Signature` stays a frozen dataclass, built on its first read (PEP 562), so
 that importing this module does not load `dataclasses`.  Read it as a module
@@ -48,11 +54,11 @@ from .invariants import (
     GramTable,
     PointConfig,
     _condense,
+    _contact_ints,
     _failed,
     _gram_of,
     _integer_points,
-    _plane,
-    _reference,
+    _same_values,
     _skew_rows,
 )
 
@@ -211,15 +217,15 @@ def _relations(points, n, spanning):
 
 
 def _csp_values(g: GramTable, n):
-    """The conformal values: sign(a12), then a_ij/a12 over the basic set, in ints."""
+    """The conformal row over a12: |a12| (so sign(a12) = |a12| / a12), then
+    the ints of the basic set after (1, 2), whose values are a_ij / a12."""
     if g.m < 2:
         raise ValueError("conformal signature needs at least two points")
     ints = g.ints
     a12 = ints[1, 2]
     if a12 == 0:
         raise GenericityError("a12 = 0")
-    sign = Rat(1) if a12 > 0 else Rat(-1)
-    return (sign,) + tuple([Rat(ints[p], a12) for p in basic_set(g.m, n).pairs[1:]])
+    return [abs(a12)] + [ints[p] for p in basic_set(g.m, n).pairs[1:]], a12
 
 
 def _eliminated_pairs(m, n):
@@ -227,38 +233,41 @@ def _eliminated_pairs(m, n):
     return [(i, j) for i in range(2 * n + 1, m + 1) for j in range(i + 1, m + 1)]
 
 
-def _absolute_values(config: ContactConfig):
-    m, n = config.m, config.n
-    rm = _reference(config.point(m))
+def _absolute_values(planes, refs, d, n):
+    """The absolute contact values as (row, r_m, relations), from the integer
+    form of `_contact_ints`, relabeled: T_k = r_k / r_m for k < m, then
+    T_ij = ints[i, j] / r_m over the basic set of the plane parts' table R
+    (R_k and R_ij share the denominator d^2, which cancels)."""
+    m, rm = len(refs), refs[-1]
     if rm == 0:
         raise GenericityError(f"R_{m} = 0")
-    pts, d = _integer_points(_plane(config))
-    R = _gram_of(pts, d)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
-    # T_ij = ints[i, j] / (den R_m), R_m = top / bottom: one Rat per value
-    top, bottom = rm.numerator * R.den, rm.denominator
-    values = tuple([_reference(p) / rm for p in config.points[: m - 1]])
-    values += tuple([Rat(R.ints[p] * bottom, top) for p in basic_set(m, n).pairs])
+    R = _gram_of(planes, d)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
+    ints = R.ints
+    row = refs[:-1] + [ints[p] for p in basic_set(m, n).pairs]
     # the elimination divides by every link b_{1..2k}(T) of the leading
     # chain; unless all n links pass, the basic set does not determine the
     # eliminated T_ij, so they join the signature (each is invariant), and
     # the plane parts may not span, so their linear relations join too
     spanning = m >= 2 * n and not _failed(R, n)
     if not spanning:
-        values += tuple([Rat(R.ints[p] * bottom, top) for p in _eliminated_pairs(m, n)])
-    return values + _relations(pts, n, spanning)
+        row += [ints[p] for p in _eliminated_pairs(m, n)]
+    return row, rm, _relations(planes, n, spanning)
 
 
 def _normalize(group, config, relabel=None):
-    """((group key, values), relabeling) of one configuration under `group`.
+    """((group key, row, D, relations), relabeling) of one configuration under `group`.
 
+    The signature's values are x / D for each int x of the row (D a nonzero
+    int), followed by the relations (Witt's rule, `_relations`); `_values`
+    builds them and `_same` compares two signatures without building any.
     The relabeling is a list of 1-based images (new point i is old point
     relabel[i-1]), or () for none.  It is decided here when `relabel` is None
     (the one fallback of `_genericize`; for contact [2, ..., m, 1] iff R_m = 0)
     and applied unchanged otherwise; a given relabeling is always the first
     configuration's, applied to the second, which must then be generic.
-    Sp: the basic-set values; CSp: sign(a12) and the ratios; ASp: either
-    after translating by -A_1; each followed by the linear relations.
-    Contact: the absolute values of `_absolute_values`.
+    Sp: the basic-set ints over den; CSp: the row of `_csp_values` over a12;
+    ASp: the Sp row after translating by -A_1.  Contact: the row of
+    `_absolute_values` over r_m, on the relabeled integer form.
     """
     key = _GROUPS.get(str(group).lower())
     if key is None:
@@ -267,11 +276,12 @@ def _normalize(group, config, relabel=None):
     if not isinstance(config, record):
         raise ValueError(f"the {key} group takes a {record.__name__}, got {type(config).__name__}")
     if key == "Contact":
+        planes, refs, d = _contact_ints(config)
         if relabel is None:
-            relabel = [*range(2, config.m + 1), 1] if _reference(config.point(config.m)) == 0 else ()
+            relabel = [*range(2, config.m + 1), 1] if refs[-1] == 0 else ()
         if relabel:
-            config = ContactConfig(config.n, tuple([config.points[k - 1] for k in relabel]))
-        return (key, _absolute_values(config)), relabel
+            planes, refs = [planes[k - 1] for k in relabel], [refs[k - 1] for k in relabel]
+        return (key, *_absolute_values(planes, refs, d, config.n)), relabel
     n, (pts, d) = config.n, _integer_points(config)
     if key == "ASp":
         # translation by -A_1 removes the base point, then the linear theory applies
@@ -286,18 +296,30 @@ def _normalize(group, config, relabel=None):
         g = _gram_of(pts, d)
         _require_generic(g, n, "second configuration non-generic")
     if key == "CSp":
-        values = _csp_values(g, n)
+        row, D = _csp_values(g, n)
     else:
-        ints, den = g.ints, g.den
-        values = tuple([Rat(ints[p], den) for p in basic_set(g.m, n).pairs])
-    return (key, values + _relations(pts, n, g.m >= 2 * n)), relabel
+        ints = g.ints
+        row, D = [ints[p] for p in basic_set(g.m, n).pairs], g.den
+    return (key, row, D, _relations(pts, n, g.m >= 2 * n)), relabel
+
+
+def _values(row, D, relations=()):
+    """The values of a signature: one `Rat` x / D per int of the row, then the relations."""
+    return tuple([Rat(x, D) for x in row]) + relations
+
+
+def _same(sig_a, sig_b):
+    """Whether two (key, row, D, relations) signatures hold the same values:
+    equal keys and relations, and rows equal by `_same_values`, in ints."""
+    (key_a, row_a, D_a, rel_a), (key_b, row_b, D_b, rel_b) = sig_a, sig_b
+    return key_a == key_b and rel_a == rel_b and _same_values(row_a, D_a, row_b, D_b)
 
 
 def _relabel_compare(A, B, group):
     """(signature of A, signature of B, relabeling) under `group`.  The
     relabeling is decided on A by `_normalize` and applied unchanged to B, so
     equal signatures mean genuine group equivalence.  A signature here is a
-    plain (group, values) pair.
+    plain (group, row, D, relations) tuple, compared by `_same`.
     """
     if (A.n, A.m) != (B.n, B.m):
         raise ValueError("configurations must share (n, m)")
@@ -317,14 +339,17 @@ def signature(config, group) -> "Signature":
     If the leading pair degenerates, the points are relabeled once (the first
     nonzero pair moves to the front) before giving up.
     """
-    return _module.Signature(*_normalize(group, config)[0])
+    key, *parts = _normalize(group, config)[0]
+    return _module.Signature(key, _values(*parts))
 
 
 def equivalent(A, B, group) -> bool:
     """Exact signature comparison; both configurations must be generic.
 
     Any fallback relabeling is decided on the first configuration and applied
-    to both, so the comparison always tests genuine group equivalence.
+    to both, so the comparison always tests genuine group equivalence.  The
+    signatures are compared as integer rows (`_same`): none of their values
+    becomes a `Rat`.
     """
     sig_a, sig_b, _ = _relabel_compare(A, B, group)
-    return sig_a == sig_b
+    return _same(sig_a, sig_b)

@@ -9,12 +9,14 @@ with coordinates (x, y, u) the lifted action admits the relative invariants
 
 all of weight one, whose ratios T_k = R_k/R_m, T_ij = R_ij/R_m generate the
 invariant field.  The T_ij satisfy the same Pfaffian relations as the a_ij,
-which eliminates all pairs outside the basic set.  R_ij is the `gram` of the
-plane parts (x, y), and T = R/R_m has the vanishing Pfaffians of R.
+which eliminates all pairs outside the basic set.  R_ij is the Gram table of
+the plane parts (x, y), and T = R/R_m has the vanishing Pfaffians of R.  Both
+are read off the integer form of a `ContactConfig` (`invariants._contact_ints`).
 
 This module sits above `normal_form`, which makes every CSp and contact
 decision: `csp_signature`, `contact_absolute` and `contact_equivalent` read
-its values, `signature` and `equivalent`.  The contact records are defined in
+its integer rows (`_csp_values`, built into `Rat`s by `_values`),
+`signature` and `equivalent`.  The contact records are defined in
 `invariants` and exported from here.
 """
 
@@ -22,8 +24,8 @@ import json
 from math import comb
 
 from . import normal_form
-from .exact import ExactMatrix, rat_str
-from .invariants import ContactConfig, ContactPoint, _dot, _half_dimension, _plane, _point_list, _reference, gram
+from .exact import ExactMatrix, Rat, rat_str
+from .invariants import ContactConfig, ContactPoint, _contact_ints, _gram_of, _half_dimension, _point_list, gram
 
 
 def csp_signature(g, n) -> "Signature":
@@ -32,7 +34,7 @@ def csp_signature(g, n) -> "Signature":
     The conformal factor is positive, so a12 keeps its sign while every ratio
     a_ij/a12 is an absolute invariant; there are d(m, n) - 1 of them.
     """
-    return normal_form.Signature("CSp", normal_form._csp_values(g, n))
+    return normal_form.Signature("CSp", normal_form._values(*normal_form._csp_values(g, n)))
 
 
 def asp_invariants(config) -> list:
@@ -49,6 +51,10 @@ def asp_invariants(config) -> list:
         for k in range(j + 1, config.m + 1):
             out.append(g.value(1, j) + g.value(j, k) + g.value(k, 1))
     return out
+
+
+def _dot(x, y):
+    return sum((a * b for a, b in zip(x, y)), Rat(0))
 
 
 def _lift(M: ExactMatrix, c, p: ContactPoint) -> ContactPoint:
@@ -93,7 +99,8 @@ def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactCon
 
 def contact_relative(config: ContactConfig):
     """All relative invariants: R_k per point and R_ij per pair (1-based keys)."""
-    return {"R_k": [_reference(p) for p in config.points], "R_ij": dict(gram(_plane(config)).values)}
+    planes, refs, d = _contact_ints(config)
+    return {"R_k": [Rat(r, d * d) for r in refs], "R_ij": dict(_gram_of(planes, d).values)}
 
 
 def contact_absolute(config: ContactConfig) -> "Signature":

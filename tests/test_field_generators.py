@@ -118,6 +118,21 @@ def test_eliminate_entry_rejects_labels_past_its_table():
         eliminate_entry(g, 5, 6, 0)
 
 
+def test_eliminate_entry_names_a_missing_entry():
+    with pytest.raises(ValueError, match=r"^known lacks a13$"):
+        eliminate_entry({(1, 2): 1}, 3, 4, 1)
+    known = {(i, j): 1 for i in range(1, 13) for j in range(i + 1, 13)}
+    del known[(3, 12)]
+    with pytest.raises(ValueError, match=r"^known lacks a3_12$"):
+        eliminate_entry(known, 11, 12, 5)
+    # a table given as a GramTable is read the same way
+    with pytest.raises(ValueError, match=r"^known lacks a14$"):
+        eliminate_entry(GramTable(4, {(1, 2): 1, (1, 3): 2, (2, 3): 1}), 3, 4, 1)
+    # the unknown entry itself may be absent or present with any value
+    full = {(1, 2): 1, (1, 3): 2, (2, 3): 1, (1, 4): 1, (2, 4): 3}
+    assert eliminate_entry(full, 3, 4, 1) == eliminate_entry({**full, (3, 4): 99}, 3, 4, 1) == 5
+
+
 def test_stabilizer_dims_match_binomial_formula():
     rng = random.Random(53)
     for n in (1, 2, 3):

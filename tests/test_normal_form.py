@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from sympjoint.exact import (
@@ -556,3 +556,187 @@ def test_contact_relabeling_is_a_list_decided_on_the_first():
     assert _normalize("contact", other)[1] == ()
     with pytest.raises(GenericityError, match="^R_3 = 0$"):
         _relabel_compare(rotated, other, "contact")
+
+
+# ---------------------------------------------------------------------------
+# one comparison rule: signatures compared as integer rows over their D
+
+
+FRACTION = st.builds(Rat, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5, 6]))
+
+
+def _stretch(n, t):
+    """diag(t I_n, I_n / t): symplectic, with rational entries for t != +-1."""
+    diagonal = [Rat(t)] * n + [1 / Rat(t)] * n
+    return ExactMatrix([[diagonal[i] if i == j else Rat(0) for j in range(2 * n)] for i in range(2 * n)])
+
+
+def test_rows_compare_over_their_denominators():
+    from sympjoint.invariants import _same_values
+    from sympjoint.normal_form import _same
+
+    assert _same_values([1, -2], 3, [1, -2], 3) and _same_values([1, -2], 3, [-2, 4], -6)
+    assert not _same_values([1, -2], 3, [1, -2], -3) and not _same_values([1, 2], 3, [1, 2, 0], 3)
+    assert not _same_values([1, 2, 0], 3, [2, 4], 6)  # one row longer: no prefix match
+    sig = ("Contact", [1, 2], -5, ())
+    assert _same(sig, ("Contact", [-2, -4], 10, ()))
+    assert not _same(sig, ("Contact", [1, 2], -5, (Rat(1),))) and not _same(sig, ("CSp", [1, 2], -5, ()))
+
+
+def _assert_one_rule(A, B, group):
+    """equivalent(A, B) is the equality of the two Rat signatures, whenever
+    both signatures exist and the same relabeling (if any) serves both."""
+    try:
+        sig_a, sig_b = signature(A, group), signature(B, group)
+    except GenericityError:
+        assume(False)
+    assume(_normalize(group, A)[1] == _normalize(group, B)[1])
+    result = equivalent(A, B, group)
+    event(f"equivalent: {result}")
+    assert result == (sig_a == sig_b)
+
+
+@given(
+    group=st.sampled_from(["sp", "csp", "asp"]),
+    case=st.sampled_from(["image", "negative scale", "perturbed", "other"]),
+    n=st.integers(1, 2),
+    seed=st.integers(0, 10**6),
+    t=st.sampled_from([1, 2, Rat(1, 3), Rat(-3, 2)]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_equivalent_is_signature_equality(group, case, n, seed, t, data):
+    m = data.draw(st.integers(2, 6))
+    points = st.lists(st.tuples(*[FRACTION] * (2 * n)), min_size=m, max_size=m)
+    A = PointConfig(n, tuple(data.draw(points)))
+    # B = S A with S rational, so the two denominators differ
+    B = A.transform(random_symplectic(n, 4, seed) @ _stretch(n, t))
+    if case == "negative scale":
+        B = B.scale(data.draw(st.sampled_from([-1, -2, Rat(-2, 3)])))
+    elif case == "perturbed":
+        i, k = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, 2 * n - 1))
+        moved = list(B.points[i])
+        moved[k] += data.draw(st.sampled_from([1, Rat(1, 2), Rat(-1, 3)]))
+        B = PointConfig(n, B.points[:i] + (tuple(moved),) + B.points[i + 1 :])
+    elif case == "other":
+        B = PointConfig(n, tuple(data.draw(points)))
+    if group == "asp":
+        B = B.translate(data.draw(st.tuples(*[FRACTION] * (2 * n))))
+    _assert_one_rule(A, B, group)
+
+
+def _contact_points(draw, n, m, spanning):
+    """m contact points with u in halves and thirds; unless `spanning`, the
+    plane parts lie in the span of two vectors (one for n = 1), so the chain
+    fails and the signature row is longer."""
+    u = st.builds(Rat, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+    if spanning:
+        planes = [draw(st.tuples(*[FRACTION] * (2 * n))) for _ in range(m)]
+    else:
+        basis = [draw(st.tuples(*[FRACTION] * (2 * n))) for _ in range(min(n, 2))]
+        planes = []
+        for _ in range(m):
+            coefs = [draw(FRACTION) for _ in basis]
+            planes.append(tuple([sum([c * v[k] for c, v in zip(coefs, basis)], Rat(0)) for k in range(2 * n)]))
+    return [ContactPoint(p[:n], p[n:], draw(u)) for p in planes]
+
+
+@given(
+    case=st.sampled_from(["lift", "perturbed", "other", "non-spanning against spanning"]),
+    spanning=st.booleans(),
+    n=st.integers(1, 2),
+    seed=st.integers(0, 10**6),
+    t=st.sampled_from([1, 2, Rat(1, 3)]),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_contact_equivalent_is_signature_equality(case, spanning, n, seed, t, data):
+    from sympjoint.variants import contact_lift_symplectic
+
+    m = data.draw(st.integers(2, 6))
+    A = ContactConfig(n, tuple(_contact_points(data.draw, n, m, spanning)))
+    B = contact_lift_symplectic(random_symplectic(n, 4, seed) @ _stretch(n, t), A)
+    if case == "perturbed":
+        i = data.draw(st.integers(0, m - 1))
+        p = B.points[i]
+        moved = ContactPoint(p.x, p.y, p.u + data.draw(st.sampled_from([1, Rat(1, 2), Rat(-1, 3)])))
+        B = ContactConfig(n, B.points[:i] + (moved,) + B.points[i + 1 :])
+    elif case == "other":
+        B = ContactConfig(n, tuple(_contact_points(data.draw, n, m, spanning)))
+    elif case == "non-spanning against spanning":
+        B = ContactConfig(n, tuple(_contact_points(data.draw, n, m, not spanning)))
+    _assert_one_rule(A, B, "contact")
+
+
+def test_equivalent_builds_no_rat_on_spanning_pairs(monkeypatch):
+    import sympjoint.normal_form as nf
+
+    rng = random.Random(61)
+    cases = []
+    for group, n, m in (("sp", 1, 3), ("sp", 2, 5), ("csp", 1, 4), ("csp", 2, 4), ("asp", 1, 3), ("asp", 2, 6)):
+        A = generic_sample(n, m, rng).transform(_stretch(n, Rat(2, 3)))
+        B = A.transform(random_symplectic(n, 6, seed=rng.randint(0, 10**6)) @ _stretch(n, 5))
+        if group == "csp":
+            B = B.scale(Rat(-3, 2))
+        if group == "asp":
+            B = B.translate((Rat(1, 2),) * (2 * n))
+        far = PointConfig(n, B.points[:-1] + (tuple([c + 1 for c in B.points[-1]]),))
+        cases += [(group, A, B, True), (group, A, far, False)]
+
+    def no_rat(*args):
+        raise AssertionError("equivalent built a Rat")
+
+    monkeypatch.setattr(nf, "Rat", no_rat)
+    for group, A, B, truth in cases:
+        assert equivalent(A, B, group) is truth
+
+
+def _fraction_relatives(points):
+    """R_k = x.y - 2u and R_ij = x_i.y_j - x_j.y_i, in Fractions."""
+    dot = lambda a, b: sum([Rat(p) * Rat(q) for p, q in zip(a, b)], Rat(0))
+    R_k = [dot(p.x, p.y) - 2 * Rat(p.u) for p in points]
+    R_ij = {
+        (i, j): dot(p.x, q.y) - dot(q.x, p.y)
+        for i, p in enumerate(points, 1)
+        for j, q in enumerate(points[i:], i + 1)
+    }
+    return R_k, R_ij
+
+
+@given(n=st.integers(1, 2), spanning=st.booleans(), zero_last=st.booleans(), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_contact_integer_form_against_its_definition(n, spanning, zero_last, data):
+    from sympjoint.exact import SkewMatrix, nullspace
+    from sympjoint.field_generators import basic_set
+    from sympjoint.variants import contact_absolute, contact_relative
+
+    m = data.draw(st.integers(1, 6))
+    points = _contact_points(data.draw, n, m, spanning)
+    if zero_last:  # R_m = 0: u_m = x_m . y_m / 2
+        p = points[-1]
+        points[-1] = ContactPoint(p.x, p.y, sum([a * b for a, b in zip(p.x, p.y)], Rat(0)) / 2)
+    C = ContactConfig(n, tuple(points))
+    R_k, R_ij = _fraction_relatives(points)
+    rel = contact_relative(C)
+    assert rel["R_k"] == R_k and rel["R_ij"] == R_ij and list(rel["R_ij"]) == list(R_ij)
+    if R_k[-1] == 0:
+        # the fallback is the relabeling [2, ..., m, 1], which `rotate` applies
+        relabel = list(range(2, m + 1)) + [1]
+        assert C.rotate() == ContactConfig(n, tuple([C.points[k - 1] for k in relabel]))
+        if R_k[0] == 0:  # the rotated last R vanishes too
+            with pytest.raises(GenericityError, match=f"^R_{m} = 0$"):
+                contact_absolute(C)
+            return
+        assert _normalize("contact", C)[1] == relabel
+        assert contact_absolute(C) == contact_absolute(C.rotate())
+        C, points = C.rotate(), points[1:] + points[:1]
+        R_k, R_ij = _fraction_relatives(points)
+    rm = R_k[-1]
+    expected = [r / rm for r in R_k[:-1]] + [R_ij[p] / rm for p in basic_set(m, n).pairs]
+    table = lambda k: SkewMatrix(2 * k, {(a, b): R_ij[a + 1, b + 1] for a in range(2 * k) for b in range(a + 1, 2 * k)})
+    if not (m >= 2 * n and all([pfaffian(table(k)) != 0 for k in range(1, n + 1)])):
+        expected += [R_ij[i, j] / rm for i in range(2 * n + 1, m + 1) for j in range(i + 1, m + 1)]
+        basis = nullspace(ExactMatrix.from_columns([p.x + p.y for p in points]))
+        if m - len(basis) < 2 * n:
+            expected += [x for v in basis for x in v]
+    assert list(contact_absolute(C).values) == expected
