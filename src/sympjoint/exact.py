@@ -395,14 +395,22 @@ def _check_tuple(idx, length, m=inf):
     return idx
 
 
-def _pf_expand(labels, entry, zero, add=sum, memo=None):
+def _check_n(n):
+    """n as the half dimension of R^{2n}: an int, not a bool, and >= 1."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"'n' must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return n
+
+
+def _pf_expand(labels, entry, zero, memo=None):
     """Pfaffian of the skew table ``entry(i, j)`` on ``labels`` (i before j),
-    over any commutative ring with ``+ - *`` and int addition (``Rat``, int,
-    ``MultiPoly``): ``add(terms, zero)`` sums a list (the builtin ``sum`` by
-    default).  First-row expansion that skips zero entries and memoizes
-    sub-Pfaffians per label subset; odd length gives ``zero``, empty gives one.
-    Calls on one table may share a ``memo`` dict, so a sub-Pfaffian common to
-    several label sets is expanded once.
+    over a ring of numbers (``Rat``, int).  First-row expansion that skips
+    zero entries and memoizes sub-Pfaffians per label subset; odd length
+    gives ``zero``, empty gives one.  Calls on one table may share a
+    ``memo`` dict, so a sub-Pfaffian common to several label sets is
+    expanded once.
     """
     if len(labels) % 2:
         return zero
@@ -424,7 +432,7 @@ def _pf_expand(labels, entry, zero, add=sum, memo=None):
             aij = entry(i0, j)
             if aij != zero:
                 terms.append((-aij if p % 2 else aij) * pf(rest[:p] + rest[p + 1 :]))
-        memo[idx] = total = add(terms, zero)
+        memo[idx] = total = sum(terms, zero)
         return total
 
     total = pf(tuple(labels))

@@ -32,7 +32,7 @@ import random
 from itertools import combinations
 from types import MappingProxyType
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _check_tuple, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _check_n, _check_tuple, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -314,16 +314,13 @@ def _leading(ints, labels):
     return pfs
 
 
-def _chain(g: GramTable, n):
-    """The chain used by the canonical form: the leading Pfaffians b_{1..2k}, k <= min(n, m/2), named."""
-    pfs = _leading(g.ints, range(1, 2 * min(n, g.m // 2) + 1))
-    names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k in range(1, len(pfs) + 1)]
-    return [(name, Rat(v, g.den**k)) for k, (name, v) in enumerate(zip(names, pfs), 1)]
-
-
 def _failed(g: GramTable, n):
-    """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",)."""
-    return tuple([f"{name} = 0" for name, v in _chain(g, n) if v == 0])
+    """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",):
+    the zero entries of the chain b_{1..2k}, k <= min(n, m/2), read off
+    `_leading` in ints."""
+    pfs = _leading(g.ints, range(1, 2 * min(n, g.m // 2) + 1))
+    names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k, v in enumerate(pfs, 1) if not v]
+    return tuple([f"{name} = 0" for name in names])
 
 
 def syzygy_value(g: GramTable, idx, n=None):
@@ -374,16 +371,6 @@ def config_to_dict(config: PointConfig):
     return {"n": config.n, "points": [[rat_str(c) for c in p] for p in config.points]}
 
 
-def _half_dimension(obj):
-    """The "n" of a configuration object, which must be a JSON integer >= 1."""
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n
-
-
 def _point_list(obj, fits, expected):
     """obj["points"], checked to be a JSON list whose entries all satisfy
     `fits`; an entry that does not is named by its 1-based index."""
@@ -403,7 +390,7 @@ def config_from_dict(obj):
     """
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError("configuration must be an object with 'n' and 'points'")
-    n = _half_dimension(obj)
+    n = _check_n(obj["n"])
     points = _point_list(
         obj, lambda p: isinstance(p, list) and len(p) == 2 * n, f"a list of 2n = {2 * n} coordinates"
     )

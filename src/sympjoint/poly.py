@@ -9,17 +9,15 @@ Variables are tagged tuples totally ordered by tuple comparison:
   ("z", name...)   auxiliary variable (coordinates, group parameters)
 A monomial is a sorted tuple of (variable, exponent) pairs; a polynomial maps
 monomials to nonzero coefficients, stored as Python ints when integral and as
-``Rat`` otherwise.  Symbolic Pfaffians come from the one memoized first-row
-expansion ``exact._pf_expand``; symbolic determinants from the same kernel on
-the block table [[0, A], [-A^T, 0]], which is a Laplace expansion memoized over
-column subsets (no division, unlike the numeric Bareiss ``exact.det``).
+``Rat`` otherwise.  A symbolic Pfaffian is built term by term, one perfect
+matching per term, by a depth-first walk that passes each monomial prefix
+down; a symbolic determinant (``q_poly``) likewise walks the permutations row
+by row, the Laplace expansion written directly.  Each term is built and
+inserted into the result once: no sub-Pfaffian or minor is built as a
+polynomial of its own (the memoized ``exact._pf_expand`` is for numbers).
 
-Products concatenate monomials whose variables do not interleave, as the
-Pfaffian kernel's head a_{i0 j} (smallest label first) never does, and a
-one-term factor maps the other's terms in one pass.  The kernel's head blocks
-are disjoint by construction (every term of the block of a_{i0 j} holds
-a_{i0 j}, and no other block does), so they merge by dict update alone; each
-entry's one-term polynomial is built once per expansion.  A sum (``+``) adds
+Products concatenate monomials whose variables do not interleave, and a
+one-term factor maps the other's terms in one pass.  A sum (``+``) adds
 a one-term operand by one lookup and merges a larger operand that shares no
 monomial with the other by one dict update.  A coefficient is brought
 to an int where a product or a colliding sum makes it integral, so no result
@@ -35,7 +33,7 @@ from bisect import bisect_left
 from itertools import combinations, permutations
 from operator import neg
 
-from .exact import Rat, _check_tuple, _pf_expand, rat, rat_str
+from .exact import Rat, _check_n, _check_tuple, rat, rat_str
 
 
 def avar(i, j):
@@ -116,15 +114,6 @@ def _add_into(out, items):
             out[mono] = s.numerator if type(s) is not int and s.denominator == 1 else s
         else:
             del out[mono]
-
-
-def _merge_blocks(polys, start):
-    """sum(polys, start) for operands known to share no monomial, with each
-    other or with ``start``: one ``dict.update`` each, no overlap test."""
-    out = dict(start.terms)
-    for p in polys:
-        out.update(p.terms)
-    return _wrap(out)
 
 
 def _term_times(m1, c1, terms):
@@ -394,61 +383,87 @@ def _avar_signed(i, j):
     return _wrap({((("a", j, i), 1),): -1})
 
 
-def _entry_table(pairs):
-    """{(i, j): a_ij as a one-term polynomial} over the given label pairs."""
-    table = {}
-    for i, j in pairs:
-        table[i, j] = _avar_signed(i, j)
-    return table
+def _pf_terms(out, labels, prefix, sign, heads):
+    """out[prefix + m] = sign * c for each term c * m of the Pfaffian on
+    ``labels`` (an even number, at least four), one term per perfect
+    matching, depth first.
+
+    The head a_{i0 j}, i0 the first label left, is ``heads[i0][j]``, a
+    one-factor monomial; the sign flips with the parity of j's position
+    among the labels after i0.  Four labels left give their three terms
+    directly.  A module-level function, so the walk holds no reference cycle.
+    """
+    i, rest = labels[0], labels[1:]
+    hi = heads[i]
+    if len(rest) == 3:
+        b, c, d = rest
+        out[prefix + hi[b] + heads[c][d]] = sign
+        out[prefix + hi[c] + heads[b][d]] = -sign
+        out[prefix + hi[d] + heads[b][c]] = sign
+    else:
+        for p, j in enumerate(rest):
+            _pf_terms(out, rest[:p] + rest[p + 1 :], prefix + hi[j], -sign if p % 2 else sign, heads)
 
 
-def _pf_poly(idx, table=None):
+def _pf_poly(idx):
     """Symbolic Pfaffian of the sub-table on idx (any order, distinct labels).
 
-    ``table`` maps each pair the expansion reads (i before j in idx) to a_ij
-    as a one-term polynomial; built here unless calls on one label set share
-    it, so an entry is built once, not once per read.  Every term of the head
-    block of a_{i0 j} holds a_{i0 j} and no other block does, so the blocks
-    merge without an overlap test.
+    One term per perfect matching, each built and inserted once
+    (``_pf_terms``).  On ascending labels the heads a_{i0 j} come in
+    ascending order, so each monomial is built sorted.  Another order reads
+    a_ij for i after j as -a_ji: each monomial is then sorted and its sign
+    flipped once per such factor.
     """
-    if table is None:
-        table = _entry_table(combinations(idx, 2))
-    return _pf_expand(idx, lambda i, j: table[i, j], _wrap({}), _merge_blocks)
+    idx = tuple(idx)
+    if len(idx) % 2:
+        return _wrap({})
+    if len(idx) < 4:
+        return _avar_signed(*idx) if idx else _wrap({(): 1})
+    heads = {i: {j: ((("a", min(i, j), max(i, j)), 1),) for j in idx[p + 1 :]} for p, i in enumerate(idx)}
+    out = {}
+    _pf_terms(out, idx, (), 1, heads)
+    if list(idx) != sorted(idx):
+        pos = {i: p for p, i in enumerate(idx)}
+        out = {
+            tuple(sorted(mono)): -c if sum([pos[v[1]] > pos[v[2]] for v, _ in mono]) % 2 else c
+            for mono, c in out.items()
+        }
+    return _wrap(out)
 
 
 def pfaffian_poly(idx, n):
     """The syzygy polynomial b_{i_1...i_{2n+2}} = Pf(a_{i_p i_q})."""
-    return _pf_poly(_check_tuple(idx, 2 * n + 2))
+    return _pf_poly(_check_tuple(idx, 2 * _check_n(n) + 2))
+
+
+def _det_terms(out, rows, cols, prefix, sign, entries):
+    """out[prefix + m] = sign * c for each term c * m of det(a_{r c}), r in
+    ``rows`` (at least two), c in ``cols``: the Laplace expansion along the
+    rows, one permutation per leaf.  ``entries[r][c]`` is the one-factor
+    monomial of a_rc; the sign flips with the parity of c's position among
+    the columns left, and two rows left give their two terms directly."""
+    er, rest = entries[rows[0]], rows[1:]
+    if len(rest) == 1:
+        c, d = cols
+        es = entries[rest[0]]
+        out[prefix + er[c] + es[d]] = sign
+        out[prefix + er[d] + es[c]] = -sign
+    else:
+        for p, c in enumerate(cols):
+            _det_terms(out, rest, cols[:p] + cols[p + 1 :], prefix + er[c], -sign if p % 2 else sign, entries)
 
 
 def q_poly(idx, n):
-    """The determinant syzygy q_{i_1...i_{4n+2}} = det(a_{i_s, i_{t+2n+1}})."""
-    idx = _check_tuple(idx, 4 * n + 2)
+    """The determinant syzygy q_{i_1...i_{4n+2}} = det(a_{i_s, i_{t+2n+1}}).
+
+    Every row label sorts below every column label, so each entry is
+    +a_{r c} and a monomial built row by row is sorted."""
+    idx = _check_tuple(idx, 4 * _check_n(n) + 2)
     k = 2 * n + 1
-    return _det_poly([[_avar_signed(idx[s], idx[t + k]) for t in range(k)] for s in range(k)])
-
-
-def _det_poly(rows):
-    """Determinant of a k x k table of polynomials, without division.
-
-    det(A) = (-1)^(k(k-1)/2) Pf([[0, A], [-A^T, 0]]), and the Pfaffian kernel's
-    zero-skipping, memoized expansion of that block table is the Laplace
-    expansion of A along its rows, memoized over column subsets: 2^k minors
-    instead of k! cofactor calls.  The sign is applied to the first row's k
-    entries, not to the k! terms of the result.  The entries of ``rows``
-    must be distinct signed variables, as ``q_poly`` builds them: then the
-    head block of column t holds the entry of column t in every term and no
-    other block does, so the blocks merge without an overlap test.
-    """
-    k = len(rows)
-    zero = MultiPoly()
-    if k * (k - 1) // 2 % 2:
-        rows = [[-a for a in rows[0]], *rows[1:]]
-
-    def entry(s, t):  # s < t: only a row label against a column label is nonzero
-        return rows[s][t - k] if s < k <= t else zero
-
-    return _pf_expand(range(2 * k), entry, zero, _merge_blocks)
+    rows, cols = idx[:k], idx[k:]
+    out = {}
+    _det_terms(out, rows, cols, (), 1, {r: {c: ((("a", r, c), 1),) for c in cols} for r in rows})
+    return _wrap(out)
 
 
 def _value(terms, values):
@@ -493,28 +508,26 @@ def verify_pfaffian_expansion(n):
         raise ValueError("expansion check supported for n in {1, 2} only")
     size = 2 * n + 2
     idx = tuple(range(1, size + 1))
-    table = _entry_table(permutations(idx, 2))  # the inner label orders read both a_ij and a_ji
-    lhs = _pf_poly(idx, table)
+    lhs = _pf_poly(idx)
     total = MultiPoly()
     for tail in permutations(range(1, size)):
         images = (0,) + tail
         sign = _perm_sign(images)
-        head = table[idx[0], idx[images[1]]]
+        head = _avar_signed(idx[0], idx[images[1]])
         inner = tuple(idx[images[p]] for p in range(2, size))
-        total = total + sign * head * _pf_poly(inner, table)
+        total = total + sign * head * _pf_poly(inner)
     rhs = total * rat(1, math.factorial(2 * n))
     return rhs == lhs
 
 
 def verify_weyl_reduction():
     """Check the 8-index Pfaffian against its expansion into 6-index ones (n=2)."""
-    table = _entry_table(combinations(range(1, 9), 2))
-    lhs = _pf_poly(tuple(range(1, 9)), table)
+    lhs = _pf_poly(tuple(range(1, 9)))
     rhs = MultiPoly()
     sign = 1
     for j in range(2, 9):
         rest = tuple(k for k in range(2, 9) if k != j)
-        rhs = rhs + sign * table[1, j] * _pf_poly(rest, table)
+        rhs = rhs + sign * _avar_signed(1, j) * _pf_poly(rest)
         sign = -sign
     return rhs == lhs
 
@@ -522,12 +535,12 @@ def verify_weyl_reduction():
 def verify_q_reduction():
     """Check q_123456 = a12*b3456 - a34*b1256 + a35*b1246 - a36*b1245 (n=1)."""
     lhs = q_poly(tuple(range(1, 7)), 1)
-    a = _entry_table(combinations(range(1, 7), 2))
+    a = _avar_signed
     rhs = (
-        a[1, 2] * _pf_poly((3, 4, 5, 6), a)
-        - a[3, 4] * _pf_poly((1, 2, 5, 6), a)
-        + a[3, 5] * _pf_poly((1, 2, 4, 6), a)
-        - a[3, 6] * _pf_poly((1, 2, 4, 5), a)
+        a(1, 2) * _pf_poly((3, 4, 5, 6))
+        - a(3, 4) * _pf_poly((1, 2, 5, 6))
+        + a(3, 5) * _pf_poly((1, 2, 4, 6))
+        - a(3, 6) * _pf_poly((1, 2, 4, 5))
     )
     return rhs == lhs
 
@@ -612,8 +625,7 @@ def verify_resolution_tower(m):
 
     checks = {}
     # the five b-generators, each expanded once
-    table = _entry_table(combinations(range(1, 6), 2))
-    b = {key: _pf_poly(key, table) for key in combinations(range(1, 6), 4)}
+    b = {key: _pf_poly(key) for key in combinations(range(1, 6), 4)}
     # first-to-second level: phi_1(c_i) = sum_j (-1)^j a_ij b_{1..j^..5} = 0 in R[a]
     for i in range(1, 6):
         total = MultiPoly()

@@ -24,8 +24,8 @@ import json
 from math import comb
 
 from . import normal_form
-from .exact import ExactMatrix, Rat, rat_str
-from .invariants import ContactConfig, ContactPoint, _contact_ints, _gram_of, _half_dimension, _point_list, gram
+from .exact import ExactMatrix, Rat, _check_n, rat_str
+from .invariants import ContactConfig, ContactPoint, _contact_ints, _gram_of, _point_list, gram
 
 
 def csp_signature(g, n) -> "Signature":
@@ -145,7 +145,7 @@ def contact_config_from_dict(obj):
     """Parse {"n": ..., "points": [{"x": [...], "y": [...], "u": ...}, ...]}."""
     if not isinstance(obj, dict) or "n" not in obj or "points" not in obj:
         raise ValueError("contact configuration must be an object with 'n' and 'points'")
-    n = _half_dimension(obj)
+    n = _check_n(obj["n"])
 
     def fits(p):
         return (

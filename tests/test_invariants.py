@@ -10,7 +10,8 @@ from sympjoint.exact import ExactMatrix, Rat, _pf_expand, det, pfaffian, random_
 from sympjoint.invariants import (
     GramTable,
     PointConfig,
-    _chain,
+    _failed,
+    _leading,
     _table_pfaffian,
     all_min_syzygies,
     config_from_dict,
@@ -202,6 +203,13 @@ def free_tables(draw):
     return GramTable(m, {p: draw(st.integers(-4, 4)) for p in pairs})
 
 
+def _chain(g, n):
+    """The leading Pfaffians b_{1..2k}, k <= min(n, m/2), of a table, named, as `Rat`s."""
+    pfs = _leading(g.ints, range(1, 2 * min(n, g.m // 2) + 1))
+    names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k in range(1, len(pfs) + 1)]
+    return [(name, Rat(v, g.den**k)) for k, (name, v) in enumerate(zip(names, pfs), 1)]
+
+
 @given(g=free_tables(), n=st.integers(1, 4), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_chain_and_syzygy_value_are_subtable_pfaffians(g, n, data):
@@ -223,6 +231,7 @@ def test_chain_pivots_past_vanishing_leading_pfaffians():
         g = GramTable(m, values | {(1, j): 0 for j in range(2, rng.randint(2, m + 1))})
         chain = _chain(g, n)
         assert len(chain) == min(n, m // 2)
+        assert _failed(g, n) == tuple([f"{name} = 0" for name, value in chain if value == 0])
         for k, (_, value) in enumerate(chain, 1):
             assert value == _pf_expand(tuple(range(1, 2 * k + 1)), g.value, Rat(0))
         if m >= 5:
@@ -236,11 +245,13 @@ def test_chain_names_survive_a_swapped_pivot():
     # a12 = 0 and a13 != 0: label 3 is swapped in, b1234 = a14 a23 - a13 a24
     g = GramTable(4, {(1, 2): 0, (1, 3): 1, (1, 4): 0, (2, 3): 0, (2, 4): 1, (3, 4): 5})
     assert _chain(g, 2) == [("a12", 0), ("b1234", -1)]
+    assert _failed(g, 2) == ("a12 = 0",)
     # row 1 vanishes on labels 2..4 only: b1234 = 0 although the labels 1, 5,
     # 3, 4 the condensation then holds have a nonzero Pfaffian
     nonzero = {(1, 5): 1, (2, 3): 1, (2, 6): 1, (3, 4): 1, (4, 6): 1}
     g = GramTable(6, {p: nonzero.get(p, 0) for p in combinations(range(1, 7), 2)})
     assert _chain(g, 3) == [("a12", 0), ("b1234", 0), ("b123456", -2)]
+    assert _failed(g, 3) == ("a12 = 0", "b1234 = 0")
 
 
 def test_chain_at_a_size_the_expansion_cannot_reach():

@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import permutations
 
@@ -464,6 +465,23 @@ def test_pfaffian_poly_rejects_malformed():
 
 
 @pytest.mark.parametrize(
+    "call, idx, n",
+    [
+        (pfaffian_poly, (1, 2, 3, 4, 5), 1.5),  # 2n + 2 = 5.0: an odd Pfaffian, which would read 0
+        (pfaffian_poly, (), -1),  # 2n + 2 = 0: the empty Pfaffian, which would read 1
+        (pfaffian_poly, (1, 2), 0),
+        (pfaffian_poly, (1, 2, 3, 4), True),
+        (q_poly, (1, 2, 3, 4, 5, 6), True),  # would read as n = 1
+        (q_poly, (1, 2, 3, 4, 5, 6), 1.0),
+        (q_poly, (1, 2), 0),
+    ],
+)
+def test_symbolic_syzygies_reject_a_nonsensical_n(call, idx, n):
+    with pytest.raises(ValueError, match="'?n'? must"):
+        call(idx, n)
+
+
+@pytest.mark.parametrize(
     "idx", [(0, 1, 2, 3, 4, 5), (1, 1, 2, 3, 4, 5), (6, 5, 4, 3, 2, 1), (1, 2, 4, 3, 5, 6)]
 )
 def test_q_poly_rejects_malformed(idx):
@@ -487,7 +505,7 @@ def _crossings(matching):
     return sum(1 for (a, b) in matching for (c, d) in matching if a < c < b < d)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pfaffian_poly_matches_matching_expansion(n):
     # Pf = sum over perfect matchings of (-1)^crossings * prod a_ij
     idx = tuple(sorted(random.Random(30 + n).sample(range(1, 2 * n + 6), 2 * n + 2)))
@@ -496,6 +514,27 @@ def test_pfaffian_poly_matches_matching_expansion(n):
         mono = tuple(sorted((avar(i, j), 1) for i, j in matching))
         expected[mono] = (-1) ** _crossings(matching)
     assert pfaffian_poly(idx, n).terms == expected
+
+
+def _orders(labels, rng):
+    # every order of 4 and 6 labels, a few seeded orders of 8
+    if len(labels) < 8:
+        return permutations(labels)
+    return [tuple(rng.sample(labels, len(labels))) for _ in range(12)]
+
+
+@pytest.mark.parametrize("size", [4, 6, 8])
+def test_pf_poly_in_any_label_order(size):
+    # Pf(P^T A P) = det(P) Pf(A): an order reads a_ji = -a_ij past each
+    # inversion, and its Pfaffian is sgn(sigma) times the one on sorted labels
+    rng = random.Random(50 + size)
+    labels = tuple(rng.sample(range(1, 13), size))
+    base = _pf_poly(tuple(sorted(labels))).terms
+    for order in _orders(labels, rng):
+        sign = (-1) ** sum(1 for s in range(size) for t in range(s + 1, size) if order[s] > order[t])
+        terms = _pf_poly(order).terms
+        assert all(list(mono) == sorted(mono) for mono in terms)
+        assert terms == {mono: sign * c for mono, c in base.items()}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -544,6 +583,25 @@ def test_q_poly_matches_numeric():
     for _ in range(5):
         g = random_table(6, rng)
         assert evaluate(q_poly(tuple(range(1, 7)), 1), g) == q_value(g, tuple(range(1, 7)), 1)
+
+
+def test_expansions_leave_no_reference_cycle():
+    # a cycle would keep an expansion's dicts alive until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        pfaffian_poly(range(1, 13), 5)
+        q_poly(range(1, 15), 3)
+        assert verify_pfaffian_expansion(2)
+        assert verify_weyl_reduction()
+        assert verify_q_reduction()
+        assert verify_resolution_tower(5)["ok"]
+        assert pfaffian_poly(range(1, 9), 3).substitute(_point_map(range(1, 9), 1)).is_zero()
+        s = SkewMatrix(8, {(i, j): i * j - 3 for i in range(8) for j in range(i + 1, 8)})
+        _pf_expand(range(8), s.entry, Rat(0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # --- the classical identities ------------------------------------------------
