@@ -14,7 +14,7 @@ import json
 import math
 import random
 import sys
-from itertools import combinations, permutations
+from itertools import permutations
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -24,13 +24,6 @@ EXIT_USAGE = 64
 # cost guards: the slowest admitted call takes 1-2 s (2-vCPU VM, Python 3.11.7)
 _MAX_DIMS_N = 20  # the sampled stabilizer ranks cost about n^6
 _MAX_DIMS_M = 10_000  # one table row per m, about 36 us each at n = 20
-_MAX_SYZYGY_COST = 2_000_000  # `_syzygy_cost` units; n = 1 admits m <= 21
-
-
-def _syzygy_cost(m, n):
-    """Work of `syzygy-check` on m points in R^{2n}: C(m, 2n+2) Pfaffians of at
-    most 4^(n+1) sub-tables each, C(m, 4n+2) determinants of (2n+1)^3 steps."""
-    return math.comb(m, 2 * n + 2) * 4 ** (n + 1) + math.comb(m, 4 * n + 2) * (2 * n + 1) ** 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,37 +84,17 @@ def cmd_invariants(args):
 
 
 def cmd_syzygy_check(args):
-    from .invariants import all_min_syzygies, gram, load_config, q_value
+    from .invariants import _check_vanishing, gram, load_config
 
     out = {}
-    ok = True
+    ok = True  # a configuration's syzygies vanish, or `_check_vanishing` raises
     if args.config:
         config = load_config(args.config)
-        cost = _syzygy_cost(config.m, config.n)
-        if cost > _MAX_SYZYGY_COST:
-            raise ValueError(
-                f"cost guard: need C(m, 2n+2)*4^(n+1) + C(m, 4n+2)*(2n+1)^3 <= {_MAX_SYZYGY_COST},"
-                f" got {cost} for m = {config.m}, n = {config.n}"
-            )
-        bvals = all_min_syzygies(config)
-        nonzero = [list(idx) for idx, v in bvals if v != 0]
-        out["minimal_syzygies"] = {
-            "count": len(bvals),
-            "all_zero": not nonzero,
-            "nonzero_at": nonzero,
-        }
-        ok = ok and not nonzero
-        qsize = 4 * config.n + 2
-        if config.m >= qsize:
-            g = gram(config)
-            qnz = []
-            total = 0
-            for idx in combinations(range(1, config.m + 1), qsize):
-                total += 1
-                if q_value(g, idx, config.n) != 0:
-                    qnz.append(list(idx))
-            out["q_syzygies"] = {"count": total, "all_zero": not qnz, "nonzero_at": qnz}
-            ok = ok and not qnz
+        m, n = config.m, config.n
+        _check_vanishing(gram(config), n)
+        out["minimal_syzygies"] = {"count": math.comb(m, 2 * n + 2), "all_zero": True, "nonzero_at": []}
+        if m >= 4 * n + 2:
+            out["q_syzygies"] = {"count": math.comb(m, 4 * n + 2), "all_zero": True, "nonzero_at": []}
     if args.identities:
         from .poly import (
             verify_pfaffian_expansion,
@@ -139,7 +112,7 @@ def cmd_syzygy_check(args):
             "resolution tower m=5": verify_resolution_tower(5)["ok"],
         }
         out["identities"] = checks
-        ok = ok and all(checks.values())
+        ok = all(checks.values())
     _emit(out)
     return EXIT_OK if ok else EXIT_FAIL
 

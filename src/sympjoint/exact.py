@@ -404,20 +404,17 @@ def _check_n(n):
     return n
 
 
-def _pf_expand(labels, entry, zero, memo=None):
+def _pf_expand(labels, entry, zero):
     """Pfaffian of the skew table ``entry(i, j)`` on ``labels`` (i before j),
     over a ring of numbers (``Rat``, int).  First-row expansion that skips
     zero entries and memoizes sub-Pfaffians per label subset; odd length
-    gives ``zero``, empty gives one.  Calls on one table may share a
-    ``memo`` dict, so a sub-Pfaffian common to several label sets is
-    expanded once.
+    gives ``zero``, empty gives one.
     """
     if len(labels) % 2:
         return zero
     if not labels:
         return zero + 1
-    if memo is None:
-        memo = {}
+    memo = {}
 
     def pf(idx):
         if len(idx) == 2:

@@ -20,11 +20,14 @@ integer forms, tables or signature rows, compare by one rule, `_same_values`
 Pfaffians of a label tuple are read off one Pfaffian condensation of the ints
 (`_leading`, which swaps in a later label past a vanishing pivot), in time
 polynomial in the tuple length: the chain and its failed predicates, the
-syzygy value of one tuple and `eliminate_entry` all take it.  A batch of
-tuples goes through `_table_pfaffian`, which expands each on the ints with
-one memo of sub-Pfaffians shared across the tuples: `all_min_syzygies` and
-`syzygy-check` take that.  The canonical form of `normal_form` runs the
-condensation step `_condense` itself, with no pivot search.
+syzygy value of one tuple and `eliminate_entry` all take it.  The whole
+family of syzygies is decided by one rank instead (`_check_vanishing`): by
+Cayley, Pf(a | I)^2 = det(a | I), so every Pfaffian on 2n+2 labels vanishes
+exactly when the table has rank <= 2n, and every q, a (2n+1)-minor, vanishes
+then too; `all_min_syzygies` and `syzygy-check` take that rank, one
+fraction-free elimination of the ints, and expand no Pfaffian.  The canonical
+form of `normal_form` runs the condensation step `_condense` itself, with no
+pivot search.
 """
 
 import json
@@ -32,7 +35,7 @@ import random
 from itertools import combinations
 from types import MappingProxyType
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _check_n, _check_tuple, _integer_row, _pf_expand, _Record, det, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _check_n, _check_tuple, _integer_row, _IntRowSpace, _Record, det, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -252,18 +255,6 @@ def gram(config: PointConfig) -> GramTable:
     return _gram_of(*_integer_points(config))
 
 
-def _table_pfaffian(g: GramTable, subsets):
-    """Pfaffians of the table g on each label tuple of `subsets` (ascending), in ints.
-
-    On 2k labels Pf(a) = Pf(ints) / den^k, so each value takes one division;
-    the expansions share one memo, so a sub-Pfaffian that several tuples
-    contain is expanded once.
-    """
-    ints, den, memo = g.ints, g.den, {}
-    entry = lambda i, j: ints[i, j]
-    return [Rat(_pf_expand(idx, entry, 0, memo=memo), den ** (len(idx) // 2)) for idx in subsets]
-
-
 def _condense(P, e, f, prev):
     """One step of Pfaffian condensation (Knuth, Overlapping Pfaffians, 1996),
     in place on the 1-based skew int table P: P(i, j) = Pf(ints | 1..e-1, i, j)
@@ -323,6 +314,22 @@ def _failed(g: GramTable, n):
     return tuple([f"{name} = 0" for name in names])
 
 
+def _rank(g: GramTable):
+    """The rank of the skew table a_ij: one fraction-free elimination of its int rows."""
+    return _IntRowSpace(_skew_rows(g.ints, range(1, g.m + 1))[1:]).rank
+
+
+def _check_vanishing(g: GramTable, n):
+    """Check that every (2n+2)-Pfaffian and every q of the table vanish: rank <= 2n.
+
+    A table of points in R^{2n} is U J U^T, of rank at most 2n, so a larger
+    rank is a bug, raised as RuntimeError naming the rank.
+    """
+    r = _rank(g)
+    if r > 2 * n:
+        raise RuntimeError(f"Gram table of rank {r} > 2n = {2 * n}: its syzygies do not vanish")
+
+
 def syzygy_value(g: GramTable, idx, n=None):
     """Pfaffian b_{i_1...i_{2n+2}} of the sub-table on the given ascending indices,
     the last leading Pfaffian of one condensation (`_leading`): its cost is
@@ -334,17 +341,24 @@ def syzygy_value(g: GramTable, idx, n=None):
     idx = tuple(idx)
     if len(idx) % 2 or len(idx) < 4:
         raise ValueError(f"index tuple length must be even and >= 4, got {len(idx)}")
-    idx = _check_tuple(idx, len(idx) if n is None else 2 * n + 2, g.m)
+    idx = _check_tuple(idx, len(idx) if n is None else 2 * _check_n(n) + 2, g.m)
     return Rat(_leading(g.ints, idx)[-1], g.den ** (len(idx) // 2))
 
 
 def all_min_syzygies(config: PointConfig):
-    """Evaluate b over every ascending (2n+2)-tuple; empty when m < 2n+2."""
+    """Evaluate b over every ascending (2n+2)-tuple; empty when m < 2n+2.
+
+    Every value is zero: the Gram table of points in R^{2n} has rank <= 2n,
+    and a Pfaffian on 2n+2 labels squares to a principal minor of that size
+    (Cayley), so one rank (`_check_vanishing`) decides them all and no
+    Pfaffian is expanded.
+    """
     size = 2 * config.n + 2
     if config.m < size:
         return []
-    subsets = list(combinations(range(1, config.m + 1), size))
-    return list(zip(subsets, _table_pfaffian(gram(config), subsets)))
+    _check_vanishing(gram(config), config.n)
+    zero = Rat(0)
+    return [(idx, zero) for idx in combinations(range(1, config.m + 1), size)]
 
 
 def q_value(g: GramTable, idx, n):
@@ -353,6 +367,7 @@ def q_value(g: GramTable, idx, n):
     Another syzygy family: vanishes on every table coming from actual points.
     Each entry has s < t + 2n + 1, so the determinant is taken on the ints.
     """
+    n = _check_n(n)
     idx = _check_tuple(idx, 4 * n + 2, g.m)
     k, ints = 2 * n + 1, g.ints
     M = ExactMatrix([[ints[idx[s], idx[t + k]] for t in range(k)] for s in range(k)])

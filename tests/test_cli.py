@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -782,19 +783,16 @@ def test_dims_max_m_cost_guard_refuses_past_the_bound(capsys):
     assert captured.err == "error: cost guard: need --max-m <= 10000, got 10001\n"
 
 
-def test_syzygy_check_cost_guard_refuses_past_the_bound(tmp_path, capsys):
-    from sympjoint.cli import _MAX_SYZYGY_COST, _syzygy_cost
-
-    # admitted: n = 1 to m = 21, n = 2 to m = 16, and the 6-point configurations above
-    assert _syzygy_cost(21, 1) <= _MAX_SYZYGY_COST < _syzygy_cost(22, 1)
-    assert _syzygy_cost(16, 2) <= _MAX_SYZYGY_COST < _syzygy_cost(17, 2)
-    path = write_json(tmp_path / "c.json", config_to_dict(random_config(1, 22, seed=3)))
-    code = main(["syzygy-check", path])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: cost guard: need C(m, 2n+2)*4^(n+1) + C(m, 4n+2)*(2n+1)^3 <= 2000000")
-    assert captured.err.endswith(f"got {_syzygy_cost(22, 1)} for m = 22, n = 1\n")
+@pytest.mark.parametrize("n, m", [(1, 22), (1, 200), (2, 17)])
+def test_syzygy_check_answers_past_the_old_cost_guard(tmp_path, capsys, n, m):
+    # one rank of the Gram table decides every syzygy: no C(m, 2n+2) expansion
+    path = write_json(tmp_path / "c.json", config_to_dict(random_config(n, m, seed=3)))
+    code, out = run(capsys, "syzygy-check", path)
+    assert code == 0
+    assert json.loads(out) == {
+        "minimal_syzygies": {"count": math.comb(m, 2 * n + 2), "all_zero": True, "nonzero_at": []},
+        "q_syzygies": {"count": math.comb(m, 4 * n + 2), "all_zero": True, "nonzero_at": []},
+    }
 
 
 def test_equiv_contact_with_vanishing_r12(tmp_path, capsys):

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympjoint.exact import ExactMatrix, Rat, _pf_expand, det, pfaffian, random_symplectic, symp
+from sympjoint.exact import ExactMatrix, Rat, _pf_expand, det, pfaffian, random_symplectic, rank, symp
 from sympjoint.invariants import (
     GramTable,
     PointConfig,
+    _check_vanishing,
     _failed,
     _leading,
-    _table_pfaffian,
+    _rank,
     all_min_syzygies,
     config_from_dict,
     config_to_dict,
@@ -271,11 +272,12 @@ FRACTIONS = st.builds(Rat, st.integers(-9, 9), st.integers(1, 12))
 
 
 @st.composite
-def rational_configs(draw):
-    """Points with p/q coordinates, zero points and repeated points included."""
-    n = draw(st.integers(1, 2))
+def rational_configs(draw, max_n=2):
+    """Points with p/q coordinates, zero points and repeated points included:
+    n <= max_n, up to max(7, 2n + 3) points drawn, then up to two repeated."""
+    n = draw(st.integers(1, max_n))
     point = st.one_of(st.just((Rat(0),) * (2 * n)), st.tuples(*[FRACTIONS] * (2 * n)))
-    pts = draw(st.lists(point, min_size=1, max_size=7))
+    pts = draw(st.lists(point, min_size=1, max_size=max(7, 2 * n + 3)))
     pts += [pts[k] for k in draw(st.lists(st.sampled_from(range(len(pts))), max_size=2))]
     return PointConfig(n, tuple(pts))
 
@@ -311,15 +313,25 @@ def test_integer_pfaffians_match_the_fraction_expansion(g, n, data):
         assert type(value) is Rat and value == _pf_expand(tuple(idx), g.value, Rat(0))
 
 
+def _table_pfaffian(g, subsets):
+    """The per-tuple oracle: the Pfaffian of the table g on each ascending
+    label tuple of `subsets`, expanded on the ints alone, one division each."""
+    entry = lambda i, j: g.ints[i, j]
+    return [Rat(_pf_expand(idx, entry, 0), g.den ** (len(idx) // 2)) for idx in subsets]
+
+
 @given(g=rational_tables())
 @settings(max_examples=50, deadline=None)
-def test_shared_memo_pfaffians_match_the_reference_on_every_subset(g):
+def test_integer_pfaffians_match_the_reference_on_every_subset(g):
     # independent entries: these tables come from no points, so most of their
     # Pfaffians are nonzero
     assert g.ints.keys() == g.values.keys()
     assert all(type(x) is int and Rat(x, g.den) == g.values[p] for p, x in g.ints.items())
     subsets = [idx for k in range(2, g.m + 1, 2) for idx in combinations(range(1, g.m + 1), k)]
-    assert _table_pfaffian(g, subsets) == [pfaffian(g.subtable(idx)) for idx in subsets]
+    want = [pfaffian(g.subtable(idx)) for idx in subsets]
+    assert _table_pfaffian(g, subsets) == want
+    fours = [(idx, v) for idx, v in zip(subsets, want) if len(idx) >= 4]
+    assert [syzygy_value(g, idx) for idx, _ in fours] == [v for _, v in fours]
 
 
 @given(cfg=rational_configs())
@@ -330,6 +342,64 @@ def test_all_min_syzygies_is_the_per_subset_syzygy_list(cfg):
     size = 2 * cfg.n + 2
     expected = [(idx, syzygy_value(g, idx)) for idx in combinations(range(1, cfg.m + 1), size)]
     assert all_min_syzygies(cfg) == expected
+
+
+@given(cfg=rational_configs(max_n=3))
+@settings(max_examples=100, deadline=None)
+def test_all_min_syzygies_from_the_rank_match_the_per_tuple_oracle(cfg):
+    # m up to 2n + 5: up to C(11, 8) = 165 tuples at n = 3
+    g = gram(cfg)
+    subsets = list(combinations(range(1, cfg.m + 1), 2 * cfg.n + 2))
+    got = all_min_syzygies(cfg)
+    assert [idx for idx, _ in got] == subsets
+    assert all(type(v) is Rat for _, v in got)
+    assert [v for _, v in got] == _table_pfaffian(g, subsets) == [syzygy_value(g, idx, cfg.n) for idx in subsets]
+    assert _rank(g) <= 2 * cfg.n
+
+
+@given(g=st.one_of(rational_tables(), rational_configs(max_n=3).map(gram)))
+@settings(max_examples=100, deadline=None)
+def test_table_rank_is_the_rank_of_the_rational_table(g):
+    # independent entries reach every even rank up to m, past 2n
+    assert _rank(g) == rank(g.subtable(tuple(range(1, g.m + 1))).full())
+
+
+@pytest.mark.parametrize("n, m, nonzero, r", [
+    (1, 4, {(1, 2): 1, (3, 4): 1}, 4),
+    (1, 6, {(1, 2): 1, (3, 4): 2, (5, 6): "1/3"}, 6),
+    (1, 5, {(1, 3): 1, (2, 5): -1, (4, 5): 7}, 4),
+    (2, 6, {(1, 4): 1, (2, 5): 1, (3, 6): 1}, 6),
+])
+def test_all_min_syzygies_raises_on_a_table_of_rank_past_2n(monkeypatch, n, m, nonzero, r):
+    # a table of points has rank <= 2n, so the raise is a bug check: reach it
+    # through a table builder that returns independent entries
+    cfg = random_config(n, m, seed=m)
+    table = GramTable(m, {p: nonzero.get(p, 0) for p in combinations(range(1, m + 1), 2)})
+    assert _rank(table) == r and any(_table_pfaffian(table, combinations(range(1, m + 1), 2 * n + 2)))
+    monkeypatch.setattr("sympjoint.invariants.gram", lambda config: table)
+    message = rf"^Gram table of rank {r} > 2n = {2 * n}: its syzygies do not vanish$"
+    with pytest.raises(RuntimeError, match=message):
+        all_min_syzygies(cfg)
+    with pytest.raises(RuntimeError, match=message):
+        _check_vanishing(table, n)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1", 0])
+@pytest.mark.parametrize(
+    "numeric, symbolic",
+    [
+        (lambda g, n: q_value(g, range(1, 7), n), lambda n: q_poly(range(1, 7), n)),
+        (lambda g, n: syzygy_value(g, range(1, 5), n), lambda n: pfaffian_poly(range(1, 5), n)),
+    ],
+    ids=["q_value", "syzygy_value"],
+)
+def test_numeric_syzygies_check_n_as_the_symbolic_ones_do(numeric, symbolic, n):
+    # one n check (`exact._check_n`): a bool, a float or a string is no half dimension
+    g = gram(random_config(1, 6, seed=1))
+    with pytest.raises(ValueError) as symbolic_error:
+        symbolic(n)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(symbolic_error.value))}$"):
+        numeric(g, n)
 
 
 @given(cfg=rational_configs(), data=st.data())
