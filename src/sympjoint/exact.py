@@ -2,11 +2,11 @@
 
 Every computation in this module is exact: there is one scalar type, the
 stdlib ``Fraction`` (exported as ``Rat``), and no rounding ever occurs.  Every
-elimination (rank, nullspace, solve, inverse, determinant) runs fraction-free
-on integer rows, each exact row scaled by its common denominator; division
-happens only when an exact output is built.  The Pfaffian kernel and ``symp``
-run over any ring: Gram tables (the contact R_ij too), their Pfaffians and
-``random_symplectic`` run in ints; ``pfaffian`` stays ``Rat``, the reference.
+elimination (rank, nullspace, determinant) runs fraction-free on integer rows,
+each exact row scaled by its common denominator; division happens only when
+an exact output is built.  The Pfaffian kernel and ``symp`` run over any ring:
+Gram tables (the contact R_ij too), their Pfaffians and ``random_symplectic``
+run in ints; ``pfaffian`` stays ``Rat``, the reference.
 
 Here and in the modules that decide (``invariants``, ``normal_form``,
 ``variants``, ``field_generators``) a tuple is built from a list, never from
@@ -363,22 +363,6 @@ def nullspace(M):
     return basis
 
 
-def solve(A, B):
-    """Solve A X = B exactly for square nonsingular A (B a matrix)."""
-    if A.rows != A.cols:
-        raise ValueError("solve needs a square matrix")
-    if B.rows != A.rows:
-        raise ValueError("right-hand side row mismatch")
-    reduced = _row_space(list(ra) + list(rb) for ra, rb in zip(A.data, B.data)).reduced()
-    if [p for p, _ in reduced] != list(range(A.cols)):
-        raise ValueError("singular matrix")
-    return ExactMatrix([[Rat(x, row[p]) for x in row[A.cols :]] for p, row in reduced])
-
-
-def inverse(M):
-    return solve(M, ExactMatrix.identity(M.rows))
-
-
 def _check_tuple(idx, length, m=inf):
     """idx as a tuple of `length` strictly ascending labels in 1..m; the
     label check of the syzygies, numeric and symbolic (no m: any positive)."""
@@ -487,8 +471,7 @@ def random_symplectic(n, steps, seed):
     entries of v drawn from [-3, 3] (v nonzero), so entry growth stays bounded
     and the output, made ``Rat`` on return, is exactly symplectic: M^T J M = J.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     rng = random.Random(seed)

@@ -18,8 +18,8 @@ import random
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, _check_tuple, _IntRowSpace, _Record, rank
-from .invariants import GenericityError, GramTable, PointConfig, _integer_points, _leading, random_config
+from .exact import ExactMatrix, Rat, _check_n, _check_tuple, _IntRowSpace, _Record, rank
+from .invariants import GenericityError, GramTable, PointConfig, _leading, random_config
 
 
 def dim_d(m, n):
@@ -56,8 +56,7 @@ def eliminate_entry(known, k, l, n):
     the last two leading Pfaffians of the ints (a_kl = 0) over labels
     (1..2n, k, l), read off one condensation (`_leading`) in time polynomial in n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     if not (2 * n < k < l):
         raise ValueError(f"expected 2n < k < l, got k={k}, l={l} for n={n}")
     labels = tuple(range(1, 2 * n + 1)) + (k, l)
@@ -81,8 +80,7 @@ def stabilizer_dim(points, n):
     H A_i = 0: H is a symmetric form on V / span(A_i), of dimension C(2n - r + 1, 2)
     with r the rank of the points.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_n(n)
     for A in points:
         if len(A) != 2 * n:
             raise ValueError(f"point of length {len(A)}, expected {2 * n}")
@@ -99,7 +97,7 @@ def _pair_jacobian(config: PointConfig):
     point of each pair; neither the scale nor the column order moves a rank.
     """
     n, m = config.n, config.m
-    pts, _ = _integer_points(config)
+    pts, _ = config._ints
     zero = [0] * (2 * n)
     rows = {}
     for i, j in combinations(range(1, m + 1), 2):

@@ -12,12 +12,12 @@ Gram tables and their Pfaffians are computed in Python ints; a `Rat` is built
 only for a returned value.  A `PointConfig` carries one integer form, A_i =
 u_i / d, built with the record, and `_gram_of` builds a table's, a_ij =
 ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2; their `Rat`
-values are built on first read.  A `ContactConfig` carries one too
-(`_contact_ints`): its plane parts, whose `_gram_of` is the contact table
-R_ij, and its references R_i = x_i.y_i - 2 u_i, all over one d^2.  Two
-integer forms, tables or signature rows, compare by one rule, `_same_values`
-(x e == y d entry by entry).  The leading
-Pfaffians of a label tuple are read off one Pfaffian condensation of the ints
+values are built on first read.  A `ContactConfig` carries one too: its
+plane parts, whose `_gram_of` is the contact table R_ij, and its references
+R_i = x_i.y_i - 2 u_i, all over one d^2.  Each record keeps its form in the
+slot `_ints`.  Two integer forms, tables or signature rows, compare by one
+rule, `_same_values` (x e == y d entry by entry).  The leading Pfaffians of a
+label tuple are read off one Pfaffian condensation of the ints
 (`_leading`, which swaps in a later label past a vanishing pivot), in time
 polynomial in the tuple length: the chain and its failed predicates, the
 syzygy value of one tuple and `eliminate_entry` all take it.  The whole
@@ -45,14 +45,15 @@ class GenericityError(ValueError):
 class PointConfig(_Record):
     """Ordered tuple of m points in R^{2n}, coordinates (x^1..x^n, y^1..y^n).
 
-    Fields: n (int) and points (a tuple of m tuples of 2n `Rat`).
+    Fields: n (int) and points (a tuple of m tuples of 2n `Rat`).  The slot
+    `_ints`, built with the record and read-only, is its integer form
+    (u_1, ..., u_m as int lists, d), A_i = u_i / d.
     """
 
     __slots__ = ("n", "points", "_ints")
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_n(self.n)
         if len(self.points) < 1:
             raise ValueError("need at least one point")
         pts = _parse_points(self.points, lambda p: tuple([rat(c) for c in p]))
@@ -121,14 +122,18 @@ class ContactPoint(_Record):
 class ContactConfig(_Record):
     """Ordered tuple of m contact points with n x-coordinates each.
 
-    Fields: n (int) and points (a tuple of `ContactPoint`).
+    Fields: n (int) and points (a tuple of `ContactPoint`).  The slot
+    `_ints`, built with the record and read-only, is its integer form
+    (planes, refs, d): d is the common denominator of every coordinate, u
+    included; planes[i] = d (x_i, y_i) as an int list, and refs[i] = x'.y' -
+    2 u' d for x' = d x_i, y' = d y_i, u' = d u_i, so that R_i = refs[i] / d^2
+    and R_ij = symp(planes[i], planes[j]) / d^2.
     """
 
     __slots__ = ("n", "points", "_ints")
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        _check_n(self.n)
         pts = _parse_points(self.points, lambda p: p if isinstance(p, ContactPoint) else ContactPoint(*p))
         if not pts:
             raise ValueError("need at least one point")
@@ -229,20 +234,6 @@ def _same_values(xs, d, ys, e):
     return xs == ys if d == e else all([x * e == y * d for x, y in zip(xs, ys)])
 
 
-def _integer_points(config: PointConfig):
-    """(u_1, ..., u_m as int lists, d), A_i = u_i / d, built with the record; read-only."""
-    return config._ints
-
-
-def _contact_ints(config: ContactConfig):
-    """(planes, refs, d), the integer form of a contact configuration, built
-    with the record; read-only.  d is the common denominator of every
-    coordinate, u included; planes[i] = d (x_i, y_i) as an int list, and
-    refs[i] = x'.y' - 2 u' d for x' = d x_i, y' = d y_i, u' = d u_i, so that
-    R_i = refs[i] / d^2 and R_ij = symp(planes[i], planes[j]) / d^2."""
-    return config._ints
-
-
 def _gram_of(pts, d):
     """The Gram table of the points A_i = u_i / d, given as the int lists u_i:
     ints[i, j] = symp(u_i, u_j) over den = d^2 (d = 1 for integral points)."""
@@ -252,7 +243,7 @@ def _gram_of(pts, d):
 
 def gram(config: PointConfig) -> GramTable:
     """All pairwise invariants a_ij = symp(A_i, A_j) of a configuration."""
-    return _gram_of(*_integer_points(config))
+    return _gram_of(*config._ints)
 
 
 def _condense(P, e, f, prev):

@@ -19,7 +19,7 @@ Every signature and equivalence decision, for Sp, CSp, ASp and the contact
 lift, is made here, by `_normalize`: one configuration, with its fallback
 relabeling either decided or given.  It reads integer forms only, points u_i /
 d, tables ints / den (built by `_gram_of`, for ASp from u_i - u_1) and the
-contact form of `_contact_ints`, and returns a signature as one integer row
+contact form `ContactConfig._ints`, and returns a signature as one integer row
 over one nonzero integer D, plus Witt's relations: (key, row, D, relations),
 the values being x / D for each x of the row.  Sp and ASp take the basic-set
 ints over den, CSp |a12| and the basic-set ints after (1, 2) over a12
@@ -54,10 +54,8 @@ from .invariants import (
     GramTable,
     PointConfig,
     _condense,
-    _contact_ints,
     _failed,
     _gram_of,
-    _integer_points,
     _same_values,
     _skew_rows,
 )
@@ -86,7 +84,7 @@ class GenericityReport(_Record):
 
 def genericity(config: PointConfig) -> GenericityReport:
     """Check every leading-Pfaffian predicate; report all failures."""
-    failed = _failed(_gram_of(*_integer_points(config)), config.n)
+    failed = _failed(_gram_of(*config._ints), config.n)
     return GenericityReport(not failed, failed)
 
 
@@ -154,11 +152,11 @@ def canonical(config: PointConfig) -> ExactMatrix:
     """
     if config.m < 2:
         raise ValueError("canonical form needs at least two points")
-    g = _gram_of(*_integer_points(config))
+    g = _gram_of(*config._ints)
     _require_generic(g, config.n)
     cols = _canonical_columns(g, config.n)
     result = ExactMatrix.from_columns(cols)
-    if _gram_of(*_integer_points(PointConfig(config.n, tuple(cols)))) != g:
+    if _gram_of(*PointConfig(config.n, tuple(cols))._ints) != g:
         raise RuntimeError("canonical columns fail to reproduce the Gram table")
     return result
 
@@ -177,7 +175,7 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     n, m = A.n, A.m
     if m < 2 * n:
         raise ValueError("underdetermined: fewer than 2n points leave a nontrivial stabilizer")
-    (us, d_a), (vs, d_b) = _integer_points(A), _integer_points(B)
+    (us, d_a), (vs, d_b) = A._ints, B._ints
     tables = _gram_of(us, d_a), _gram_of(vs, d_b)
     for label, g in zip(("first", "second"), tables):
         _require_generic(g, n, f"{label} configuration non-generic")
@@ -235,7 +233,7 @@ def _eliminated_pairs(m, n):
 
 def _absolute_values(planes, refs, d, n):
     """The absolute contact values as (row, r_m, relations), from the integer
-    form of `_contact_ints`, relabeled: T_k = r_k / r_m for k < m, then
+    form of `ContactConfig._ints`, relabeled: T_k = r_k / r_m for k < m, then
     T_ij = ints[i, j] / r_m over the basic set of the plane parts' table R
     (R_k and R_ij share the denominator d^2, which cancels)."""
     m, rm = len(refs), refs[-1]
@@ -276,13 +274,13 @@ def _normalize(group, config, relabel=None):
     if not isinstance(config, record):
         raise ValueError(f"the {key} group takes a {record.__name__}, got {type(config).__name__}")
     if key == "Contact":
-        planes, refs, d = _contact_ints(config)
+        planes, refs, d = config._ints
         if relabel is None:
             relabel = [*range(2, config.m + 1), 1] if refs[-1] == 0 else ()
         if relabel:
             planes, refs = [planes[k - 1] for k in relabel], [refs[k - 1] for k in relabel]
         return (key, *_absolute_values(planes, refs, d, config.n)), relabel
-    n, (pts, d) = config.n, _integer_points(config)
+    n, (pts, d) = config.n, config._ints
     if key == "ASp":
         # translation by -A_1 removes the base point, then the linear theory applies
         if config.m < 2:

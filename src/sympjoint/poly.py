@@ -9,12 +9,14 @@ Variables are tagged tuples totally ordered by tuple comparison:
   ("z", name...)   auxiliary variable (coordinates, group parameters)
 A monomial is a sorted tuple of (variable, exponent) pairs; a polynomial maps
 monomials to nonzero coefficients, stored as Python ints when integral and as
-``Rat`` otherwise.  A symbolic Pfaffian is built term by term, one perfect
-matching per term, by a depth-first walk that passes each monomial prefix
-down; a symbolic determinant (``q_poly``) likewise walks the permutations row
-by row, the Laplace expansion written directly.  Each term is built and
-inserted into the result once: no sub-Pfaffian or minor is built as a
-polynomial of its own (the memoized ``exact._pf_expand`` is for numbers).
+``Rat`` otherwise.  A symbolic Pfaffian, on strictly ascending labels, is
+built term by term, one perfect matching per term, by a depth-first walk that
+passes each monomial prefix down; a symbolic determinant (``q_poly``) likewise
+walks the permutations row by row, the Laplace expansion written directly.
+Each term is built and inserted into the result once: no sub-Pfaffian or minor
+is built as a polynomial of its own (the memoized ``exact._pf_expand`` is for
+numbers).  The minor expansion of b_{1...2n+2} and Weyl's 8-index reduction
+are one check, the first-row expansion ``_first_row_expansion``.
 
 Products concatenate monomials whose variables do not interleave, and a
 one-term factor maps the other's terms in one pass.  A sum (``+``) adds
@@ -28,9 +30,8 @@ once per call, so the vanishing of a syzygy on point tables drops whole
 subtrees and reaches each of them once.
 """
 
-import math
 from bisect import bisect_left
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import neg
 
 from .exact import Rat, _check_n, _check_tuple, rat, rat_str
@@ -406,28 +407,19 @@ def _pf_terms(out, labels, prefix, sign, heads):
 
 
 def _pf_poly(idx):
-    """Symbolic Pfaffian of the sub-table on idx (any order, distinct labels).
+    """Symbolic Pfaffian of the sub-table on idx, an even number of strictly
+    ascending labels.
 
     One term per perfect matching, each built and inserted once
-    (``_pf_terms``).  On ascending labels the heads a_{i0 j} come in
-    ascending order, so each monomial is built sorted.  Another order reads
-    a_ij for i after j as -a_ji: each monomial is then sorted and its sign
-    flipped once per such factor.
+    (``_pf_terms``); the heads a_{i0 j} come in ascending order, so each
+    monomial is built sorted.
     """
     idx = tuple(idx)
-    if len(idx) % 2:
-        return _wrap({})
     if len(idx) < 4:
         return _avar_signed(*idx) if idx else _wrap({(): 1})
-    heads = {i: {j: ((("a", min(i, j), max(i, j)), 1),) for j in idx[p + 1 :]} for p, i in enumerate(idx)}
+    heads = {i: {j: ((("a", i, j), 1),) for j in idx[p + 1 :]} for p, i in enumerate(idx)}
     out = {}
     _pf_terms(out, idx, (), 1, heads)
-    if list(idx) != sorted(idx):
-        pos = {i: p for p, i in enumerate(idx)}
-        out = {
-            tuple(sorted(mono)): -c if sum([pos[v[1]] > pos[v[2]] for v, _ in mono]) % 2 else c
-            for mono, c in out.items()
-        }
     return _wrap(out)
 
 
@@ -493,43 +485,27 @@ def evaluate(p: MultiPoly, g) -> Rat:
     return Rat(_value(p.terms, values))
 
 
-def _perm_sign(images):
-    return (-1) ** sum(a > b for a, b in combinations(images, 2))
+def _first_row_expansion(s):
+    """Whether Pf(1..s) = sum_j (-1)^j a_1j Pf(2..s without j), j = 2..s, as
+    exact polynomials: the first-row minor expansion of an s-label Pfaffian."""
+    rest = tuple(range(2, s + 1))
+    rhs = MultiPoly()
+    for p, j in enumerate(rest):
+        rhs = rhs + (-1) ** j * _avar_signed(1, j) * _pf_poly(rest[:p] + rest[p + 1 :])
+    return rhs == _pf_poly((1,) + rest)
 
 
 def verify_pfaffian_expansion(n):
-    """Check the first-row minor expansion of b as an exact polynomial identity.
-
-    b_{i_1...i_{2n+2}} equals 1/(2n)! times the signed sum over permutations
-    fixing the first slot of a_{i_1 i_s(2)} * Pf on the remaining 2n slots.
-    (The symmetrized sum counts each of the 2n+1 minors (2n)! times.)
-    """
-    if n not in (1, 2):
+    """Check the first-row minor expansion of b_{1...2n+2} (n in {1, 2}) as an
+    exact polynomial identity."""
+    if _check_n(n) not in (1, 2):
         raise ValueError("expansion check supported for n in {1, 2} only")
-    size = 2 * n + 2
-    idx = tuple(range(1, size + 1))
-    lhs = _pf_poly(idx)
-    total = MultiPoly()
-    for tail in permutations(range(1, size)):
-        images = (0,) + tail
-        sign = _perm_sign(images)
-        head = _avar_signed(idx[0], idx[images[1]])
-        inner = tuple(idx[images[p]] for p in range(2, size))
-        total = total + sign * head * _pf_poly(inner)
-    rhs = total * rat(1, math.factorial(2 * n))
-    return rhs == lhs
+    return _first_row_expansion(2 * n + 2)
 
 
 def verify_weyl_reduction():
     """Check the 8-index Pfaffian against its expansion into 6-index ones (n=2)."""
-    lhs = _pf_poly(tuple(range(1, 9)))
-    rhs = MultiPoly()
-    sign = 1
-    for j in range(2, 9):
-        rest = tuple(k for k in range(2, 9) if k != j)
-        rhs = rhs + sign * _avar_signed(1, j) * _pf_poly(rest)
-        sign = -sign
-    return rhs == lhs
+    return _first_row_expansion(8)
 
 
 def verify_q_reduction():

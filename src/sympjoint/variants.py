@@ -11,7 +11,7 @@ all of weight one, whose ratios T_k = R_k/R_m, T_ij = R_ij/R_m generate the
 invariant field.  The T_ij satisfy the same Pfaffian relations as the a_ij,
 which eliminates all pairs outside the basic set.  R_ij is the Gram table of
 the plane parts (x, y), and T = R/R_m has the vanishing Pfaffians of R.  Both
-are read off the integer form of a `ContactConfig` (`invariants._contact_ints`).
+are read off the integer form of a `ContactConfig` (its `_ints`).
 
 This module sits above `normal_form`, which makes every CSp and contact
 decision: `csp_signature`, `contact_absolute` and `contact_equivalent` read
@@ -25,7 +25,7 @@ from math import comb
 
 from . import normal_form
 from .exact import ExactMatrix, Rat, _check_n, rat_str
-from .invariants import ContactConfig, ContactPoint, _contact_ints, _gram_of, _point_list, gram
+from .invariants import ContactConfig, ContactPoint, _gram_of, _point_list, gram
 
 
 def csp_signature(g, n) -> "Signature":
@@ -99,7 +99,7 @@ def contact_lift_symplectic(M: ExactMatrix, config: ContactConfig) -> ContactCon
 
 def contact_relative(config: ContactConfig):
     """All relative invariants: R_k per point and R_ij per pair (1-based keys)."""
-    planes, refs, d = _contact_ints(config)
+    planes, refs, d = config._ints
     return {"R_k": [Rat(r, d * d) for r in refs], "R_ij": dict(_gram_of(planes, d).values)}
 
 

@@ -114,7 +114,7 @@ def test_eliminate_entry_rejects_labels_past_its_table():
         eliminate_entry(g, 5, 9, 1)
     with pytest.raises(ValueError, match=r"^expected 2n < k < l, got k=2, l=5 for n=1$"):
         eliminate_entry(g, 2, 5, 1)
-    with pytest.raises(ValueError, match=r"^need n >= 1$"):
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
         eliminate_entry(g, 5, 6, 0)
 
 
@@ -213,7 +213,7 @@ def test_stabilizer_dim_matches_linear_system_random_degenerate():
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_stabilizer_dim_needs_n_at_least_one(n):
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         stabilizer_dim([], n)
 
 

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympjoint.exact import ExactMatrix, Rat, _pf_expand, det, pfaffian, random_symplectic, rank, symp
+from sympjoint.field_generators import eliminate_entry, stabilizer_dim
 from sympjoint.invariants import (
+    ContactConfig,
     GramTable,
     PointConfig,
     _check_vanishing,
@@ -23,7 +25,7 @@ from sympjoint.invariants import (
     syzygy_value,
 )
 from sympjoint.normal_form import _relations
-from sympjoint.poly import pfaffian_poly, q_poly
+from sympjoint.poly import pfaffian_poly, q_poly, verify_pfaffian_expansion
 
 
 def test_gram_hand_values():
@@ -400,6 +402,26 @@ def test_numeric_syzygies_check_n_as_the_symbolic_ones_do(numeric, symbolic, n):
         symbolic(n)
     with pytest.raises(ValueError, match=f"^{re.escape(str(symbolic_error.value))}$"):
         numeric(g, n)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: PointConfig(n, ((1, 2), (3, 4))),
+        lambda n: ContactConfig(n, (((1,), (2,), 3),)),
+        lambda n: random_symplectic(n, 2, 0),
+        lambda n: stabilizer_dim([(1, 0)], n),
+        lambda n: eliminate_entry(gram(random_config(1, 4, seed=1)), 3, 4, n),
+        lambda n: verify_pfaffian_expansion(n),
+    ],
+    ids=["PointConfig", "ContactConfig", "random_symplectic", "stabilizer_dim", "eliminate_entry", "verify_pfaffian_expansion"],
+)
+def test_half_dimension_is_checked_once(call, n):
+    # `exact._check_n` refuses what only looks like n = 1: a PointConfig with
+    # n = True would write "n": true, which `config_from_dict` refuses
+    with pytest.raises(ValueError, match=f"^'n' must be an integer, got {re.escape(repr(n))}$"):
+        call(n)
 
 
 @given(cfg=rational_configs(), data=st.data())
