@@ -379,11 +379,17 @@ def _check_tuple(idx, length, m=inf):
     return idx
 
 
-def _check_n(n):
-    """n as the half dimension of R^{2n}: an int, not a bool, and >= 1."""
+def _check_int(n):
+    """n when it is an int and not a bool, else ValueError: the type half of
+    `_check_n`, for the size checks that word their own range message."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"'n' must be an integer, got {n!r}")
-    if n < 1:
+    return n
+
+
+def _check_n(n):
+    """n as the half dimension of R^{2n}: an int, not a bool, and >= 1."""
+    if _check_int(n) < 1:
         raise ValueError("n must be >= 1")
     return n
 

@@ -18,13 +18,13 @@ import random
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, _check_n, _check_tuple, _IntRowSpace, _Record, rank
+from .exact import ExactMatrix, Rat, _check_int, _check_n, _check_tuple, _IntRowSpace, _Record, rank
 from .invariants import GenericityError, GramTable, PointConfig, _leading, random_config
 
 
 def dim_d(m, n):
     """Transcendence degree of the invariant field on m points in R^{2n}."""
-    if m < 1 or n < 1:
+    if _check_int(n) < 1 or m < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if m >= 2 * n:
         return 2 * n * m - n * (2 * n + 1)

@@ -11,12 +11,14 @@ A monomial is a sorted tuple of (variable, exponent) pairs; a polynomial maps
 monomials to nonzero coefficients, stored as Python ints when integral and as
 ``Rat`` otherwise.  A symbolic Pfaffian, on strictly ascending labels, is
 built term by term, one perfect matching per term, by a depth-first walk that
-passes each monomial prefix down; a symbolic determinant (``q_poly``) likewise
-walks the permutations row by row, the Laplace expansion written directly.
-Each term is built and inserted into the result once: no sub-Pfaffian or minor
-is built as a polynomial of its own (the memoized ``exact._pf_expand`` is for
-numbers).  The minor expansion of b_{1...2n+2} and Weyl's 8-index reduction
-are one check, the first-row expansion ``_first_row_expansion``.
+passes each monomial prefix down and writes the fifteen terms of the last six
+labels directly; a symbolic determinant (``q_poly``) likewise walks the
+permutations row by row, the Laplace expansion written directly down to the
+six terms of the last three rows.  Each term is built and inserted into the
+result once: no sub-Pfaffian or minor is built as a polynomial of its own (the
+memoized ``exact._pf_expand`` is for numbers).  The minor expansion of
+b_{1...2n+2} and Weyl's 8-index reduction are one check, the first-row
+expansion ``_first_row_expansion``.
 
 Products concatenate monomials whose variables do not interleave, and a
 one-term factor maps the other's terms in one pass.  A sum (``+``) adds
@@ -27,7 +29,10 @@ is rescanned.  ``substitute`` works in Horner order: terms grouped by leading
 factor share one substitution of their cofactor, and cofactors equal up to
 sign (a sub-Pfaffian reached through a12*a34 and a13*a24) are substituted
 once per call, so the vanishing of a syzygy on point tables drops whole
-subtrees and reaches each of them once.
+subtrees and reaches each of them once.  That pass runs on packed monomials,
+one int each with a fixed-width exponent field per variable, so a monomial
+product is one int addition.  ``evaluate`` reads a Gram table's integer form
+and sums in ints, building one ``Rat`` at the end.
 """
 
 from bisect import bisect_left
@@ -131,6 +136,26 @@ def _term_times(m1, c1, terms):
     if c1 == -1:
         return dict(zip(monos, map(neg, terms.values())))
     return {mono: _coef(c1 * c2) for mono, c2 in zip(monos, terms.values())}
+
+
+def _pack(mono, shift):
+    """A monomial as one int: exponent e of v at bit shift[v]."""
+    return sum([e << shift[v] for v, e in mono])
+
+
+def _add_product(out, image, rest, negate):
+    """out += image * rest (negated if ``negate``) in place, over packed
+    monomials {int: coefficient}, dropping monomials that cancel."""
+    for m2, c2 in image.items():
+        if negate:
+            c2 = -c2
+        for m1, c1 in rest.items():
+            m = m1 + m2
+            s = out.get(m, 0) + c1 * c2
+            if s:
+                out[m] = s.numerator if type(s) is not int and s.denominator == 1 else s
+            else:
+                del out[m]
 
 
 class MultiPoly:
@@ -285,31 +310,57 @@ class MultiPoly:
         already substituted in this call (a sub-Pfaffian reached through
         a12*a34 and a13*a24) reuses that result, negated if need be.  The
         memo lives for one call; a group listed in another order only misses.
+
+        The Horner pass runs on packed monomials: the k-th variable, in sorted
+        order over the kept variables and those of the images, has its
+        exponent at bit k * w of one int, w the bit length of the largest
+        degree a term can reach, so a product of monomials is one int
+        addition, no exponent spills into the next field, and the memo keys
+        on ints (a polynomial image is named by its slot).  The total is
+        unpacked into sorted monomials once, at the end.
         """
-        images = {}  # (v, e) -> None when v is kept, else rep**e; a miss reads as f itself
+        images = {}  # (v, e) -> None when v is kept, a scalar, or (slot, degree) of rep**e; a miss reads as f itself
+        powers = []  # the polynomial images, by slot
+        names = set()  # the kept variables and those of the polynomial images
         split = []
+        top = 0  # the largest degree of a term once substituted: it bounds every exponent below
         for mono, c in self.terms.items():
-            kept, replaced = [], []
+            kept, replaced, deg = [], [], 0
             for f in mono:
                 img = images.get(f, f)
                 if img is f:
                     rep = mapping.get(f[0])
                     if rep is None:
                         img = None
-                    elif isinstance(rep, MultiPoly):
-                        img = rep ** f[1] if rep.terms else 0  # a zero image is a scalar
-                    else:
+                        names.add(f[0])
+                    elif not isinstance(rep, MultiPoly):
                         img = _coef(rep) ** f[1]
+                    elif not rep.terms:
+                        img = 0  # a zero image is a scalar
+                    else:
+                        power = rep ** f[1]
+                        img = len(powers), power.degree()
+                        powers.append(power)
+                        names.update(power.variables())
                     images[f] = img
                 if img is None:
                     kept.append(f)
-                elif type(img) is MultiPoly:
-                    replaced.append(f)
+                    deg += f[1]
+                elif type(img) is tuple:
+                    replaced.append(img[0])
+                    deg += img[1]
                 else:
                     c = c * img
+            if deg > top:
+                top = deg
             if c:
                 split.append((tuple(replaced), tuple(kept), c))
 
+        names = sorted(names)
+        w = top.bit_length()
+        shift = {v: k * w for k, v in enumerate(names)}
+        packed = [{_pack(mono, shift): c for mono, c in p.terms.items()} for p in powers]
+        split = [(replaced, _pack(kept, shift) if kept else 0, c) for replaced, kept, c in split]
         memo = {}  # a group's key up to sign -> (its Horner sum, whether its first coefficient is negative)
 
         def horner(items, depth):
@@ -324,7 +375,7 @@ class MultiPoly:
                     groups.setdefault(item[0][depth], []).append(item)
             _add_into(out, leaves)
             depth += 1
-            for f, group in groups.items():
+            for slot, group in groups.items():
                 flip = False
                 if len(group) == 1:  # one term: cheaper to redo than to key
                     rest = horner(group, depth)
@@ -342,13 +393,22 @@ class MultiPoly:
                         rest, stored_neg = got
                         flip = stored_neg is not neg_first
                 if rest:
-                    prod = (_wrap(rest) * images[f]).terms
-                    _add_into(out, zip(prod, map(neg, prod.values())) if flip else prod.items())
+                    _add_product(out, packed[slot], rest, flip)
             return out
 
         total = horner(split, 0)
         horner = None  # the closure refers to itself: break that cycle so the memo is freed now
-        return _wrap(total)
+        mask, out = (1 << w) - 1, {}
+        for x, c in total.items():
+            mono, k = [], 0
+            while x:
+                e = x & mask
+                if e:
+                    mono.append((names[k], e))
+                x >>= w
+                k += 1
+            out[tuple(mono)] = c
+        return _wrap(out)
 
     def __str__(self):
         if not self.terms:
@@ -391,12 +451,39 @@ def _pf_terms(out, labels, prefix, sign, heads):
 
     The head a_{i0 j}, i0 the first label left, is ``heads[i0][j]``, a
     one-factor monomial; the sign flips with the parity of j's position
-    among the labels after i0.  Four labels left give their three terms
-    directly.  A module-level function, so the walk holds no reference cycle.
+    among the labels after i0.  Six labels left give their fifteen terms
+    directly, in the walk's order; a four-label Pfaffian, the one case the
+    walk never shrinks to, gives its three.  A module-level function, so
+    the walk holds no reference cycle.
     """
     i, rest = labels[0], labels[1:]
     hi = heads[i]
-    if len(rest) == 3:
+    if len(rest) == 5:
+        a, b, c, d, e = rest
+        ha, hb, hc = heads[a], heads[b], heads[c]
+        ab, ac, ad, ae, bc, bd, be = ha[b], ha[c], ha[d], ha[e], hb[c], hb[d], hb[e]
+        cd, ce, de = hc[d], hc[e], heads[d][e]
+        p = prefix + hi[a]
+        out[p + bc + de] = sign
+        out[p + bd + ce] = -sign
+        out[p + be + cd] = sign
+        p = prefix + hi[b]
+        out[p + ac + de] = -sign
+        out[p + ad + ce] = sign
+        out[p + ae + cd] = -sign
+        p = prefix + hi[c]
+        out[p + ab + de] = sign
+        out[p + ad + be] = -sign
+        out[p + ae + bd] = sign
+        p = prefix + hi[d]
+        out[p + ab + ce] = -sign
+        out[p + ac + be] = sign
+        out[p + ae + bc] = -sign
+        p = prefix + hi[e]
+        out[p + ab + cd] = sign
+        out[p + ac + bd] = -sign
+        out[p + ad + bc] = sign
+    elif len(rest) == 3:
         b, c, d = rest
         out[prefix + hi[b] + heads[c][d]] = sign
         out[prefix + hi[c] + heads[b][d]] = -sign
@@ -430,16 +517,24 @@ def pfaffian_poly(idx, n):
 
 def _det_terms(out, rows, cols, prefix, sign, entries):
     """out[prefix + m] = sign * c for each term c * m of det(a_{r c}), r in
-    ``rows`` (at least two), c in ``cols``: the Laplace expansion along the
+    ``rows`` (at least three), c in ``cols``: the Laplace expansion along the
     rows, one permutation per leaf.  ``entries[r][c]`` is the one-factor
     monomial of a_rc; the sign flips with the parity of c's position among
-    the columns left, and two rows left give their two terms directly."""
+    the columns left, and three rows left give their six terms directly, in
+    the walk's order."""
     er, rest = entries[rows[0]], rows[1:]
-    if len(rest) == 1:
-        c, d = cols
-        es = entries[rest[0]]
-        out[prefix + er[c] + es[d]] = sign
-        out[prefix + er[d] + es[c]] = -sign
+    if len(rest) == 2:
+        c, d, e = cols
+        es, et = entries[rest[0]], entries[rest[1]]
+        p = prefix + er[c]
+        out[p + es[d] + et[e]] = sign
+        out[p + es[e] + et[d]] = -sign
+        p = prefix + er[d]
+        out[p + es[c] + et[e]] = -sign
+        out[p + es[e] + et[c]] = sign
+        p = prefix + er[e]
+        out[p + es[c] + et[d]] = sign
+        out[p + es[d] + et[c]] = -sign
     else:
         for p, c in enumerate(cols):
             _det_terms(out, rest, cols[:p] + cols[p + 1 :], prefix + er[c], -sign if p % 2 else sign, entries)
@@ -470,9 +565,16 @@ def _value(terms, values):
 
 
 def evaluate(p: MultiPoly, g) -> Rat:
-    """Substitute a Gram table into a polynomial in pairwise variables."""
-    values = {}
-    for mono in p.terms:
+    """Substitute a Gram table into a polynomial in pairwise variables.
+
+    The table's integer form a_ij = ints[i, j] / den is read directly: the
+    terms of each degree d are summed by `_value` (in ints when the
+    coefficients are ints), scaled by den^(top - d), and one `Rat` is built
+    over den^top, top the largest degree.  A variable out of range, or in
+    range but missing from the table, raises ValueError naming it.
+    """
+    values, by_degree = {}, {}
+    for mono, c in p.terms.items():
         for v, _ in mono:
             if v in values:
                 continue
@@ -481,8 +583,13 @@ def evaluate(p: MultiPoly, g) -> Rat:
             _, i, j = v
             if i < 1 or j > g.m:
                 raise ValueError(f"variable a{i}{j} out of range for m={g.m}")
-            values[v] = g.value(i, j)
-    return Rat(_value(p.terms, values))
+            x = g.ints.get((i, j))
+            if x is None:
+                raise ValueError(f"{var_name(v)} has no value in the table")
+            values[v] = x
+        by_degree.setdefault(_mono_degree(mono), {})[mono] = c
+    top, den = max(by_degree, default=0), g.den
+    return Rat(sum([_value(terms, values) * den ** (top - d) for d, terms in by_degree.items()]), den**top)
 
 
 def _first_row_expansion(s):

@@ -24,10 +24,10 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
-from .exact import ExactMatrix, Rat, _IntRowSpace, rank, rat
+from .exact import ExactMatrix, Rat, _check_int, _IntRowSpace, rank, rat
 from .field_generators import _pair_jacobian, basic_set, dim_d
 from .invariants import gram, random_config
-from .poly import MultiPoly, _value, avar, evaluate
+from .poly import MultiPoly, _coef, _value, _wrap, avar, evaluate
 
 _MAX_GRADED_DEGREE = 10
 _MAX_GRADED_POINTS = 6
@@ -79,14 +79,25 @@ def _relabeling_sum(terms, relabelings):
 
 
 def reynolds(p: MultiPoly, m) -> MultiPoly:
-    """Average over all m! point relabelings: the projection onto S_m-invariants."""
+    """Average over all m! point relabelings: the projection onto S_m-invariants.
+
+    A monomial x = s * sigma(rep) of the S_m orbit of rep has image
+    R(x) = s * R(rep), s the sign of x's count in rep's signed orbit sum
+    (`_orbit_sums`, which drops an orbit that cancels, where R is 0).  So the
+    coefficients are weighed per orbit and each orbit sum is added once:
+    m! relabelings per orbit, not per term.
+    """
     if _pairwise_indices(p) > m:
         raise ValueError("polynomial mentions a point index beyond m")
-    # clear the common denominator first, so the m! relabelings sum ints
+    # clear the common denominator first, so the orbit sums are weighed in ints
     den = lcm(*[c.denominator for c in p.terms.values()])
     ints = {mono: (c * den).numerator for mono, c in p.terms.items()}
-    scale = rat(1, factorial(m) * den)
-    return MultiPoly({mono: c * scale for mono, c in _relabeling_sum(ints, _relabelings(m)).items()})
+    scale, total = factorial(m) * den, {}
+    for _, orbit in _orbit_sums(ints, m):
+        weight = sum([ints[x] if k > 0 else -ints[x] for x, k in orbit.items() if x in ints])
+        if weight:
+            total.update({x: _coef(Rat(weight * k, scale)) for x, k in orbit.items()})
+    return _wrap(total)
 
 
 def _partitions(m, top=None):
@@ -203,7 +214,7 @@ def _orbit_sums(monos, m):
 
 
 def _check_sizes(m, n, k):
-    if m < 1 or n < 1 or k < 0:
+    if _check_int(n) < 1 or m < 1 or k < 0:
         raise ValueError(f"need m >= 1, n >= 1 and a degree >= 0, got m={m}, n={n}, degree {k}")
 
 

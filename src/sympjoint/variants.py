@@ -24,7 +24,7 @@ import json
 from math import comb
 
 from . import normal_form
-from .exact import ExactMatrix, Rat, _check_n, rat_str
+from .exact import ExactMatrix, Rat, _check_int, _check_n, rat_str
 from .invariants import ContactConfig, ContactPoint, _gram_of, _point_list, gram
 
 
@@ -124,7 +124,7 @@ def contact_equivalent(A: ContactConfig, B: ContactConfig) -> bool:
 
 def dim_bbar(m, n):
     """Transcendence degree of the contact invariant field."""
-    if m < 1 or n < 1:
+    if _check_int(n) < 1 or m < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if m >= 2 * n:
         return (2 * n + 1) * m - n * (2 * n + 1) - 1

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import comb
 
@@ -30,6 +31,15 @@ def test_dim_d_boundary_consistency():
     for n in (1, 2, 3):
         m = 2 * n
         assert 2 * n * m - n * (2 * n + 1) == comb(m, 2) == dim_d(m, n)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_dim_d_refuses_an_n_that_only_looks_like_an_int(n):
+    # the type is checked before the range, whose wording stays
+    with pytest.raises(ValueError, match=f"^'n' must be an integer, got {re.escape(repr(n))}$"):
+        dim_d(3, n)
+    with pytest.raises(ValueError, match="^need m >= 1 and n >= 1$"):
+        dim_d(0, 1)
 
 
 def test_basic_set_layout():

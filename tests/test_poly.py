@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -103,6 +105,36 @@ def test_evaluate_rejects_labels_out_of_range(i, j):
     g = random_table(3, random.Random(27))
     with pytest.raises(ValueError, match=rf"^variable a{i}{j} out of range for m=3$"):
         evaluate(MultiPoly.variable(avar(i, j)), g)
+
+
+def test_evaluate_names_a_variable_missing_from_the_table():
+    g = GramTable(4, {(1, 2): 1, (3, 4): 2})
+    assert evaluate(MultiPoly.variable(avar(1, 2)) * MultiPoly.variable(avar(3, 4)), g) == 2
+    with pytest.raises(ValueError, match=r"^a13 has no value in the table$"):
+        evaluate(pfaffian_poly((1, 2, 3, 4), 1), g)
+
+
+_halves = st.integers(-9, 9).map(lambda k: rat(k, 2))
+
+
+@given(polys(_vars, _halves), polys(_vars, _halves), st.integers(0, 1000))
+@settings(max_examples=60, deadline=None)
+def test_evaluate_matches_fraction_evaluation(p, q, seed):
+    # mixed degrees (q lifted by a12 and a constant) with Rat coefficients,
+    # over a table whose odd numerators over 2, 4 or 6 make den > 1
+    p = p + q * MultiPoly.variable(avar(1, 2)) + rat(3, 5)
+    rng = random.Random(seed)
+    values = {pair: Fraction(2 * rng.randint(-9, 9) + 1, rng.choice((2, 4, 6))) for pair in ((1, 2), (1, 3), (2, 3))}
+    g = GramTable(3, values)
+    assert g.den > 1
+    want = Fraction(0)
+    for mono, c in p.terms.items():
+        term = Fraction(c)
+        for (_, i, j), e in mono:
+            term *= values[(i, j)] ** e
+        want += term
+    got = evaluate(p, g)
+    assert got == want and type(got) is Rat
 
 
 def test_derivative():
@@ -331,6 +363,47 @@ def test_substitute_powers_and_scalars():
     assert p.substitute({}) == p
 
 
+# --- packed monomials ---------------------------------------------------------
+#
+# substitute packs each monomial into one int, the k-th variable's exponent
+# at bit k * w, w the bit length of the largest degree a term reaches.  An
+# exponent of exactly 2^w - 1 fills its field; one more needs another bit.
+
+_pack_vars = [avar(1, 2), avar(1, 3), contact_var(1), aux_var("x"), aux_var("y")]
+_thirds = st.integers(-4, 4).map(lambda k: rat(k, 3))
+
+
+def _sparse_polys(max_terms, max_vars, max_exp):
+    monos = st.dictionaries(st.sampled_from(_pack_vars), st.integers(1, max_exp), max_size=max_vars)
+    return st.dictionaries(monos.map(lambda d: tuple(sorted(d.items()))), _thirds, max_size=max_terms).map(MultiPoly)
+
+
+# per variable: kept (None), a scalar, a zero polynomial, or a polynomial
+# that may hold kept variables, the replaced variable itself among them
+_images = st.one_of(st.none(), _thirds, st.just(MultiPoly()), _sparse_polys(2, 2, 2))
+
+_A12, _A13, _U1, _X, _Y = (MultiPoly.variable(v) for v in _pack_vars)
+
+
+@given(_sparse_polys(4, 3, 3), st.lists(_images, min_size=5, max_size=5))
+# x^3: top 3 = 2^2 - 1 fills the field of its one kept variable; x^4 is past it
+@example(_X**3, [None] * 5)
+@example(_X**4, [None] * 5)
+# a13 kept and a12's image: a13^7 reaches top 7 = 2^3 - 1, a13^8 reaches top 8
+@example(_A12**3 * _A13**4 - 2 * _U1, [_A13, None, None, None, None])
+@example(_A12**3 * _A13**5 + _Y, [_A13, None, None, None, None])
+# u1 kept, sorting between the image variables a13 and x; a13 kept too
+@example(rat(2, 3) * _A12**2 * _U1 - _A13 * _U1, [_A13 - rat(1, 3) * _X, None, None, None, None])
+# the top degree reached through an image: x * a12^2 -> x^3, x * a12^3 -> x^4
+@example(_X * _A12**2 + _U1, [_X, None, None, None, None])
+@example(_X * _A12**3 - _U1 * _Y, [_X, None, None, None, None])
+@example(_A12 * _X + _A13**2, [rat(2, 3), MultiPoly(), 0, None, _U1**2])
+@settings(max_examples=150, deadline=None)
+def test_packed_substitution_matches_term_by_term_products(p, images):
+    mapping = {v: img for v, img in zip(_pack_vars, images) if img is not None}
+    assert p.substitute(mapping) == _substitute_reference(p, mapping)
+
+
 def _point_map(labels, n):
     """a_ij -> sum_k x^k_i y^k_j - x^k_j y^k_i: the table of labelled points in R^{2n}."""
     x = {(k, i): MultiPoly.variable(aux_var("x", k, i)) for k in range(n) for i in labels}
@@ -528,6 +601,43 @@ def test_q_poly_matches_permutation_expansion(n):
         inversions = sum(1 for s in range(k) for t in range(s + 1, k) if sigma[s] > sigma[t])
         expected[mono] = (-1) ** inversions
     assert q_poly(idx, n).terms == expected
+
+
+def _term_digest(p):
+    """The terms of p in insertion order, monomials and coefficients, hashed."""
+    return hashlib.sha256(repr(list(p.terms.items())).encode()).hexdigest()[:16]
+
+
+# The walks write their last six labels (a Pfaffian) and three rows (a
+# determinant) directly.  The digests, taken from the walk that recursed down
+# to four labels and two rows, pin the terms and their insertion order, on
+# labels 1.. and on spaced labels.
+@pytest.mark.parametrize(
+    "n, consecutive, spaced",
+    [
+        (1, "d538578c39bc63ad", "8c88970faa8f87e8"),
+        (2, "bfb94132a27ab044", "93ee5fb719923e93"),
+        (3, "a0d0814166639860", "422d4c3f5fc316d9"),
+        (4, "b2a2fb94ac5e0067", "73d0d35e16102947"),
+        (5, "6c5a5ed6684137c3", "4bfca608b60fb7ab"),
+    ],
+)
+def test_pfaffian_poly_keeps_its_terms_in_walk_order(n, consecutive, spaced):
+    assert _term_digest(pfaffian_poly(tuple(range(1, 2 * n + 3)), n)) == consecutive
+    assert _term_digest(pfaffian_poly(tuple(range(2, 4 * n + 6, 2)), n)) == spaced
+
+
+@pytest.mark.parametrize(
+    "n, consecutive, spaced",
+    [
+        (1, "b3309cf0e3d9a24c", "2c7aa28119025d83"),
+        (2, "ed19dd57dbfb00d0", "e9dc2fc406aee72a"),
+        (3, "c868266e49316fd6", "893fe708bcb2870b"),
+    ],
+)
+def test_q_poly_keeps_its_terms_in_walk_order(n, consecutive, spaced):
+    assert _term_digest(q_poly(tuple(range(1, 4 * n + 3)), n)) == consecutive
+    assert _term_digest(q_poly(tuple(range(3, 12 * n + 9, 3)), n)) == spaced
 
 
 def test_pfaffian_kernel_over_int_matches_exact_pfaffian():

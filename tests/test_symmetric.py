@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, gcd
@@ -142,6 +143,52 @@ def test_relabeling_sum_matches_brute_force(m):
             mono: c / factorial(m) for mono, c in _relabeling_sum_oracle(halves, m).items() if c
         }
         assert reynolds(MultiPoly(halves), m).terms == want
+
+
+def _same_orbit_terms(m, rng):
+    """A few S_m orbits, several monomials of each, relabeled from the orbit's
+    first one, with coefficients of both signs."""
+    pairs = [avar(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        chosen = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
+        rep = tuple(sorted((v, rng.randint(1, 3)) for v in chosen))
+        for _ in range(rng.randint(2, 5)):
+            mono, _ = _permute_monomial(rep, dict(zip(range(1, m + 1), rng.sample(range(1, m + 1), m))))
+            terms[mono] = terms.get(mono, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+    return {mono: c for mono, c in terms.items() if c}
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_orbit_reynolds_matches_brute_force(m):
+    # one Reynolds image per orbit, weighed by the signed counts of the
+    # orbit sum, against the m! relabelings of every term
+    rng = random.Random(70 + m)
+    for trial in range(12):
+        terms = _same_orbit_terms(m, rng)
+        if trial % 2:
+            terms = {mono: rat(c, 2 + trial % 3) for mono, c in terms.items()}
+        want = {mono: Fraction(c) / factorial(m) for mono, c in _relabeling_sum_oracle(terms, m).items() if c}
+        assert reynolds(MultiPoly(terms), m).terms == want
+
+
+def test_orbit_reynolds_cancels():
+    a = {(i, j): MultiPoly.variable(avar(i, j)) for i in range(1, 5) for j in range(i + 1, 5)}
+    # a12*a34 and a13*a24 each lie in an orbit whose signed sum cancels:
+    # the transposition (12) fixes a12*a34 up to the sign of a12
+    assert reynolds(a[(1, 2)] * a[(3, 4)] - a[(1, 3)] * a[(2, 4)], 4).is_zero()
+    # so does a12*a13*a23 at m = 3 and 4, next to an orbit that does not
+    triangle = a[(1, 2)] * a[(1, 3)] * a[(2, 3)]
+    assert _orbit_sums(list(triangle.terms), 3) == []
+    for m in (3, 4):
+        assert reynolds(triangle, m).is_zero()
+        assert reynolds(a[(1, 2)] ** 2 - 5 * triangle, m) == reynolds(a[(1, 2)] ** 2, m)
+    # two monomials of one orbit whose weights cancel, with and without a third
+    squares = a[(1, 2)] ** 2 * a[(3, 4)] ** 2
+    assert not reynolds(squares, 4).is_zero()
+    other = a[(1, 3)] ** 2 * a[(2, 4)] ** 2
+    assert reynolds(squares - other, 4).is_zero()
+    assert reynolds(squares - other + 2 * a[(1, 4)] ** 2 * a[(2, 3)] ** 2, 4) == 2 * reynolds(squares, 4)
 
 
 def test_reynolds_rejects_out_of_range():
@@ -433,3 +480,16 @@ def test_graded_dims_keeps_the_guards(m, n, top, match):
 def test_generator_search_rejects_bad_sizes(m, n, maxdeg):
     with pytest.raises(ValueError, match="need m >= 1"):
         generator_search(m, n, maxdeg)
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: graded_dim(3, n, 2), lambda n: graded_dims(3, n, 2), lambda n: generator_search(2, n, 2)],
+    ids=["graded_dim", "graded_dims", "generator_search"],
+)
+def test_sizes_refuse_an_n_that_only_looks_like_an_int(call, n):
+    # `_check_sizes` checks the type of n before the ranges, whose message
+    # the tests above pin
+    with pytest.raises(ValueError, match=f"^'n' must be an integer, got {re.escape(repr(n))}$"):
+        call(n)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -274,6 +275,15 @@ def test_dim_bbar_small_m_branch():
     assert dim_bbar(2, 2) == 2  # C(3,2) - 1
     assert dim_bbar(3, 2) == 5
     assert dim_bbar(6, 1) == 14
+
+
+@pytest.mark.parametrize("n", [True, 1.0, "1"])
+def test_dim_bbar_refuses_an_n_that_only_looks_like_an_int(n):
+    # the type is checked before the range, whose wording stays
+    with pytest.raises(ValueError, match=f"^'n' must be an integer, got {re.escape(repr(n))}$"):
+        dim_bbar(3, n)
+    with pytest.raises(ValueError, match="^need m >= 1 and n >= 1$"):
+        dim_bbar(3, 0)
 
 
 def test_contact_var_constructor():
