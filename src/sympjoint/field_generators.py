@@ -7,11 +7,11 @@ forced by the minimal Pfaffian syzygies.  The transcendence degree is
     d(m, n) = 2nm - n(2n+1)   for m >= 2n,
               C(m, 2)          for m <= 2n,
 
-and this module confirms it two independent ways: by exact Jacobian rank of
-the invariant map, eliminated fraction-free on integer rows, and by exact
-stabilizer dimensions.  The stabilizer of k points in sp(2n) has dimension
-C(2n - r + 1, 2), r the rank of the points: its elements are J H with H a
-symmetric form vanishing on their span.
+and this module confirms it by the exact Jacobian rank of the invariant map,
+C(r, 2) + r(m - r) with r the rank of the points (`jacobian_rank`), and by
+exact stabilizer dimensions.  The stabilizer of k points in sp(2n) has
+dimension C(2n - r + 1, 2): its elements are J H with H a symmetric form
+vanishing on their span.
 """
 
 import random
@@ -93,8 +93,7 @@ def _pair_jacobian(config: PointConfig):
     With J(x, y) = (y, -x), the partials are J A_j on point i and -J A_i on
     point j; every other entry of the row is zero.  The rows are in ints, the
     points cleared of denominators together (A_i = u_i / d), and the blocks
-    run from point m down to point 1, so an elimination pivots on the later
-    point of each pair; neither the scale nor the column order moves a rank.
+    run from point 1 to point m.
     """
     n, m = config.n, config.m
     pts, _ = config._ints
@@ -103,15 +102,26 @@ def _pair_jacobian(config: PointConfig):
     for i, j in combinations(range(1, m + 1), 2):
         Ai, Aj = pts[i - 1], pts[j - 1]
         blocks = [zero] * m
-        blocks[m - i] = Aj[n:] + [-c for c in Aj[:n]]
-        blocks[m - j] = [-c for c in Ai[n:]] + Ai[:n]
+        blocks[i - 1] = Aj[n:] + [-c for c in Aj[:n]]
+        blocks[j - 1] = [-c for c in Ai[n:]] + Ai[:n]
         rows[(i, j)] = [c for block in blocks for c in block]
     return rows
 
 
 def jacobian_rank(config: PointConfig):
-    """Exact rank of the Jacobian of config -> (a_ij)_{i<j} at the configuration."""
-    return _IntRowSpace(_pair_jacobian(config).values()).rank
+    """Exact rank of the Jacobian of config -> (a_ij)_{i<j} at the configuration.
+
+    It is C(r, 2) + r(m - r), r the rank of the points, so no pair row is
+    built.  Write A for the 2n x m point matrix and N = A^T J dA; then
+    d a_ij = N_ij - N_ji.  As dA ranges over all matrices, each column of N
+    ranges over U, the row space of A (dim r), so the differential's image is
+    spanned by the skew parts u ^ x (u in U, x in R^m): that is
+    wedge^2 U + U ^ U', U' a complement of U, of dimension C(r, 2) + r(m - r).
+    For spanning points this is 2nm - n(2n+1), and for m <= 2n independent
+    points C(m, 2).
+    """
+    r = _IntRowSpace(config._ints[0]).rank
+    return comb(r, 2) + r * (config.m - r)
 
 
 def generic_jacobian_rank(m, n, seed=0, samples=3):

@@ -194,11 +194,14 @@ class GramTable:
         return self._values
 
     def value(self, i, j):
+        """a_ij, with a_ii = 0 and a_ji = -a_ij; a pair absent from the table
+        raises ValueError naming it."""
         if i == j:
             return Rat(0)
-        if i < j:
-            return self.values[(i, j)]
-        return -self.values[(j, i)]
+        try:
+            return self.values[(i, j)] if i < j else -self.values[(j, i)]
+        except KeyError:
+            raise _no_value((min(i, j), max(i, j))) from None
 
     def pairs(self):
         return [(i, j) for i in range(1, self.m + 1) for j in range(i + 1, self.m + 1)]
@@ -222,6 +225,12 @@ class GramTable:
     def __repr__(self):
         inner = ", ".join(f"a{i}{j}={rat_str(v)}" for (i, j), v in sorted(self.values.items()))
         return f"GramTable(m={self.m}, {inner})"
+
+
+def _no_value(pair):
+    """The ValueError for a pair (i, j), i < j, that a table lacks, naming a_ij."""
+    i, j = pair
+    return ValueError(f"a{i}{j} has no value in the table" if j < 10 else f"a{i}_{j} has no value in the table")
 
 
 def _same_values(xs, d, ys, e):
@@ -333,7 +342,11 @@ def syzygy_value(g: GramTable, idx, n=None):
     if len(idx) % 2 or len(idx) < 4:
         raise ValueError(f"index tuple length must be even and >= 4, got {len(idx)}")
     idx = _check_tuple(idx, len(idx) if n is None else 2 * _check_n(n) + 2, g.m)
-    return Rat(_leading(g.ints, idx)[-1], g.den ** (len(idx) // 2))
+    try:
+        pfs = _leading(g.ints, idx)
+    except KeyError as exc:
+        raise _no_value(exc.args[0]) from None
+    return Rat(pfs[-1], g.den ** (len(idx) // 2))
 
 
 def all_min_syzygies(config: PointConfig):
@@ -361,7 +374,10 @@ def q_value(g: GramTable, idx, n):
     n = _check_n(n)
     idx = _check_tuple(idx, 4 * n + 2, g.m)
     k, ints = 2 * n + 1, g.ints
-    M = ExactMatrix([[ints[idx[s], idx[t + k]] for t in range(k)] for s in range(k)])
+    try:
+        M = ExactMatrix([[ints[idx[s], idx[t + k]] for t in range(k)] for s in range(k)])
+    except KeyError as exc:
+        raise _no_value(exc.args[0]) from None
     return det(M) / g.den**k
 
 

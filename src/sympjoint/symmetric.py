@@ -24,10 +24,10 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
-from .exact import ExactMatrix, Rat, _check_int, _IntRowSpace, rank, rat
+from .exact import Rat, _check_int, _IntRowSpace, rat
 from .field_generators import _pair_jacobian, basic_set, dim_d
 from .invariants import gram, random_config
-from .poly import MultiPoly, _coef, _value, _wrap, avar, evaluate
+from .poly import MultiPoly, _coef, _value, _wrap, avar
 
 _MAX_GRADED_DEGREE = 10
 _MAX_GRADED_POINTS = 6
@@ -271,7 +271,11 @@ def q_sequence(m, n, seed=0):
 
     Returns the d(m, n) polynomials together with the exact rank of their
     Jacobian with respect to the point coordinates at random generic
-    configurations (up to three samples, maximum rank reported).
+    configurations (up to three samples, maximum rank reported).  Each q is
+    homogeneous, so its row is taken in ints: its coefficients' common
+    denominator cleared, its partials summed by `_value` on the integer
+    table, and the chain rule through the integer pair rows of
+    `_pair_jacobian`, which scales each row by a nonzero constant only.
     """
     if m > 5 or n > 2:
         raise ValueError("cost guard: need m <= 5 and n <= 2")
@@ -283,21 +287,26 @@ def q_sequence(m, n, seed=0):
         prod = prod * MultiPoly.variable(avar(i, j)) ** 2
         polys.append(reynolds(prod, m))
 
+    grads = []  # per q, its (pair, partial with int coefficients) list
+    for q in polys:
+        den = lcm(*[c.denominator for c in q.terms.values()])
+        ints = _wrap({mono: (c * den).numerator for mono, c in q.terms.items()})
+        grads.append([(var[1:], ints.derivative(var).terms) for var in ints.variables()])
     rng = random.Random(seed)
     best = 0
     for _ in range(3):
         cfg = random_config(n, m, rng)
-        g = gram(cfg)
+        values = {avar(i, j): x for (i, j), x in gram(cfg).ints.items()}
         jac = _pair_jacobian(cfg)
         rows = []
-        for q in polys:
-            row = [Rat(0)] * (2 * n * m)
-            for var in q.variables():
-                dq = evaluate(q.derivative(var), g)
-                if dq != 0:
-                    row = [r + dq * c for r, c in zip(row, jac[var[1:]])]
+        for grad in grads:
+            row = [0] * (2 * n * m)
+            for pair, dq in grad:
+                x = _value(dq, values)
+                if x:
+                    row = [r + x * c for r, c in zip(row, jac[pair])]
             rows.append(row)
-        best = max(best, rank(ExactMatrix(rows)))
+        best = max(best, _IntRowSpace(rows).rank)
         if best == d:
             break
     return {"polys": polys, "rank": best, "expected": d, "independent": best == d}

@@ -243,6 +243,8 @@ def test_jacobian_rank_matches_dim_d_everywhere():
         for m in range(2, 7):
             assert generic_jacobian_rank(m, n, seed=10 * m + n) == dim_d(m, n)
     assert jacobian_rank(random_config(1, 1, random.Random(0))) == 0
+    # the pair rows would be 44,850 rows of 1,800 columns
+    assert generic_jacobian_rank(300, 3) == dim_d(300, 3) == 1779
 
 
 def test_jacobian_rank_at_special_configuration():
@@ -284,6 +286,50 @@ def test_integer_jacobian_rank_matches_the_rat_rows(n, m, special, data):
     cfg = PointConfig(n, tuple(pts))
     rows = rat_pair_jacobian(cfg)
     assert jacobian_rank(cfg) == (rank(ExactMatrix(rows)) if rows else 0)
+
+
+@st.composite
+def low_rank_configs(draw):
+    """Points in a k-dimensional subspace, k = 0..2n: a random one, or for
+    k <= n the isotropic span(x^1..x^k), with zero and repeated points."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 2 * n))
+    if k <= n and draw(st.booleans()):
+        basis = [_e(n, b) for b in range(k)]
+    else:
+        basis = [tuple(draw(st.integers(-3, 3)) for _ in range(2 * n)) for _ in range(k)]
+    pts = []
+    for _ in range(draw(st.integers(1, 3 * n + 3))):
+        kind = draw(st.sampled_from(["span", "zero", "repeated"]))
+        if kind == "repeated" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "zero":
+            pts.append((Rat(0),) * (2 * n))
+        else:
+            coeffs = [Rat(draw(st.integers(-3, 3)), draw(st.integers(1, 3))) for _ in basis]
+            pts.append(tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Rat(0)) for i in range(2 * n)))
+    return PointConfig(n, tuple(pts)), k
+
+
+@given(low_rank_configs())
+@settings(max_examples=150, deadline=None)
+def test_jacobian_rank_of_points_in_a_subspace_matches_the_pair_rows(cfg_k):
+    cfg, k = cfg_k
+    assert rank(ExactMatrix(cfg.points)) <= k
+    rows = rat_pair_jacobian(cfg)
+    assert jacobian_rank(cfg) == (rank(ExactMatrix(rows)) if rows else 0)
+
+
+def test_jacobian_rank_of_spanning_points_is_the_fibre_count():
+    # orbit-stabilizer: for spanning points the fibre of A -> (a_ij) is the orbit
+    rng = random.Random(56)
+    configs = [PointConfig(n, tuple(p)) for n, p in NONGENERIC_TUPLES if rank(ExactMatrix(p)) == 2 * n]
+    configs += [random_config(n, m, rng) for n in (1, 2, 3) for m in range(2 * n, 2 * n + 4)]
+    for cfg in configs:
+        n, m = cfg.n, cfg.m
+        assert rank(ExactMatrix(cfg.points)) == 2 * n
+        assert jacobian_rank(cfg) == 2 * n * m - n * (2 * n + 1) + stabilizer_dim(cfg.points, n)
+    assert len(configs) == 14
 
 
 def _eliminate_in_fractions(values, k, l, n):

@@ -76,6 +76,35 @@ def test_gram_table_equality_is_total_on_partial_tables():
     assert gram(PointConfig(1, ((1, 0), (0, 1)))) == GramTable(2, {(1, 2): 1})
 
 
+PARTIAL = GramTable(4, {(1, 2): 1, (3, 4): 2})
+
+
+def test_value_names_a_pair_missing_from_the_table():
+    with pytest.raises(ValueError, match=r"^a13 has no value in the table$"):
+        PARTIAL.value(1, 3)
+    with pytest.raises(ValueError, match=r"^a13 has no value in the table$"):
+        PARTIAL.value(3, 1)
+    with pytest.raises(ValueError, match=r"^a3_12 has no value in the table$"):
+        GramTable(12, {(1, 2): 1}).value(12, 3)
+    assert (PARTIAL.value(1, 2), PARTIAL.value(4, 3), PARTIAL.value(2, 2)) == (1, -2, 0)
+
+
+def test_subtable_names_a_pair_missing_from_the_table():
+    with pytest.raises(ValueError, match=r"^a13 has no value in the table$"):
+        PARTIAL.subtable((1, 2, 3))
+    assert PARTIAL.subtable((4, 3)).entry(0, 1) == -2
+
+
+def test_syzygy_value_names_a_pair_missing_from_the_table():
+    with pytest.raises(ValueError, match=r"^a13 has no value in the table$"):
+        syzygy_value(PARTIAL, (1, 2, 3, 4))
+
+
+def test_q_value_names_a_pair_missing_from_the_table():
+    with pytest.raises(ValueError, match=r"^a14 has no value in the table$"):
+        q_value(GramTable(6, {(1, 2): 1}), (1, 2, 3, 4, 5, 6), 1)
+
+
 def test_relations_are_empty_exactly_when_the_points_span():
     spanning = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 1, 1))
     assert _relations(spanning, 2, False) == ()
