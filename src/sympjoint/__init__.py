@@ -33,6 +33,7 @@ _EXPORTS = {
     "field_generators": (
         "BasicSet",
         "basic_set",
+        "dim_bbar",
         "dim_d",
         "eliminate_entry",
         "generic_jacobian_rank",
@@ -97,7 +98,6 @@ _EXPORTS = {
         "contact_relative",
         "contact_transform",
         "csp_signature",
-        "dim_bbar",
         "load_contact_config",
     ),
 }

@@ -206,8 +206,8 @@ def cmd_symmetrize(args):
 
 
 def cmd_dims(args):
-    from .field_generators import dim_d, stabilizer_dim
-    from .variants import dim_bbar
+    from .field_generators import dim_bbar, dim_d, stabilizer_dim
+    from .invariants import _random_points
 
     if args.max_m < 2:
         raise ValueError(f"--max-m must be >= 2, got {args.max_m}")
@@ -234,8 +234,7 @@ def cmd_dims(args):
     for n in ns:
         dims = []
         for k in range(0, 2 * n + 1):
-            pts = [tuple(rng.randint(-9, 9) for _ in range(2 * n)) for _ in range(k)]
-            dims.append(stabilizer_dim(pts, n))
+            dims.append(stabilizer_dim(_random_points(rng, n, k), n))
         print(f"  n={n}: " + " ".join(f"k={k}:{d}" for k, d in enumerate(dims)))
     return EXIT_OK
 

@@ -11,7 +11,8 @@ and this module confirms it by the exact Jacobian rank of the invariant map,
 C(r, 2) + r(m - r) with r the rank of the points (`jacobian_rank`), and by
 exact stabilizer dimensions.  The stabilizer of k points in sp(2n) has
 dimension C(2n - r + 1, 2): its elements are J H with H a symmetric form
-vanishing on their span.
+vanishing on their span.  The contact count bbar(m, n) (`dim_bbar`) sits
+beside d(m, n), so that the `dims` tables load no `variants`.
 """
 
 import random
@@ -19,7 +20,7 @@ from itertools import combinations
 from math import comb
 
 from .exact import ExactMatrix, Rat, _check_int, _check_n, _check_tuple, _IntRowSpace, _Record, rank
-from .invariants import GenericityError, GramTable, PointConfig, _leading, random_config
+from .invariants import GenericityError, GramTable, PointConfig, _leading, _random_points
 
 
 def dim_d(m, n):
@@ -29,6 +30,15 @@ def dim_d(m, n):
     if m >= 2 * n:
         return 2 * n * m - n * (2 * n + 1)
     return comb(m, 2)
+
+
+def dim_bbar(m, n):
+    """Transcendence degree of the contact invariant field."""
+    if _check_int(n) < 1 or m < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    if m >= 2 * n:
+        return (2 * n + 1) * m - n * (2 * n + 1) - 1
+    return comb(m, 2) + m - 1
 
 
 class BasicSet(_Record):
@@ -87,27 +97,6 @@ def stabilizer_dim(points, n):
     return comb(2 * n - rank(ExactMatrix(points)) + 1, 2)
 
 
-def _pair_jacobian(config: PointConfig):
-    """{(i, j): d times the row of partials of a_ij over all 2nm point coordinates}.
-
-    With J(x, y) = (y, -x), the partials are J A_j on point i and -J A_i on
-    point j; every other entry of the row is zero.  The rows are in ints, the
-    points cleared of denominators together (A_i = u_i / d), and the blocks
-    run from point 1 to point m.
-    """
-    n, m = config.n, config.m
-    pts, _ = config._ints
-    zero = [0] * (2 * n)
-    rows = {}
-    for i, j in combinations(range(1, m + 1), 2):
-        Ai, Aj = pts[i - 1], pts[j - 1]
-        blocks = [zero] * m
-        blocks[i - 1] = Aj[n:] + [-c for c in Aj[:n]]
-        blocks[j - 1] = [-c for c in Ai[n:]] + Ai[:n]
-        rows[(i, j)] = [c for block in blocks for c in block]
-    return rows
-
-
 def jacobian_rank(config: PointConfig):
     """Exact rank of the Jacobian of config -> (a_ij)_{i<j} at the configuration.
 
@@ -128,10 +117,10 @@ def generic_jacobian_rank(m, n, seed=0, samples=3):
     """Jacobian rank at random small-integer configurations (max over samples).
 
     A single generic sample already decides the rank; repeated sampling guards
-    against an unlucky measure-zero draw.
+    against an unlucky measure-zero draw.  Each sample is the int points of
+    `_random_points`, whose rank r gives C(r, 2) + r(m - r) as in
+    `jacobian_rank`; that count grows with r, so the largest r decides.
     """
     rng = random.Random(seed)
-    best = 0
-    for _ in range(samples):
-        best = max(best, jacobian_rank(random_config(n, m, rng)))
-    return best
+    r = max([_IntRowSpace(_random_points(rng, n, m)).rank for _ in range(samples)], default=0)
+    return comb(r, 2) + r * (m - r)

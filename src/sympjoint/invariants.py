@@ -381,12 +381,18 @@ def q_value(g: GramTable, idx, n):
     return det(M) / g.den**k
 
 
+def _random_points(rng, n, m, lo=-9, hi=9):
+    """m random points of R^{2n} as int lists, one rng.randint(lo, hi) per
+    coordinate, point by point: the one sampler of every randomized rank, which
+    reads its table through `_gram_of(pts, 1)` with no `PointConfig` or `Rat`."""
+    return [[rng.randint(lo, hi) for _ in range(2 * n)] for _ in range(m)]
+
+
 def random_config(n, m, rng=None, lo=-9, hi=9, seed=None):
-    """Random integer-coordinate configuration (test/sampling plumbing)."""
+    """Random integer-coordinate configuration: `_random_points` as a `PointConfig`."""
     if rng is None:
         rng = random.Random(seed)
-    pts = tuple([tuple([Rat(rng.randint(lo, hi)) for _ in range(2 * n)]) for _ in range(m)])
-    return PointConfig(n, pts)
+    return PointConfig(n, tuple(_random_points(rng, n, m, lo, hi)))
 
 
 def config_to_dict(config: PointConfig):

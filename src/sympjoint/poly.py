@@ -603,16 +603,18 @@ def _first_row_expansion(s):
 
 
 def verify_pfaffian_expansion(n):
-    """Check the first-row minor expansion of b_{1...2n+2} (n in {1, 2}) as an
-    exact polynomial identity."""
-    if _check_n(n) not in (1, 2):
-        raise ValueError("expansion check supported for n in {1, 2} only")
+    """Check the first-row minor expansion of b_{1...2n+2} (1 <= n <= 6, at most
+    14 labels, where the expansion still takes under a second) as an exact
+    polynomial identity."""
+    if _check_n(n) > 6:
+        raise ValueError("expansion check supported for n <= 6 only")
     return _first_row_expansion(2 * n + 2)
 
 
 def verify_weyl_reduction():
-    """Check the 8-index Pfaffian against its expansion into 6-index ones (n=2)."""
-    return _first_row_expansion(8)
+    """Check the 8-index Pfaffian against its expansion into 6-index ones: the
+    n = 3 expansion check."""
+    return verify_pfaffian_expansion(3)
 
 
 def verify_q_reduction():

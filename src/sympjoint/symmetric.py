@@ -25,8 +25,8 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 
 from .exact import Rat, _check_int, _IntRowSpace, rat
-from .field_generators import _pair_jacobian, basic_set, dim_d
-from .invariants import gram, random_config
+from .field_generators import basic_set, dim_d
+from .invariants import _gram_of, _random_points
 from .poly import MultiPoly, _coef, _value, _wrap, avar
 
 _MAX_GRADED_DEGREE = 10
@@ -175,12 +175,10 @@ def verify_R8() -> bool:
 
 
 def _integer_tables(m, n, count, rng):
-    """Gram tables {a_ij: int} of random integer configurations (den = 1)."""
-    out = []
-    for _ in range(count):
-        g = gram(random_config(n, m, rng, lo=-20, hi=20))
-        out.append({avar(i, j): v for (i, j), v in g.ints.items()})
-    return out
+    """Gram tables {a_ij: int} of `count` random integer configurations, the
+    int points of `_random_points` in -20..20, each read by `_gram_of` (den 1)."""
+    tables = (_gram_of(_random_points(rng, n, m, -20, 20), 1) for _ in range(count))
+    return [{avar(*p): v for p, v in g.ints.items()} for g in tables]
 
 
 def _degree_monomials(m, k):
@@ -266,6 +264,28 @@ def _content_normalized(p: MultiPoly) -> MultiPoly:
     return scaled
 
 
+def _chain_rows(grads, pts, n):
+    """The Jacobian rows over the 2nm coordinates of the int points pts, one per
+    polynomial in the a_ij, given by its (pair, partial's terms) list in grads.
+    With Q the skew matrix of the partials at the table and A_j = (x_j, y_j),
+    da_ij/dA_i = (y_j, -x_j), so by the chain rule a row's block on point k is
+    (sum_j Q_kj y_j, -sum_j Q_kj x_j): no pair row is built."""
+    m, cols = len(pts), list(zip(*pts))
+    values = {avar(*p): x for p, x in _gram_of(pts, 1).ints.items()}
+    rows = []
+    for grad in grads:
+        Q = [[0] * m for _ in range(m)]
+        for (i, j), dq in grad:
+            Q[i - 1][j - 1] = x = _value(dq, values)
+            Q[j - 1][i - 1] = -x
+        row = []
+        for Qk in Q:
+            s = [sum([q * c for q, c in zip(Qk, col)]) for col in cols]  # sum_j Q_kj A_j
+            row += s[n:] + [-c for c in s[:n]]
+        rows.append(row)
+    return rows
+
+
 def q_sequence(m, n, seed=0):
     """The symmetrized squares q_k = pi(prod_{l<=k} a_l^2) over the basic set.
 
@@ -273,9 +293,9 @@ def q_sequence(m, n, seed=0):
     Jacobian with respect to the point coordinates at random generic
     configurations (up to three samples, maximum rank reported).  Each q is
     homogeneous, so its row is taken in ints: its coefficients' common
-    denominator cleared, its partials summed by `_value` on the integer
-    table, and the chain rule through the integer pair rows of
-    `_pair_jacobian`, which scales each row by a nonzero constant only.
+    denominator cleared (a nonzero scale of the row only), its partials
+    summed by `_value` on the integer table of the int points of
+    `_random_points`, and the chain rule applied by `_chain_rows`.
     """
     if m > 5 or n > 2:
         raise ValueError("cost guard: need m <= 5 and n <= 2")
@@ -295,18 +315,7 @@ def q_sequence(m, n, seed=0):
     rng = random.Random(seed)
     best = 0
     for _ in range(3):
-        cfg = random_config(n, m, rng)
-        values = {avar(i, j): x for (i, j), x in gram(cfg).ints.items()}
-        jac = _pair_jacobian(cfg)
-        rows = []
-        for grad in grads:
-            row = [0] * (2 * n * m)
-            for pair, dq in grad:
-                x = _value(dq, values)
-                if x:
-                    row = [r + x * c for r, c in zip(row, jac[pair])]
-            rows.append(row)
-        best = max(best, _IntRowSpace(rows).rank)
+        best = max(best, _IntRowSpace(_chain_rows(grads, _random_points(rng, n, m), n)).rank)
         if best == d:
             break
     return {"polys": polys, "rank": best, "expected": d, "independent": best == d}

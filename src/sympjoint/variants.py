@@ -17,14 +17,15 @@ This module sits above `normal_form`, which makes every CSp and contact
 decision: `csp_signature`, `contact_absolute` and `contact_equivalent` read
 its integer rows (`_csp_values`, built into `Rat`s by `_values`),
 `signature` and `equivalent`.  The contact records are defined in
-`invariants` and exported from here.
+`invariants`, and the contact count `dim_bbar` beside `dim_d` in
+`field_generators`; both are exported from here.
 """
 
 import json
-from math import comb
 
 from . import normal_form
-from .exact import ExactMatrix, Rat, _check_int, _check_n, rat_str
+from .exact import ExactMatrix, Rat, _check_n, rat_str
+from .field_generators import dim_bbar
 from .invariants import ContactConfig, ContactPoint, _gram_of, _point_list, gram
 
 
@@ -120,15 +121,6 @@ def contact_absolute(config: ContactConfig) -> "Signature":
 def contact_equivalent(A: ContactConfig, B: ContactConfig) -> bool:
     """Exact comparison of absolute contact invariants: `equivalent` for the contact group."""
     return normal_form.equivalent(A, B, "contact")
-
-
-def dim_bbar(m, n):
-    """Transcendence degree of the contact invariant field."""
-    if _check_int(n) < 1 or m < 1:
-        raise ValueError("need m >= 1 and n >= 1")
-    if m >= 2 * n:
-        return (2 * n + 1) * m - n * (2 * n + 1) - 1
-    return comb(m, 2) + m - 1
 
 
 def contact_config_to_dict(config: ContactConfig):

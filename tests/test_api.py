@@ -29,6 +29,7 @@ EXPORTS = {
     "field_generators": (
         "BasicSet",
         "basic_set",
+        "dim_bbar",
         "dim_d",
         "eliminate_entry",
         "generic_jacobian_rank",
@@ -93,7 +94,6 @@ EXPORTS = {
         "contact_relative",
         "contact_transform",
         "csp_signature",
-        "dim_bbar",
         "load_contact_config",
     ),
 }
@@ -109,6 +109,11 @@ def test_export_comes_from_its_module(module):
     source = getattr(sympjoint, module)
     for name in EXPORTS[module]:
         assert getattr(sympjoint, name) is getattr(source, name)
+
+
+def test_dim_bbar_is_also_read_from_variants():
+    # the contact count lives beside dim_d, so `dims` loads no `variants`
+    assert sympjoint.variants.dim_bbar is sympjoint.dim_bbar is sympjoint.field_generators.dim_bbar
 
 
 def test_one_scalar_type():

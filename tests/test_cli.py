@@ -401,7 +401,7 @@ CONTACT = {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [0], "y": [1],
         (["equiv", "CONFIG", "CONFIG", "--group", "csp"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
         (["equiv", "CONFIG", "CONFIG", "--group", "asp"], 0, NO_VARIANTS),
         (["equiv", "CONTACT", "CONTACT", "--group", "contact"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
-        (["dims", "--max-m", "3", "--max-n", "1"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
+        (["dims", "--max-m", "3", "--max-n", "1"], 0, NO_VARIANTS | {"sympjoint.normal_form"}),
         (["symmetrize", "--m", "3", "--n", "1", "--maxdeg", "2"], 0, RECORD_MACHINERY),
         (["syzygy-check", "CONFIG"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
         # the error is printed without the exact layer the command never used

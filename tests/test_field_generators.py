@@ -17,6 +17,8 @@ from sympjoint.field_generators import (
     stabilizer_dim,
 )
 from sympjoint.invariants import GenericityError, GramTable, PointConfig, gram, random_config
+from sympjoint.poly import MultiPoly, avar, evaluate
+from sympjoint.symmetric import _chain_rows, q_sequence
 
 
 def test_dim_d_known_values():
@@ -247,6 +249,16 @@ def test_jacobian_rank_matches_dim_d_everywhere():
     assert generic_jacobian_rank(300, 3) == dim_d(300, 3) == 1779
 
 
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (4, 1), (5, 2), (9, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 313])
+def test_generic_jacobian_rank_reads_the_stream_of_random_config(m, n, seed):
+    # the int sampler draws what random_config draws, sample by sample
+    for samples in (1, 3):
+        rng = random.Random(seed)
+        expected = max(jacobian_rank(random_config(n, m, rng)) for _ in range(samples))
+        assert generic_jacobian_rank(m, n, seed, samples) == expected
+
+
 def test_jacobian_rank_at_special_configuration():
     # all points on an isotropic line: every invariant vanishes identically
     cfg_pts = tuple((Rat(k), Rat(0)) for k in range(1, 4))
@@ -318,6 +330,28 @@ def test_jacobian_rank_of_points_in_a_subspace_matches_the_pair_rows(cfg_k):
     assert rank(ExactMatrix(cfg.points)) <= k
     rows = rat_pair_jacobian(cfg)
     assert jacobian_rank(cfg) == (rank(ExactMatrix(rows)) if rows else 0)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for n in (1, 2) for m in range(2, 6)])
+def test_q_sequence_chain_rows_match_the_pair_rows(m, n):
+    # the direct chain rule of q_sequence against sum_ij dq/da_ij times the
+    # oracle's pair row, for the q's and for each a_ij itself
+    polys = q_sequence(m, n)["polys"] + [MultiPoly.variable(avar(i, j)) for i, j in combinations(range(1, m + 1), 2)]
+    grads = [[(v[1:], p.derivative(v).terms) for v in p.variables()] for p in polys]
+    rng = random.Random(10 * m + n)
+    for _ in range(3):
+        cfg = random_config(n, m, rng)
+        pts, d = cfg._ints
+        assert d == 1
+        table, pair_rows = gram(cfg), dict(zip(combinations(range(1, m + 1), 2), rat_pair_jacobian(cfg)))
+        expected = []
+        for p in polys:
+            row = [Rat(0)] * (2 * n * m)
+            for v in p.variables():
+                x = evaluate(p.derivative(v), table)
+                row = [r + x * c for r, c in zip(row, pair_rows[v[1:]])]
+            expected.append(row)
+        assert _chain_rows(grads, pts, n) == expected
 
 
 def test_jacobian_rank_of_spanning_points_is_the_fibre_count():

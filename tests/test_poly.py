@@ -699,8 +699,15 @@ def test_expansions_leave_no_reference_cycle():
 def test_pfaffian_expansion_identity():
     assert verify_pfaffian_expansion(1)
     assert verify_pfaffian_expansion(2)
-    with pytest.raises(ValueError):
-        verify_pfaffian_expansion(3)
+    assert verify_pfaffian_expansion(3)
+    assert verify_pfaffian_expansion(4)
+    assert verify_pfaffian_expansion(5)
+
+
+def test_pfaffian_expansion_guard():
+    # n = 6 (14 labels) takes about half a second; n = 7 is refused
+    with pytest.raises(ValueError, match="n <= 6"):
+        verify_pfaffian_expansion(7)
 
 
 def test_weyl_reduction_identity():

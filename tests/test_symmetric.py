@@ -324,6 +324,15 @@ def test_q_sequence_first_element():
     assert report["polys"][0] == reynolds(A12**2, 3)
 
 
+@pytest.mark.parametrize("seed", [0, 313])
+def test_integer_tables_read_the_stream_of_random_config(seed):
+    # the int sampler draws the points random_config draws, table by table
+    a, b = random.Random(seed), random.Random(seed)
+    tables = _integer_tables(3, 1, 12, a)
+    assert tables == [{avar(i, j): v for (i, j), v in gram(random_config(1, 3, b, -20, 20)).ints.items()} for _ in range(12)]
+    assert a.random() == b.random()
+
+
 def test_generator_search_m3():
     gens = generator_search(3, 1, 8)
     assert [g.degree() for g in gens] == [2, 2, 3, 4]
