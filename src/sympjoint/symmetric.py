@@ -2,7 +2,10 @@
 
 The Reynolds operator averages a polynomial in the pairwise invariants over
 all m! index permutations (a transposition of two points flips the sign of
-their mutual invariant, so all linear terms die).  Graded dimensions of the
+their mutual invariant, so all linear terms die).  It never lists them: the
+S_m orbit of a monomial is walked, with signs, under the m - 1 adjacent
+transpositions, and each member is the image of m! / |orbit| relabelings,
+so an orbit costs |orbit| * (m - 1) relabelings.  Graded dimensions of the
 symmetrized algebra are exact coefficients of its Molien series: the
 invariant ring is C[a_ij] modulo the (2n+2)-Pfaffians, free for m <= 2n+1
 and cut out by one Pfaffian (of character sgn) for m = 2n+2, and S_m acts on
@@ -21,61 +24,18 @@ integer row, and ranks are taken by fraction-free integer elimination.
 
 import random
 from collections import Counter
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, lcm, prod
 
 from .exact import Rat, _check_int, _IntRowSpace, rat
 from .field_generators import basic_set, dim_d
 from .invariants import _gram_of, _random_points
-from .poly import MultiPoly, _coef, _value, _wrap, avar
+from .poly import MultiPoly, _coef, _value, _wrap, avar, var_name
 
 _MAX_GRADED_DEGREE = 10
 _MAX_GRADED_POINTS = 6
 _MAX_SEARCH_POINTS = 3
 _MAX_SEARCH_DEGREE = 8
-
-
-def _pairwise_indices(p: MultiPoly):
-    top = 0
-    for var in p.variables():
-        if var[0] != "a":
-            raise ValueError("Reynolds operator acts on pairwise variables only")
-        top = max(top, var[2])
-    return top
-
-
-def _relabelings(m):
-    """Yield, per permutation of 1..m, its action on the C(m, 2) pairwise
-    variables: {a_ij: (image variable, sign flip)}, as a_ji = -a_ij."""
-    labels = range(1, m + 1)
-    pairs = list(combinations(labels, 2))
-    for images in permutations(labels):
-        image = {}
-        for i, j in pairs:
-            ni, nj = images[i - 1], images[j - 1]
-            image[("a", i, j)] = (("a", ni, nj), False) if ni < nj else (("a", nj, ni), True)
-        yield image
-
-
-def _relabeling_sum(terms, relabelings):
-    """m! times the Reynolds image of {monomial: coefficient}, summed over the
-    m! maps of ``_relabelings(m)``, as a dict that keeps cancelled monomials
-    (coefficient 0); int input gives int output.  Distinct variables have
-    distinct images, so a monomial is relabeled by lookups and one sort, with
-    no exponent merge, and each flipped variable of odd exponent flips its sign."""
-    total = {}
-    for image in relabelings:
-        for mono, c in terms.items():
-            new = []
-            for v, e in mono:
-                w, flip = image[v]
-                if flip and e & 1:
-                    c = -c
-                new.append((w, e))
-            new.sort()
-            new = tuple(new)
-            total[new] = total.get(new, 0) + c
-    return total
 
 
 def reynolds(p: MultiPoly, m) -> MultiPoly:
@@ -84,11 +44,13 @@ def reynolds(p: MultiPoly, m) -> MultiPoly:
     A monomial x = s * sigma(rep) of the S_m orbit of rep has image
     R(x) = s * R(rep), s the sign of x's count in rep's signed orbit sum
     (`_orbit_sums`, which drops an orbit that cancels, where R is 0).  So the
-    coefficients are weighed per orbit and each orbit sum is added once:
-    m! relabelings per orbit, not per term.
+    coefficients are weighed per orbit and each orbit sum is added once: an
+    orbit costs |orbit| * (m - 1) relabelings, however many of its monomials
+    p holds.
     """
-    if _pairwise_indices(p) > m:
-        raise ValueError("polynomial mentions a point index beyond m")
+    for var in p.variables():
+        if var[0] != "a" or not 1 <= var[1] < var[2] <= m:
+            raise ValueError(f"Reynolds operator acts on a_ij with 1 <= i < j <= m={m}, got {var_name(var)}")
     # clear the common denominator first, so the orbit sums are weighed in ints
     den = lcm(*[c.denominator for c in p.terms.values()])
     ints = {mono: (c * den).numerator for mono, c in p.terms.items()}
@@ -196,18 +158,45 @@ def _degree_monomials(m, k):
 
 def _orbit_sums(monos, m):
     """(first monomial, signed orbit sum) per S_m orbit with a nonzero sum, in
-    scan order; the other monomials of an orbit symmetrize to +- the same."""
-    relabelings = list(_relabelings(m))  # one list per scan, shared by its orbits
-    seen = set()
-    out = []
+    scan order; the other monomials of an orbit symmetrize to +- the same.
+
+    Schreier's orbit walk: each adjacent transposition tau = (k, k+1) maps
+    a_ij to a_{tau(i) tau(j)}, negated when that pair is out of order (as
+    a_ji = -a_ij), and the walk reaches each member y from the first
+    monomial with a sign s_y.  Every edge is checked, so a member reached
+    with both signs shows a relabeling that fixes a monomial and negates it:
+    the sum over all m! relabelings cancels.  Otherwise y is the image of
+    m! / |orbit| relabelings, all of sign s_y, so |orbit| * (m - 1)
+    relabelings give the sum {y: (m! / |orbit|) * s_y}.
+    """
+    pairs, gens = list(combinations(range(1, m + 1), 2)), []
+    for k in range(1, m):  # {a_ij: (image variable, sign flip)}, shared by the orbits
+        tau = list(range(m + 1))
+        tau[k], tau[k + 1] = k + 1, k
+        gens.append({("a", i, j): (("a", *sorted((tau[i], tau[j]))), tau[i] > tau[j]) for i, j in pairs})
+    seen, out = set(), []
     for mono in monos:
         if mono in seen:
             continue
-        total = _relabeling_sum({mono: 1}, relabelings)
-        seen.update(total)
-        orbit = {x: c for x, c in total.items() if c}
-        if orbit:
-            out.append((mono, orbit))
+        signs, walk, cancels = {mono: 1}, [mono], False
+        for x in walk:  # grows as new members are reached
+            for image in gens:
+                s, y = signs[x], []
+                for v, e in x:
+                    w, flip = image[v]
+                    if flip and e & 1:
+                        s = -s
+                    y.append((w, e))
+                y = tuple(sorted(y))
+                if y not in signs:
+                    signs[y] = s
+                    walk.append(y)
+                elif signs[y] != s:
+                    cancels = True
+        seen.update(signs)
+        if not cancels:
+            k = factorial(m) // len(signs)
+            out.append((mono, {y: k * s for y, s in signs.items()}))
     return out
 
 
@@ -295,10 +284,11 @@ def q_sequence(m, n, seed=0):
     homogeneous, so its row is taken in ints: its coefficients' common
     denominator cleared (a nonzero scale of the row only), its partials
     summed by `_value` on the integer table of the int points of
-    `_random_points`, and the chain rule applied by `_chain_rows`.
+    `_random_points`, and the chain rule applied by `_chain_rows`.  The cost
+    guard admits calls of about a second: (7, 2) and (8, 1) take 0.6 s.
     """
-    if m > 5 or n > 2:
-        raise ValueError("cost guard: need m <= 5 and n <= 2")
+    if not (m <= 7 and n <= 3 or m == 8 and n == 1):
+        raise ValueError("cost guard: need m <= 7 and n <= 3, or m = 8 and n = 1")
     d = dim_d(m, n)
     pairs = basic_set(m, n).pairs[:d]
     polys = []

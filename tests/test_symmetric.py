@@ -8,6 +8,7 @@ import pytest
 
 from sympjoint import symmetric
 from sympjoint.exact import ExactMatrix, _IntRowSpace, rank, rat
+from sympjoint.field_generators import dim_d
 from sympjoint.invariants import gram, random_config
 from sympjoint.poly import MultiPoly, _value, avar, evaluate
 from sympjoint.symmetric import (
@@ -15,8 +16,6 @@ from sympjoint.symmetric import (
     _degree_monomials,
     _integer_tables,
     _orbit_sums,
-    _relabeling_sum,
-    _relabelings,
     generator_search,
     graded_dim,
     graded_dims,
@@ -120,12 +119,26 @@ def _relabeling_sum_oracle(terms, m):
     return total
 
 
+def _orbit_sums_oracle(monos, m):
+    """(first monomial, nonzero signed orbit sum) per orbit, in scan order, by
+    the sum over all m! relabelings of each orbit's first monomial."""
+    seen, out = set(), []
+    for mono in monos:
+        if mono in seen:
+            continue
+        total = _relabeling_sum_oracle({mono: 1}, m)
+        seen.update(total)  # the whole orbit, cancelled monomials included
+        orbit = {x: c for x, c in total.items() if c}
+        if orbit:
+            out.append((mono, orbit))
+    return out
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_relabeling_sum_matches_brute_force(m):
     rng = random.Random(m)
     pairs = [avar(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
-    relabelings = list(_relabelings(m))
-    assert len(relabelings) == factorial(m)
+    cancelled = kept = 0
     for trial in range(12):
         terms = {}
         for _ in range(rng.randint(1, 4)):
@@ -133,16 +146,27 @@ def test_relabeling_sum_matches_brute_force(m):
             chosen = rng.sample(pairs, rng.randint(1, min(4, len(pairs))))
             mono = tuple(sorted((v, rng.randint(1, 5)) for v in chosen))
             terms[mono] = rng.randint(-4, 4) or 1
-        expected = _relabeling_sum_oracle(terms, m)
-        got = _relabeling_sum(terms, relabelings)
-        assert got == expected  # cancelled monomials kept, as zeros
-        assert all(type(c) is int for c in got.values())
+        expected = _orbit_sums_oracle(terms, m)
+        got = _orbit_sums(list(terms), m)
+        assert got == expected
+        assert all(type(c) is int for _, orbit in got for c in orbit.values())
+        kept += len(got)
+        cancelled += sum(not _orbit_sums([mono], m) for mono in terms)
         # reynolds clears the denominators of Rat coefficients and sums the same ints
         halves = {mono: rat(c, 2 + trial % 3) for mono, c in terms.items()}
         want = {
             mono: c / factorial(m) for mono, c in _relabeling_sum_oracle(halves, m).items() if c
         }
         assert reynolds(MultiPoly(halves), m).terms == want
+    assert cancelled and kept  # orbits whose signed sum cancels, and others
+
+
+@pytest.mark.parametrize("m,top", [(2, 6), (3, 5), (4, 4), (5, 4), (6, 3)])
+def test_orbit_sums_of_every_monomial_match_brute_force(m, top):
+    # every degree-k monomial, in the scan order of the generator search
+    for k in range(top + 1):
+        monos = _degree_monomials(m, k)
+        assert _orbit_sums(monos, m) == _orbit_sums_oracle(monos, m)
 
 
 def _same_orbit_terms(m, rng):
@@ -194,6 +218,23 @@ def test_orbit_reynolds_cancels():
 def test_reynolds_rejects_out_of_range():
     with pytest.raises(ValueError):
         reynolds(MultiPoly.variable(avar(1, 4)), 3)
+
+
+@pytest.mark.parametrize("var,name", [(("a", 0, 1), "a01"), (("a", 2, 1), "a21"), (("a", 1, 1), "a11")])
+def test_reynolds_names_a_variable_off_the_pairs(var, name):
+    # avar admits a01 and refuses a21 and a11, so all three are built by hand:
+    # each is named by a ValueError, not a KeyError of the orbit walk
+    with pytest.raises(ValueError, match=name):
+        reynolds(MultiPoly({((var, 2),): 1}), 2)
+
+
+def test_reynolds_of_a_square_at_ten_points():
+    # the orbit of a12^2 has 45 members; the m! sum would relabel it 10! times
+    squares = MultiPoly()
+    for i in range(1, 11):
+        for j in range(i + 1, 11):
+            squares = squares + MultiPoly.variable(avar(i, j)) ** 2
+    assert reynolds(A12**2, 10) == squares * rat(1, 45)
 
 
 def test_poincare_series_coefficients():
@@ -308,8 +349,16 @@ def test_q_sequence_ranks():
     report = q_sequence(4, 1)
     assert report["rank"] == 5 == report["expected"]
     assert report["independent"]
-    with pytest.raises(ValueError):
-        q_sequence(6, 1)
+    for m, n in ((8, 2), (9, 1), (7, 4)):
+        with pytest.raises(ValueError, match="cost guard"):
+            q_sequence(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(6, 1), (7, 2), (8, 1)])
+def test_q_sequence_past_five_points(m, n):
+    report = q_sequence(m, n)
+    assert report["rank"] == report["expected"] == dim_d(m, n)
+    assert report["independent"]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -433,9 +482,9 @@ def test_graded_dims_pinned_table(m, n):
 
 def test_molien_series_walks_no_permutation(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("the series walked the relabelings")
+        raise AssertionError("the series walked the orbits")
 
-    monkeypatch.setattr(symmetric, "permutations", refuse)
+    monkeypatch.setattr(symmetric, "_orbit_sums", refuse)
     assert graded_dims(6, 3, 10) == PINNED_SERIES[(6, 3)]
 
 
