@@ -62,6 +62,7 @@ def _sig_json(sig, key):
 
 
 def cmd_invariants(args):
+    from .exact import _pair_name
     from .invariants import _failed, gram, load_config
 
     config = load_config(args.config)
@@ -71,9 +72,7 @@ def cmd_invariants(args):
         {
             "n": config.n,
             "m": config.m,
-            "pairs": [
-                [i, j, _rat_json(f"a{i}{j}" if j < 10 else f"a{i}_{j}", g.value(i, j))] for (i, j) in g.pairs()
-            ],
+            "pairs": [[i, j, _rat_json(_pair_name(i, j), g.value(i, j))] for (i, j) in g.pairs()],
             "genericity": {
                 "generic": not failed,
                 "failed_predicates": list(failed),

@@ -379,19 +379,24 @@ def _check_tuple(idx, length, m=inf):
     return idx
 
 
-def _check_int(n):
-    """n when it is an int and not a bool, else ValueError: the type half of
-    `_check_n`, for the size checks that word their own range message."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"'n' must be an integer, got {n!r}")
-    return n
+def _check_int(x, name):
+    """x when it is an int and not a bool, else ValueError naming it: the type
+    half of `_check_n`, for the size checks that word their own range message."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"'{name}' must be an integer, got {x!r}")
+    return x
 
 
 def _check_n(n):
     """n as the half dimension of R^{2n}: an int, not a bool, and >= 1."""
-    if _check_int(n) < 1:
+    if _check_int(n, "n") < 1:
         raise ValueError("n must be >= 1")
     return n
+
+
+def _pair_name(i, j):
+    """The name of a_ij: a12, or a3_12 once either label has two digits."""
+    return f"a{i}{j}" if i < 10 and j < 10 else f"a{i}_{j}"
 
 
 def _pf_expand(labels, entry, zero):

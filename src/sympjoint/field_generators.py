@@ -19,13 +19,13 @@ import random
 from itertools import combinations
 from math import comb
 
-from .exact import ExactMatrix, Rat, _check_int, _check_n, _check_tuple, _IntRowSpace, _Record, rank
-from .invariants import GenericityError, GramTable, PointConfig, _leading, _random_points
+from .exact import ExactMatrix, Rat, _check_int, _check_n, _check_tuple, _IntRowSpace, _pair_name, _Record, rank
+from .invariants import GenericityError, GramTable, PointConfig, _leading, _random_points, _skew_rows
 
 
 def dim_d(m, n):
     """Transcendence degree of the invariant field on m points in R^{2n}."""
-    if _check_int(n) < 1 or m < 1:
+    if _check_int(n, "n") < 1 or _check_int(m, "m") < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if m >= 2 * n:
         return 2 * n * m - n * (2 * n + 1)
@@ -34,7 +34,7 @@ def dim_d(m, n):
 
 def dim_bbar(m, n):
     """Transcendence degree of the contact invariant field."""
-    if _check_int(n) < 1 or m < 1:
+    if _check_int(n, "n") < 1 or _check_int(m, "m") < 1:
         raise ValueError("need m >= 1 and n >= 1")
     if m >= 2 * n:
         return (2 * n + 1) * m - n * (2 * n + 1) - 1
@@ -73,11 +73,11 @@ def eliminate_entry(known, k, l, n):
     if not isinstance(known, GramTable):
         known = GramTable(l, {p: known[p] for p in combinations(labels, 2) if p != (k, l) and p in known})
     labels, ints = _check_tuple(labels, 2 * n + 2, known.m), {**known.ints, (k, l): 0}
-    lacking = next((p for p in combinations(labels, 2) if p not in ints), None)
-    if lacking is not None:
-        i, j = lacking
-        raise ValueError(f"known lacks a{i}{j}" if j < 10 else f"known lacks a{i}_{j}")
-    *_, b, c = _leading(ints, labels)
+    try:
+        P = _skew_rows(ints, labels)
+    except KeyError as exc:
+        raise ValueError(f"known lacks {_pair_name(*exc.args[0])}") from None
+    *_, b, c = _leading(P)
     if not b:
         raise GenericityError(f"denominator Pfaffian b_1..{2 * n} vanishes")
     return Rat(-c, b * known.den)
@@ -121,6 +121,8 @@ def generic_jacobian_rank(m, n, seed=0, samples=3):
     `_random_points`, whose rank r gives C(r, 2) + r(m - r) as in
     `jacobian_rank`; that count grows with r, so the largest r decides.
     """
+    _check_int(m, "m")
+    _check_int(n, "n")
     rng = random.Random(seed)
     r = max([_IntRowSpace(_random_points(rng, n, m)).rank for _ in range(samples)], default=0)
     return comb(r, 2) + r * (m - r)

@@ -17,17 +17,17 @@ plane parts, whose `_gram_of` is the contact table R_ij, and its references
 R_i = x_i.y_i - 2 u_i, all over one d^2.  Each record keeps its form in the
 slot `_ints`.  Two integer forms, tables or signature rows, compare by one
 rule, `_same_values` (x e == y d entry by entry).  The leading Pfaffians of a
-label tuple are read off one Pfaffian condensation of the ints
-(`_leading`, which swaps in a later label past a vanishing pivot), in time
-polynomial in the tuple length: the chain and its failed predicates, the
-syzygy value of one tuple and `eliminate_entry` all take it.  The whole
-family of syzygies is decided by one rank instead (`_check_vanishing`): by
-Cayley, Pf(a | I)^2 = det(a | I), so every Pfaffian on 2n+2 labels vanishes
-exactly when the table has rank <= 2n, and every q, a (2n+1)-minor, vanishes
-then too; `all_min_syzygies` and `syzygy-check` take that rank, one
-fraction-free elimination of the ints, and expand no Pfaffian.  The canonical
-form of `normal_form` runs the condensation step `_condense` itself, with no
-pivot search.
+label tuple are read off one Pfaffian condensation of its skew int rows
+(`_skew_rows`, which raises KeyError on the first missing pair), `_leading`,
+which swaps in a later label past a vanishing pivot, in time polynomial in
+the tuple length: the chain and its failed predicates, the syzygy value of
+one tuple, `eliminate_entry` and the canonical form of `normal_form`, which
+reads its frame off the condensed rows, all take it.  The whole family of syzygies is decided by one rank
+instead (`_check_vanishing`): by Cayley, Pf(a | I)^2 = det(a | I), so every
+Pfaffian on 2n+2 labels vanishes exactly when the table has rank <= 2n, and
+every q, a (2n+1)-minor, vanishes then too; `all_min_syzygies` and
+`syzygy-check` take that rank, one fraction-free elimination of the ints,
+and expand no Pfaffian.
 """
 
 import json
@@ -35,7 +35,7 @@ import random
 from itertools import combinations
 from types import MappingProxyType
 
-from .exact import ExactMatrix, Rat, SkewMatrix, _check_n, _check_tuple, _integer_row, _IntRowSpace, _Record, det, rat, rat_str, symp
+from .exact import ExactMatrix, Rat, SkewMatrix, _check_n, _check_tuple, _integer_row, _IntRowSpace, _pair_name, _Record, det, rat, rat_str, symp
 
 
 class GenericityError(ValueError):
@@ -223,14 +223,13 @@ class GramTable:
         return _same_values(list(self.ints.values()), self.den, [theirs[p] for p in self.ints], other.den)
 
     def __repr__(self):
-        inner = ", ".join(f"a{i}{j}={rat_str(v)}" for (i, j), v in sorted(self.values.items()))
+        inner = ", ".join(f"{_pair_name(i, j)}={rat_str(v)}" for (i, j), v in sorted(self.values.items()))
         return f"GramTable(m={self.m}, {inner})"
 
 
 def _no_value(pair):
     """The ValueError for a pair (i, j), i < j, that a table lacks, naming a_ij."""
-    i, j = pair
-    return ValueError(f"a{i}{j} has no value in the table" if j < 10 else f"a{i}_{j} has no value in the table")
+    return ValueError(f"{_pair_name(*pair)} has no value in the table")
 
 
 def _same_values(xs, d, ys, e):
@@ -275,17 +274,19 @@ def _skew_rows(ints, labels):
     return [[0] * (len(labels) + 1)] + rows
 
 
-def _leading(ints, labels):
-    """The leading Pfaffians Pf(ints | labels[:2k]), k = 1..len(labels) / 2, in ints.
+def _leading(P):
+    """The leading Pfaffians Pf(P | 1..2k), k = 1..top / 2, of the 1-based skew
+    int table P of `_skew_rows` on top labels, condensing P in place.
 
     Pf on positions 1..2k is P(2k-1, 2k) once `_condense` has taken pairs
-    1..2k-2.  A vanishing pivot P(e, e+1) swaps in the first later position f
-    with P(e, f) != 0, which flips the sign of the position sets holding both
-    and zeroes the sets holding e but not f (row e vanishes there); a row e
-    with no such f zeroes every longer leading Pfaffian.  O(len^3)
-    multiplications where the expansion grows like 4^len.
+    1..2k-2, and no later `_condense` writes rows 2k-1, 2k.  A vanishing pivot
+    P(e, e+1) swaps in the first later position f with P(e, f) != 0, which
+    flips the sign of the position sets holding both and zeroes the sets
+    holding e but not f (row e vanishes there); a row e with no such f
+    zeroes every longer leading Pfaffian.  O(top^3) multiplications where
+    the expansion grows like 4^top.
     """
-    P, top = _skew_rows(ints, labels), len(labels)
+    top = len(P) - 1
     pfs, prev, sign, reach = [], 1, 1, 0  # reach: the furthest position swapped in
     for e in range(1, top, 2):
         pfs.append(sign * P[e][e + 1] if e + 1 >= reach else 0)
@@ -309,7 +310,7 @@ def _failed(g: GramTable, n):
     """The failed leading-Pfaffian predicates of a Gram table, e.g. ("a12 = 0",):
     the zero entries of the chain b_{1..2k}, k <= min(n, m/2), read off
     `_leading` in ints."""
-    pfs = _leading(g.ints, range(1, 2 * min(n, g.m // 2) + 1))
+    pfs = _leading(_skew_rows(g.ints, range(1, 2 * min(n, g.m // 2) + 1)))
     names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k, v in enumerate(pfs, 1) if not v]
     return tuple([f"{name} = 0" for name in names])
 
@@ -343,10 +344,10 @@ def syzygy_value(g: GramTable, idx, n=None):
         raise ValueError(f"index tuple length must be even and >= 4, got {len(idx)}")
     idx = _check_tuple(idx, len(idx) if n is None else 2 * _check_n(n) + 2, g.m)
     try:
-        pfs = _leading(g.ints, idx)
+        P = _skew_rows(g.ints, idx)
     except KeyError as exc:
         raise _no_value(exc.args[0]) from None
-    return Rat(pfs[-1], g.den ** (len(idx) // 2))
+    return Rat(_leading(P)[-1], g.den ** (len(idx) // 2))
 
 
 def all_min_syzygies(config: PointConfig):

@@ -5,9 +5,10 @@ Gram table (Artin, Geometric Algebra, ch. III): points 2k-1 and 2k give the
 k-th frame pair (E_k, F_k), made omega-orthogonal to the earlier pairs with
 omega(E_k, F_k) = 1, and each point is written in that frame.  No linear
 system is solved: the pairings left after k frame pairs are bordered
-Pfaffians of the table's integer form over Pf(ints | 1..2k), computed in
-ints by Pfaffian condensation (`invariants._condense`), one division per
-output entry.  Two generic configurations are equivalent iff their
+Pfaffians of the table's integer form over Pf(ints | 1..2k), read off one
+Pfaffian condensation of the whole table (`invariants._leading`), which
+decides the leading chain too, with one division per output entry.  Two
+generic configurations are equivalent iff their
 signatures (the values of the generating invariants in a fixed order)
 coincide exactly.
 
@@ -53,9 +54,9 @@ from .invariants import (
     GenericityError,
     GramTable,
     PointConfig,
-    _condense,
     _failed,
     _gram_of,
+    _leading,
     _same_values,
     _skew_rows,
 )
@@ -121,26 +122,27 @@ def _canonical_columns(g: GramTable, n):
 
     Pair k (0-based) takes E from A_e and F from A_f, e = 2k+1 and f = 2k+2,
     each made omega-orthogonal to the earlier pairs, with F scaled so
-    omega(E, F) = 1.  Column j holds omega(A_j, F) = P(j, f) / P(e, f) in its
+    omega(E, F) = 1.  Column j holds omega(A_j, F) = P(j, f) / B_{k+1} in its
     x^{k+1} slot and omega(E, A_j) = P(e, j) / (B_k den) in its y^{k+1} slot,
-    P(i, j) = Pf(ints | 1..2k, i, j) by `_condense` and B_k = Pf(ints | 1..2k).
-    The pivot P(e, f) = B_{k+1} is nonzero on a generic configuration.  With
-    m odd and m < 2n the last point alone spans the next E: its x slot is 1.
+    B_k = Pf(ints | 1..2k) and P(i, j) = Pf(ints | 1..2k, i, j), all off one
+    `_leading` pass over the table: rows e and f are final once step k has
+    run, as no later step writes a row <= f.  A vanishing B_k, k <= n, raises
+    GenericityError; else no pivot is swapped, since past B_n every P(i, j)
+    of a table of points in R^{2n} is a (2n+2)-Pfaffian, 0.  With m odd and
+    m < 2n the last point alone spans the next E: its x slot is 1.
     """
-    m = g.m
-    P = _skew_rows(g.ints, range(1, m + 1))
+    m, P = g.m, _skew_rows(g.ints, range(1, g.m + 1))
+    B = [1] + _leading(P)  # B[k] = Pf(ints | 1..2k)
+    if not all(B[: n + 1]):
+        _require_generic(g, n)  # raises, naming the vanishing links
     cols = [[Rat(0)] * (2 * n) for _ in range(m)]
-    prev = 1
     for k in range(min(n, (m + 1) // 2)):
         e, f = 2 * k + 1, 2 * k + 2
         if f > m:
             cols[-1][k] = Rat(1)
             break
-        Pe, Pf, pivot = P[e], P[f], P[e][f]
         for j in range(e, m + 1):  # the points before A_e pair to zero with E and F
-            cols[j - 1][k], cols[j - 1][n + k] = Rat(-Pf[j], pivot), Rat(Pe[j], prev * g.den)
-        _condense(P, e, f, prev)
-        prev = pivot
+            cols[j - 1][k], cols[j - 1][n + k] = Rat(-P[f][j], B[k + 1]), Rat(P[e][j], B[k] * g.den)
     return cols
 
 
@@ -153,7 +155,6 @@ def canonical(config: PointConfig) -> ExactMatrix:
     if config.m < 2:
         raise ValueError("canonical form needs at least two points")
     g = _gram_of(*config._ints)
-    _require_generic(g, config.n)
     cols = _canonical_columns(g, config.n)
     result = ExactMatrix.from_columns(cols)
     if _gram_of(*PointConfig(config.n, tuple(cols))._ints) != g:

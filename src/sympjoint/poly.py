@@ -39,7 +39,7 @@ from bisect import bisect_left
 from itertools import combinations
 from operator import neg
 
-from .exact import Rat, _check_n, _check_tuple, rat, rat_str
+from .exact import Rat, _check_n, _check_tuple, _pair_name, rat, rat_str
 
 
 def avar(i, j):
@@ -61,7 +61,7 @@ def aux_var(*name):
 
 def var_name(var):
     if var[0] == "a":
-        return f"a{var[1]}{var[2]}" if var[1] < 10 and var[2] < 10 else f"a{var[1]}_{var[2]}"
+        return _pair_name(var[1], var[2])
     if var[0] == "u":
         return f"u{var[1]}"
     return "".join(str(part) for part in var[1:])
@@ -582,7 +582,7 @@ def evaluate(p: MultiPoly, g) -> Rat:
                 raise ValueError(f"cannot evaluate non-pairwise variable {var_name(v)}")
             _, i, j = v
             if i < 1 or j > g.m:
-                raise ValueError(f"variable a{i}{j} out of range for m={g.m}")
+                raise ValueError(f"variable {_pair_name(i, j)} out of range for m={g.m}")
             x = g.ints.get((i, j))
             if x is None:
                 raise ValueError(f"{var_name(v)} has no value in the table")

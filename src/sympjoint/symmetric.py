@@ -27,13 +27,14 @@ from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, lcm, prod
 
-from .exact import Rat, _check_int, _IntRowSpace, rat
+from .exact import Rat, _check_int, _integer_row, _IntRowSpace
 from .field_generators import basic_set, dim_d
 from .invariants import _gram_of, _random_points
 from .poly import MultiPoly, _coef, _value, _wrap, avar, var_name
 
-_MAX_GRADED_DEGREE = 10
-_MAX_GRADED_POINTS = 6
+# the Molien sum's slowest admitted call, (24, 11, 100), takes 0.75 s (2-vCPU VM, Python 3.11.7)
+_MAX_GRADED_DEGREE = 100
+_MAX_GRADED_POINTS = 24
 _MAX_SEARCH_POINTS = 3
 _MAX_SEARCH_DEGREE = 8
 
@@ -52,8 +53,8 @@ def reynolds(p: MultiPoly, m) -> MultiPoly:
         if var[0] != "a" or not 1 <= var[1] < var[2] <= m:
             raise ValueError(f"Reynolds operator acts on a_ij with 1 <= i < j <= m={m}, got {var_name(var)}")
     # clear the common denominator first, so the orbit sums are weighed in ints
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    ints = {mono: (c * den).numerator for mono, c in p.terms.items()}
+    coefs, den = _integer_row(list(p.terms.values()))
+    ints = dict(zip(p.terms, coefs))
     scale, total = factorial(m) * den, {}
     for _, orbit in _orbit_sums(ints, m):
         weight = sum([ints[x] if k > 0 else -ints[x] for x, k in orbit.items() if x in ints])
@@ -201,7 +202,7 @@ def _orbit_sums(monos, m):
 
 
 def _check_sizes(m, n, k):
-    if _check_int(n) < 1 or m < 1 or k < 0:
+    if _check_int(n, "n") < 1 or _check_int(m, "m") < 1 or _check_int(k, "degree") < 0:
         raise ValueError(f"need m >= 1, n >= 1 and a degree >= 0, got m={m}, n={n}, degree {k}")
 
 
@@ -238,19 +239,11 @@ def _content_normalized(p: MultiPoly) -> MultiPoly:
     """
     if p.is_zero():
         return p
-    denom_lcm = lcm(*(c.denominator for c in p.terms.values()))
-    num_gcd = gcd(*(c.numerator * denom_lcm // c.denominator for c in p.terms.values()))
-    scaled = p * rat(denom_lcm, num_gcd)
-    variables = sorted(scaled.variables())
-
-    def expvec(mono):
-        d = dict(mono)
-        return tuple(d.get(v, 0) for v in variables)
-
-    lead = max(scaled.terms, key=expvec)
-    if scaled.terms[lead] < 0:
-        scaled = -scaled
-    return scaled
+    coefs, _ = _integer_row(list(p.terms.values()))
+    variables = sorted(p.variables())
+    lead = max(p.terms, key=lambda mono: tuple([dict(mono).get(v, 0) for v in variables]))
+    content = gcd(*coefs) if p.terms[lead] > 0 else -gcd(*coefs)
+    return _wrap({mono: c // content for mono, c in zip(p.terms, coefs)})
 
 
 def _chain_rows(grads, pts, n):
@@ -299,8 +292,7 @@ def q_sequence(m, n, seed=0):
 
     grads = []  # per q, its (pair, partial with int coefficients) list
     for q in polys:
-        den = lcm(*[c.denominator for c in q.terms.values()])
-        ints = _wrap({mono: (c * den).numerator for mono, c in q.terms.items()})
+        ints = _wrap(dict(zip(q.terms, _integer_row(list(q.terms.values()))[0])))
         grads.append([(var[1:], ints.derivative(var).terms) for var in ints.variables()])
     rng = random.Random(seed)
     best = 0

@@ -851,3 +851,29 @@ def test_discretize_float_overflow_is_named(capsys, case, at, shown):
     captured = capsys.readouterr()
     assert code == 2
     assert (captured.out, captured.err) == ("", f"error: --case {case} --at {shown}: a value overflows the float range\n")
+
+
+def test_equiv_unordered_refuses_unequal_shapes(tmp_path, capsys):
+    a = write_json(tmp_path / "a.json", config_to_dict(PointConfig(1, ((1, 0), (0, 1)))))
+    b = write_json(tmp_path / "b.json", config_to_dict(PointConfig(1, ((1, 0), (0, 1), (1, 1)))))
+    code = main(["equiv", a, b, "--unordered"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", "error: configurations must share (n, m)\n")
+
+
+def test_discretize_refuses_a_curve_of_another_case(capsys):
+    code = main(["discretize", "--case", "planar-i2", "--curve", "quartic-r4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", "error: curve 'quartic-r4' does not fit case 'planar-i2'\n")
+
+
+def test_invariants_names_a_two_digit_label_with_an_underscore(tmp_path, capsys):
+    # a3_12 = 10^4400 is the first value past the int string limit
+    points = [[1, k] for k in range(1, 13)]
+    points[2], points[11] = ["1e2200", 0], [0, "1e2200"]
+    code = main(["invariants", write_json(tmp_path / "c.json", {"n": 1, "points": points})])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: output value a3_12 has more than 4300 digits")

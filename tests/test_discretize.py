@@ -326,3 +326,18 @@ def test_import_loads_no_fractions():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_degenerate_samples_are_named():
+    with pytest.raises(DegenerateSample, match=r"^chord invariant is not finite$"):
+        planar_i2_from_points((1.0, 0.0), (0.0, math.inf), (1.0, 1.0))
+    with pytest.raises(DegenerateSample, match=r"^base point at the origin$"):
+        function_estimates(HYPERBOLIC, 0.0, 0.0, 1e-3, 1e-3)
+    # u = x y at (1, 0): I1 = x u_x + y u_y = 0 with the gradient (0, 1) nonzero
+    with pytest.raises(DegenerateSample, match=r"^I1 vanishes at the base point$"):
+        function_estimates(HYPERBOLIC, 1.0, 0.0, 1e-3, 1e-3)
+
+
+def test_convergence_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^vector estimate/target length mismatch$"):
+        convergence_order(lambda h: (1.0, 2.0), (1.0, 2.0, 3.0))

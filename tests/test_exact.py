@@ -364,3 +364,18 @@ def test_is_symplectic_agrees_with_the_matrix_definition(case):
     except Exception as exc:
         got = type(exc)
     assert got == _symplectic_by_definition(M, n)
+
+
+def test_matrices_and_scalars_refuse_malformed_input():
+    with pytest.raises(ValueError, match=r"^ragged rows$"):
+        ExactMatrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match=r"^vector length mismatch$"):
+        ExactMatrix([[1, 2]]).apply((1,))
+    for index in ((1, 1), (0, 2), (1, 0)):
+        with pytest.raises(ValueError, match=rf"^bad upper index \({index[0]}, {index[1]}\)$"):
+            SkewMatrix(2, {index: 1})
+    for value in ([1], None, 1j):
+        with pytest.raises(TypeError, match=rf"^cannot convert {type(value).__name__} to exact rational$"):
+            rat(value)
+    with pytest.raises(ValueError, match=r"^steps must be >= 0$"):
+        random_symplectic(1, -1, 0)

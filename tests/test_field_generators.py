@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sympjoint.exact import ExactMatrix, Rat, _pf_expand, rank, rat, rat_str
 from sympjoint.field_generators import (
     basic_set,
+    dim_bbar,
     dim_d,
     eliminate_entry,
     generic_jacobian_rank,
@@ -42,6 +43,20 @@ def test_dim_d_refuses_an_n_that_only_looks_like_an_int(n):
         dim_d(3, n)
     with pytest.raises(ValueError, match="^need m >= 1 and n >= 1$"):
         dim_d(0, 1)
+
+
+@pytest.mark.parametrize("m", [True, 3.0, "3"])
+@pytest.mark.parametrize("call", [dim_d, dim_bbar, generic_jacobian_rank])
+def test_sizes_refuse_an_m_that_only_looks_like_an_int(call, m):
+    # True once counted as one point, and 3.0 gave a float count
+    with pytest.raises(ValueError, match=f"^'m' must be an integer, got {re.escape(repr(m))}$"):
+        call(m, 1)
+
+
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_generic_jacobian_rank_refuses_an_n_that_only_looks_like_an_int(n):
+    with pytest.raises(ValueError, match=f"^'n' must be an integer, got {re.escape(repr(n))}$"):
+        generic_jacobian_rank(3, n)
 
 
 def test_basic_set_layout():

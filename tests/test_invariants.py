@@ -10,12 +10,14 @@ from sympjoint.exact import ExactMatrix, Rat, _pf_expand, det, pfaffian, random_
 from sympjoint.field_generators import eliminate_entry, stabilizer_dim
 from sympjoint.invariants import (
     ContactConfig,
+    ContactPoint,
     GramTable,
     PointConfig,
     _check_vanishing,
     _failed,
     _leading,
     _rank,
+    _skew_rows,
     all_min_syzygies,
     config_from_dict,
     config_to_dict,
@@ -87,6 +89,11 @@ def test_value_names_a_pair_missing_from_the_table():
     with pytest.raises(ValueError, match=r"^a3_12 has no value in the table$"):
         GramTable(12, {(1, 2): 1}).value(12, 3)
     assert (PARTIAL.value(1, 2), PARTIAL.value(4, 3), PARTIAL.value(2, 2)) == (1, -2, 0)
+
+
+def test_repr_names_a_two_digit_label_with_an_underscore():
+    assert repr(GramTable(12, {(3, 12): 1})) == "GramTable(m=12, a3_12=1)"
+    assert repr(GramTable(3, {(1, 2): "1/2", (2, 3): -4})) == "GramTable(m=3, a12=1/2, a23=-4)"
 
 
 def test_subtable_names_a_pair_missing_from_the_table():
@@ -237,7 +244,7 @@ def free_tables(draw):
 
 def _chain(g, n):
     """The leading Pfaffians b_{1..2k}, k <= min(n, m/2), of a table, named, as `Rat`s."""
-    pfs = _leading(g.ints, range(1, 2 * min(n, g.m // 2) + 1))
+    pfs = _leading(_skew_rows(g.ints, range(1, 2 * min(n, g.m // 2) + 1)))
     names = ["a12" if k == 1 else "b" + "".join([str(i) for i in range(1, 2 * k + 1)]) for k in range(1, len(pfs) + 1)]
     return [(name, Rat(v, g.den**k)) for k, (name, v) in enumerate(zip(names, pfs), 1)]
 
@@ -475,3 +482,21 @@ def test_gram_values_are_the_integer_form_over_den(g):
         assert g.values[p] == g.value(*p) == Rat(g.ints[p], g.den) == -g.value(p[1], p[0])
     with pytest.raises(TypeError):
         g.values[1, 2] = Rat(0)
+
+
+def test_records_refuse_malformed_points():
+    with pytest.raises(ValueError, match=r"^need at least one point$"):
+        PointConfig(1, ())
+    with pytest.raises(ValueError, match=r"^point of length 3, expected 2$"):
+        PointConfig(1, ((1, 2), (1, 2, 3)))
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.m$"):
+        PointConfig(1, ((1, 0), (0, 1))).permute([1, 1])
+    with pytest.raises(ValueError, match=r"^x and y must have equal length$"):
+        ContactPoint((1, 2), (3,), 0)
+    with pytest.raises(ValueError, match=r"^need at least one point$"):
+        ContactConfig(1, ())
+    with pytest.raises(ValueError, match=r"^point with 2 x-coordinates, expected 1$"):
+        ContactConfig(1, (ContactPoint((1,), (2,), 0), ContactPoint((1, 2), (3, 4), 0)))
+    for pair in ((2, 1), (1, 4), (0, 2)):
+        with pytest.raises(ValueError, match=rf"^bad pair \({pair[0]}, {pair[1]}\) for m=3$"):
+            GramTable(3, {pair: 1})

@@ -15,10 +15,9 @@ from sympjoint.exact import (
     random_symplectic,
     symp,
 )
-from sympjoint.invariants import ContactConfig, ContactPoint, GenericityError, PointConfig, gram, random_config
+from sympjoint.invariants import ContactConfig, ContactPoint, GenericityError, PointConfig, _condense, gram, random_config
 from sympjoint.normal_form import (
     _canonical_columns,
-    _condense,
     _normalize,
     _relabel_compare,
     canonical,
@@ -57,7 +56,8 @@ def test_canonical_two_points():
 
 def test_canonical_preserves_gram():
     rng = random.Random(31)
-    for n, m in ((1, 3), (1, 5), (2, 4), (2, 6)):
+    # the shapes after (2, 6): odd m < 2n, m = 2n and m = 2n+1
+    for n, m in ((1, 3), (1, 5), (2, 4), (2, 6), (2, 3), (3, 5), (3, 6), (2, 5), (3, 7)):
         for _ in range(5):
             cfg = generic_sample(n, m, rng)
             cols = canonical(cfg).columns()
@@ -88,6 +88,26 @@ def test_canonical_rejects_nongeneric_with_predicate_name():
     cfg = PointConfig(1, ((1, 0), (2, 0), (0, 1)))
     with pytest.raises(GenericityError, match="a12 = 0"):
         canonical(cfg)
+
+
+@pytest.mark.parametrize(
+    "n,points,message",
+    [
+        # A3 = A1 + A2, A4 = A1 - A2 in R^4: a12 = 1, but the points span a plane
+        (2, ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (1, 0, -1, 0)), "b1234 = 0"),
+        (2, ((1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (1, 0, -1, 0), (0, 1, 0, 0)), "b1234 = 0"),
+        # six points of R^6 spanning four dimensions: a12, b1234 != 0
+        (3, ((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0),
+             (1, 1, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0)), "b123456 = 0"),
+    ],
+)
+def test_canonical_names_a_chain_that_fails_past_a12(n, points, message):
+    # the chain is read off the same condensation as the frame
+    cfg = PointConfig(n, points)
+    assert genericity(cfg).failed_predicates == (message,)
+    with pytest.raises(GenericityError) as info:
+        canonical(cfg)
+    assert str(info.value) == f"non-generic configuration: {message}"
 
 
 def test_recover_transform_round_trip():
@@ -776,3 +796,16 @@ def test_contact_integer_form_against_its_definition(n, spanning, zero_last, dat
         if m - len(basis) < 2 * n:
             expected += [x for v in basis for x in v]
     assert list(contact_absolute(C).values) == expected
+
+
+def test_decisions_refuse_malformed_arguments():
+    one, two = PointConfig(1, ((1, 2),)), PointConfig(1, ((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"^unknown group 'gl'; expected sp, csp, asp or contact$"):
+        _normalize("gl", two)
+    with pytest.raises(ValueError, match=r"^affine signature needs at least two points$"):
+        signature(one, "asp")
+    with pytest.raises(ValueError, match=r"^canonical form needs at least two points$"):
+        canonical(one)
+    for other in (PointConfig(1, ((1, 0), (0, 1), (1, 1))), PointConfig(2, ((1, 0, 0, 0), (0, 0, 1, 0)))):
+        with pytest.raises(ValueError, match=r"^configurations must share \(n, m\)$"):
+            recover_transform(two, other)

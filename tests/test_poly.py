@@ -107,6 +107,21 @@ def test_evaluate_rejects_labels_out_of_range(i, j):
         evaluate(MultiPoly.variable(avar(i, j)), g)
 
 
+def test_evaluate_names_a_two_digit_label_with_an_underscore():
+    g = GramTable(10, {(1, 2): 1})
+    with pytest.raises(ValueError, match=r"^variable a3_12 out of range for m=10$"):
+        evaluate(MultiPoly.variable(avar(3, 12)), g)
+
+
+def test_pairwise_variables_and_powers_refuse_bad_arguments():
+    with pytest.raises(ValueError, match=r"^a_ii is identically zero, not a variable$"):
+        avar(1, 1)
+    with pytest.raises(ValueError, match=r"^pairwise variable needs i < j, got \(2, 1\)$"):
+        avar(2, 1)
+    with pytest.raises(ValueError, match=r"^only nonnegative integer powers$"):
+        MultiPoly.variable(avar(1, 2)) ** -1
+
+
 def test_evaluate_names_a_variable_missing_from_the_table():
     g = GramTable(4, {(1, 2): 1, (3, 4): 2})
     assert evaluate(MultiPoly.variable(avar(1, 2)) * MultiPoly.variable(avar(3, 4)), g) == 2

@@ -161,6 +161,24 @@ def test_relabeling_sum_matches_brute_force(m):
     assert cancelled and kept  # orbits whose signed sum cancels, and others
 
 
+def test_reynolds_clears_fraction_coefficients():
+    # 1/2 and -2/3 share the denominator 6, cleared by `_integer_row`
+    a14, a34 = MultiPoly.variable(avar(1, 4)), MultiPoly.variable(avar(3, 4))
+    p = Fraction(1, 2) * A12 * A13**2 + Fraction(-2, 3) * A12**2 * a34 + Fraction(-2, 3) * A13 * a14
+    want = {mono: c / factorial(4) for mono, c in _relabeling_sum_oracle(p.terms, 4).items() if c}
+    assert want and reynolds(p, 4).terms == want
+
+
+def test_content_normalized_flips_a_negative_leading_term():
+    # the lex-largest exponent vector leads: a12^2, with coefficient -1/3
+    p = Fraction(-1, 3) * A12**2 + Fraction(2, 9) * A13 * A23 - 4 * A23**2
+    got = _content_normalized(p)
+    assert got == 3 * A12**2 - 2 * A13 * A23 + 36 * A23**2
+    assert all(type(c) is int for c in got.terms.values())
+    assert _content_normalized(-got) == got
+    assert _content_normalized(MultiPoly()).is_zero()
+
+
 @pytest.mark.parametrize("m,top", [(2, 6), (3, 5), (4, 4), (5, 4), (6, 3)])
 def test_orbit_sums_of_every_monomial_match_brute_force(m, top):
     # every degree-k monomial, in the scan order of the generator search
@@ -254,7 +272,7 @@ def test_graded_dim_examples():
     with pytest.raises(ValueError):
         graded_dim(5, 1, 2)
     with pytest.raises(ValueError):
-        graded_dim(3, 1, 11)
+        graded_dim(3, 1, 101)
 
 
 def reference_graded_dim(m, k, seed):
@@ -443,7 +461,7 @@ def orbit_rank_dims(m, n, top, seed=0):
     return dims
 
 
-@pytest.mark.parametrize("m,n,top", [(4, 1, 5), (4, 2, 5), (3, 2, 6), (5, 2, 3), (6, 2, 3)])
+@pytest.mark.parametrize("m,n,top", [(4, 1, 5), (4, 2, 5), (3, 2, 6), (5, 2, 3), (6, 2, 3), (7, 3, 3)])
 def test_graded_dim_matches_orbit_rank(m, n, top):
     assert [graded_dim(m, n, k) for k in range(top + 1)] == orbit_rank_dims(m, n, top)
 
@@ -511,7 +529,7 @@ def test_graded_dim_never_samples(monkeypatch):
     assert [graded_dim(1, 3, k) for k in range(3)] == [1, 0, 0]
 
 
-@pytest.mark.parametrize("m,n,k", [(5, 1, 2), (6, 1, 2), (5, 1, 0), (7, 3, 1), (4, 1, 11)])
+@pytest.mark.parametrize("m,n,k", [(5, 1, 2), (6, 1, 2), (5, 1, 0), (25, 12, 1), (4, 1, 101)])
 def test_graded_dim_guard(m, n, k):
     with pytest.raises(ValueError, match="cost guard"):
         graded_dim(m, n, k)
@@ -528,7 +546,7 @@ def test_graded_dims_is_the_per_degree_table(m, n, top):
     assert graded_dims(m, n, top) == [graded_dim(m, n, k) for k in range(top + 1)]
 
 
-@pytest.mark.parametrize("m,n,top,match", [(5, 1, 0, "cost guard"), (4, 1, 11, "cost guard"), (0, 1, 2, "need m >= 1"), (3, 1, -1, "need m >= 1")])
+@pytest.mark.parametrize("m,n,top,match", [(5, 1, 0, "cost guard"), (4, 1, 101, "cost guard"), (0, 1, 2, "need m >= 1"), (3, 1, -1, "need m >= 1")])
 def test_graded_dims_keeps_the_guards(m, n, top, match):
     with pytest.raises(ValueError, match=match):
         graded_dims(m, n, top)
@@ -551,3 +569,27 @@ def test_sizes_refuse_an_n_that_only_looks_like_an_int(call, n):
     # the tests above pin
     with pytest.raises(ValueError, match=f"^'n' must be an integer, got {re.escape(repr(n))}$"):
         call(n)
+
+
+@pytest.mark.parametrize("m", [True, 3.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: graded_dim(m, 1, 2),
+        lambda m: graded_dims(m, 1, 2),
+        lambda m: generator_search(m, 1, 2),
+        lambda m: q_sequence(m, 1),
+    ],
+    ids=["graded_dim", "graded_dims", "generator_search", "q_sequence"],
+)
+def test_sizes_refuse_an_m_that_only_looks_like_an_int(call, m):
+    # True once counted as one point (an empty search, a rank-0 q_sequence)
+    with pytest.raises(ValueError, match=f"^'m' must be an integer, got {re.escape(repr(m))}$"):
+        call(m)
+
+
+@pytest.mark.parametrize("k", [2.0, True])
+def test_sizes_refuse_a_degree_that_only_looks_like_an_int(k):
+    # 2.0 once raised a bare TypeError from the series
+    with pytest.raises(ValueError, match=f"^'degree' must be an integer, got {re.escape(repr(k))}$"):
+        graded_dim(3, 1, k)

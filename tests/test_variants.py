@@ -476,3 +476,14 @@ def test_contact_with_vanishing_r12_is_decided(n, planes, us, seed):
     pts = list(B.points)
     pts[1] = ContactPoint(pts[1].x, pts[1].y, pts[1].u + 1)
     assert not contact_equivalent(A, ContactConfig(n, tuple(pts)))
+
+
+def test_contact_helpers_refuse_malformed_arguments():
+    p = ContactPoint((1,), (2,), 3)
+    with pytest.raises(ValueError, match=r"^contact action takes a 2x2 matrix$"):
+        contact_apply(ExactMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), p)
+    with pytest.raises(ValueError, match=r"^explicit contact action implemented for n = 1$"):
+        contact_apply(ExactMatrix([[1, 0], [0, 1]]), ContactPoint((1, 2), (3, 4), 5))
+    for obj in ([1], "config", {"n": 1}):
+        with pytest.raises(ValueError, match=r"^contact configuration must be an object with 'n' and 'points'$"):
+            contact_config_from_dict(obj)
