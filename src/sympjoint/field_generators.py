@@ -121,8 +121,10 @@ def generic_jacobian_rank(m, n, seed=0, samples=3):
     `_random_points`, whose rank r gives C(r, 2) + r(m - r) as in
     `jacobian_rank`; that count grows with r, so the largest r decides.
     """
-    _check_int(m, "m")
-    _check_int(n, "n")
+    if _check_int(n, "n") < 1 or _check_int(m, "m") < 1:
+        raise ValueError("need m >= 1 and n >= 1")
+    if _check_int(samples, "samples") < 1:
+        raise ValueError("need samples >= 1")
     rng = random.Random(seed)
-    r = max([_IntRowSpace(_random_points(rng, n, m)).rank for _ in range(samples)], default=0)
+    r = max([_IntRowSpace(_random_points(rng, n, m)).rank for _ in range(samples)])
     return comb(r, 2) + r * (m - r)

@@ -11,8 +11,9 @@ importing `variants`.
 Gram tables and their Pfaffians are computed in Python ints; a `Rat` is built
 only for a returned value.  A `PointConfig` carries one integer form, A_i =
 u_i / d, built with the record, and `_gram_of` builds a table's, a_ij =
-ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2; their `Rat`
-values are built on first read.  A `ContactConfig` carries one too: its
+ints[i, j] / den with ints[i, j] = symp(u_i, u_j) and den = d^2, for every
+row or, on the decision path, the rows i <= 2n only; their `Rat` values are
+built on first read.  A `ContactConfig` carries one too: its
 plane parts, whose `_gram_of` is the contact table R_ij, and its references
 R_i = x_i.y_i - 2 u_i, all over one d^2.  Each record keeps its form in the
 slot `_ints`.  Two integer forms, tables or signature rows, compare by one
@@ -242,10 +243,13 @@ def _same_values(xs, d, ys, e):
     return xs == ys if d == e else all([x * e == y * d for x, y in zip(xs, ys)])
 
 
-def _gram_of(pts, d):
+def _gram_of(pts, d, top=None):
     """The Gram table of the points A_i = u_i / d, given as the int lists u_i:
-    ints[i, j] = symp(u_i, u_j) over den = d^2 (d = 1 for integral points)."""
-    ints = {(i, j): symp(u, v) for i, u in enumerate(pts, 1) for j, v in enumerate(pts[i:], i + 1)}
+    ints[i, j] = symp(u_i, u_j) over den = d^2 (d = 1 for integral points),
+    for the rows i <= top (every row when top is None), in (i, j) order.
+    With top = 2n it holds the basic set and the chain's labels, in
+    `basic_set` order, and no pair past them."""
+    ints = {(i, j): symp(u, v) for i, u in enumerate(pts[:top], 1) for j, v in enumerate(pts[i:], i + 1)}
     return GramTable._exact(len(pts), ints, d * d)
 
 
@@ -256,35 +260,40 @@ def gram(config: PointConfig) -> GramTable:
 
 def _condense(P, e, f, prev):
     """One step of Pfaffian condensation (Knuth, Overlapping Pfaffians, 1996),
-    in place on the 1-based skew int table P: P(i, j) = Pf(ints | 1..e-1, i, j)
-    becomes Pf(ints | 1..f, i, j) for i, j > f; prev = Pf(ints | 1..e-1), 1 for
-    e = 1, divides exactly."""
+    in place on the 1-based skew int rows P: P(i, j) = Pf(ints | 1..e-1, i, j)
+    becomes Pf(ints | 1..f, i, j) for f < i < j, every column j of a row i;
+    prev = Pf(ints | 1..e-1), 1 for e = 1, divides exactly.  Row i is updated
+    from itself and rows e and f alone, so the first rows of a table, against
+    all its columns, condense as they would in the whole table."""
     pivot, Pe, Pf = P[e][f], P[e], P[f]
     for i in range(f + 1, len(P)):
         Pi = P[i]
+        for j in range(i + 1, len(Pi)):
+            Pi[j] = (pivot * Pi[j] - Pe[i] * Pf[j] + Pe[j] * Pf[i]) // prev
         for j in range(i + 1, len(P)):
-            Pi[j] = v = (pivot * Pi[j] - Pe[i] * Pf[j] + Pe[j] * Pf[i]) // prev
-            P[j][i] = -v
+            P[j][i] = -Pi[j]
 
 
-def _skew_rows(ints, labels):
+def _skew_rows(ints, labels, top=None):
     """The skew int table P(a, b) = ints[labels[a], labels[b]] on 1-based
-    positions a, b of the ascending labels (row and column 0 unused)."""
-    rows = [[0] + [ints[i, j] if i < j else -ints[j, i] if j < i else 0 for j in labels] for i in labels]
+    positions a, b of the ascending labels (row and column 0 unused), its
+    rows those of the first top labels (every label when top is None)."""
+    rows = [[0] + [ints[i, j] if i < j else -ints[j, i] if j < i else 0 for j in labels] for i in labels[:top]]
     return [[0] * (len(labels) + 1)] + rows
 
 
 def _leading(P):
     """The leading Pfaffians Pf(P | 1..2k), k = 1..top / 2, of the 1-based skew
-    int table P of `_skew_rows` on top labels, condensing P in place.
+    int rows P of `_skew_rows` with top rows, condensing P in place; columns
+    past top, if any, are condensed along.
 
     Pf on positions 1..2k is P(2k-1, 2k) once `_condense` has taken pairs
     1..2k-2, and no later `_condense` writes rows 2k-1, 2k.  A vanishing pivot
-    P(e, e+1) swaps in the first later position f with P(e, f) != 0, which
-    flips the sign of the position sets holding both and zeroes the sets
-    holding e but not f (row e vanishes there); a row e with no such f
-    zeroes every longer leading Pfaffian.  O(top^3) multiplications where
-    the expansion grows like 4^top.
+    P(e, e+1) swaps in the first later position f <= top with P(e, f) != 0,
+    which flips the sign of the position sets holding both and zeroes the
+    sets holding e but not f (row e vanishes there); a row e with no such f
+    zeroes every longer leading Pfaffian, as none reaches past top.
+    O(top^2 * columns) multiplications where the expansion grows like 4^top.
     """
     top = len(P) - 1
     pfs, prev, sign, reach = [], 1, 1, 0  # reach: the furthest position swapped in

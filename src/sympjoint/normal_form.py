@@ -6,11 +6,19 @@ k-th frame pair (E_k, F_k), made omega-orthogonal to the earlier pairs with
 omega(E_k, F_k) = 1, and each point is written in that frame.  No linear
 system is solved: the pairings left after k frame pairs are bordered
 Pfaffians of the table's integer form over Pf(ints | 1..2k), read off one
-Pfaffian condensation of the whole table (`invariants._leading`), which
-decides the leading chain too, with one division per output entry.  Two
-generic configurations are equivalent iff their
-signatures (the values of the generating invariants in a fixed order)
+Pfaffian condensation of the table's 2n frame rows against all m columns
+(`invariants._leading`), which decides the leading chain too, with one
+division per output entry.  Two generic configurations are equivalent iff
+their signatures (the values of the generating invariants in a fixed order)
 coincide exactly.
+
+Every decision reads the basic set {a_ij : i <= 2n}, the rows that
+`_gram_of(pts, d, 2 * n)` builds in `basic_set` order, the chain's labels
+among them: with passing chains on m >= 2n points, equal basic sets decide
+the orbit (the proof is in `recover_transform`).  Pairs past 2n are read only
+where the basic set does not decide: the fallback's lazy scan for the first
+nonzero pair, and the eliminated pairs of contact plane parts that fail the
+chain.
 
 Coordinates are grouped (x^1..x^n, y^1..y^n); frame pair k fills the x^k and
 y^k slots, so e.g. for n = 2 the fourth column carries b_1234/a_12 in its
@@ -19,10 +27,10 @@ y^2 slot.
 Every signature and equivalence decision, for Sp, CSp, ASp and the contact
 lift, is made here, by `_normalize`: one configuration, with its fallback
 relabeling either decided or given.  It reads integer forms only, points u_i /
-d, tables ints / den (built by `_gram_of`, for ASp from u_i - u_1) and the
-contact form `ContactConfig._ints`, and returns a signature as one integer row
-over one nonzero integer D, plus Witt's relations: (key, row, D, relations),
-the values being x / D for each x of the row.  Sp and ASp take the basic-set
+d, basic-set tables ints / den (built by `_gram_of`, for ASp from u_i - u_1)
+and the contact form `ContactConfig._ints`, and returns a signature as one
+integer row over one nonzero integer D, plus Witt's relations: (key, row, D,
+relations), the values being x / D for each x of the row.  Sp and ASp take the basic-set
 ints over den, CSp |a12| and the basic-set ints after (1, 2) over a12
 (`_csp_values`), contact r_1..r_{m-1} and the plane parts' table ints over r_m
 (`_absolute_values`).  Two signatures compare by one rule, `_same`: equal rows
@@ -47,8 +55,7 @@ calling the hook again would build a second class.
 import sys
 from math import lcm
 
-from .exact import ExactMatrix, Rat, _IntRowSpace, _Record, _symplectic_columns, nullspace
-from .field_generators import basic_set
+from .exact import ExactMatrix, Rat, _IntRowSpace, _Record, _symplectic_columns, nullspace, symp
 from .invariants import (
     ContactConfig,
     GenericityError,
@@ -84,8 +91,10 @@ class GenericityReport(_Record):
 
 
 def genericity(config: PointConfig) -> GenericityReport:
-    """Check every leading-Pfaffian predicate; report all failures."""
-    failed = _failed(_gram_of(*config._ints), config.n)
+    """Check every leading-Pfaffian predicate; report all failures.  The chain
+    reads labels 1..2n only, so only the table of the first 2n points is built."""
+    pts, d = config._ints
+    failed = _failed(_gram_of(pts[: 2 * config.n], d), config.n)
     return GenericityReport(not failed, failed)
 
 
@@ -97,41 +106,44 @@ def _require_generic(g: GramTable, n, prefix="non-generic configuration"):
 
 
 def _genericize(pts, d, n):
-    """Return (points, their Gram table, perm) with a passing chain, relabeling once if needed.
+    """Return (points, their basic-set table, perm) with a passing chain, relabeling once if needed.
 
-    The points are A_i = u_i / d, given as the u_i.  The single fallback moves
-    the first pair (i, j) with a_ij != 0 to the front (perm lists the new
-    order; () when none was needed); anything still failing is rejected.
+    The points are A_i = u_i / d, given as the u_i; the table holds the rows
+    i <= 2n (`_gram_of` with top 2n).  The single fallback moves the first
+    pair (i, j) with a_ij != 0, in (i, j) order, to the front (perm lists the
+    new order; () when none was needed); the pairs are scanned lazily, so no
+    full table is built.  Anything still failing is rejected.
     """
-    g = _gram_of(pts, d)
+    g = _gram_of(pts, d, 2 * n)
     if not _failed(g, n):
         return pts, g, ()
-    first = next((p for p, x in g.ints.items() if x), None)
+    m = len(pts)
+    first = next(((i, j) for i in range(1, m) for j in range(i + 1, m + 1) if symp(pts[i - 1], pts[j - 1])), None)
     if first is not None and first != (1, 2):
         i, j = first
-        perm = [i, j] + [k for k in range(1, len(pts) + 1) if k not in (i, j)]
+        perm = [i, j] + [k for k in range(1, m + 1) if k not in (i, j)]
         moved = [pts[k - 1] for k in perm]
-        moved_g = _gram_of(moved, d)
+        moved_g = _gram_of(moved, d, 2 * n)
         if not _failed(moved_g, n):
             return moved, moved_g, perm
     _require_generic(g, n)  # raises: no relabeling rescued the chain
 
 
 def _canonical_columns(g: GramTable, n):
-    """Symplectic Gram-Schmidt on the Gram table: the points in the frame.
+    """Symplectic Gram-Schmidt on the basic-set table: the points in the frame.
 
     Pair k (0-based) takes E from A_e and F from A_f, e = 2k+1 and f = 2k+2,
     each made omega-orthogonal to the earlier pairs, with F scaled so
     omega(E, F) = 1.  Column j holds omega(A_j, F) = P(j, f) / B_{k+1} in its
     x^{k+1} slot and omega(E, A_j) = P(e, j) / (B_k den) in its y^{k+1} slot,
     B_k = Pf(ints | 1..2k) and P(i, j) = Pf(ints | 1..2k, i, j), all off one
-    `_leading` pass over the table: rows e and f are final once step k has
-    run, as no later step writes a row <= f.  A vanishing B_k, k <= n, raises
-    GenericityError; else no pivot is swapped, since past B_n every P(i, j)
-    of a table of points in R^{2n} is a (2n+2)-Pfaffian, 0.  With m odd and
-    m < 2n the last point alone spans the next E: its x slot is 1.
+    `_leading` pass over the 2n frame rows against all m columns: rows e and
+    f are final once step k has run, as no later step writes a row <= f, and
+    a step reads only rows <= 2n, the pairs of the basic set.  A vanishing
+    B_k, k <= n, raises GenericityError; else no pivot is swapped.  With m
+    odd and m < 2n the last point alone spans the next E: its x slot is 1.
     """
-    m, P = g.m, _skew_rows(g.ints, range(1, g.m + 1))
+    m, P = g.m, _skew_rows(g.ints, range(1, g.m + 1), 2 * n)
     B = [1] + _leading(P)  # B[k] = Pf(ints | 1..2k)
     if not all(B[: n + 1]):
         _require_generic(g, n)  # raises, naming the vanishing links
@@ -149,15 +161,23 @@ def _canonical_columns(g: GramTable, n):
 def canonical(config: PointConfig) -> ExactMatrix:
     """Canonical 2n x m matrix of a generic configuration (columns are points).
 
-    The output is determined by gram(config) alone and reproduces it exactly;
-    a non-generic input is rejected with the failed predicate named.
+    The output is determined by the basic set of gram(config) alone and
+    reproduces the whole table exactly; a non-generic input is rejected with
+    the failed predicate named.  The self-check compares basic sets, which
+    is enough.  For m <= 2n the basic set is the whole table.  For m > 2n
+    the chain passes, so A_1..A_2n is a basis, and the linear S with
+    S A_i = C_i (i <= 2n) is symplectic, as the columns C reproduce
+    omega(A_i, A_k) for i, k <= 2n.  For every j and every i <= 2n,
+    omega(C_i, C_j) = omega(A_i, A_j) = omega(S A_i, S A_j) = omega(C_i, S A_j),
+    and C_1..C_2n is a basis, so C_j = S A_j: the whole table is reproduced.
     """
     if config.m < 2:
         raise ValueError("canonical form needs at least two points")
-    g = _gram_of(*config._ints)
-    cols = _canonical_columns(g, config.n)
+    n, (pts, d) = config.n, config._ints
+    g = _gram_of(pts, d, 2 * n)
+    cols = _canonical_columns(g, n)
     result = ExactMatrix.from_columns(cols)
-    if _gram_of(*PointConfig(config.n, tuple(cols))._ints) != g:
+    if _gram_of(*PointConfig(n, tuple(cols))._ints, 2 * n) != g:
         raise RuntimeError("canonical columns fail to reproduce the Gram table")
     return result
 
@@ -170,6 +190,14 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     A^T M^T = B^T; on the first 2n points, A_i = u_i / d_a and B_i = v_i / d_b,
     its rows [u_i d_b | v_i d_a] are eliminated in ints to M = N / D.  The
     remaining points follow automatically; every check is exact, in ints.
+
+    Only the basic sets (the rows i <= 2n) are built and compared, and they
+    differ exactly when the whole tables do.  Both chains pass, so
+    A_1..A_2n and B_1..B_2n are bases, and the M with M A_i = B_i (i <= 2n)
+    is symplectic when the basic sets agree.  Then for every j and every
+    i <= 2n, omega(M A_j, B_i) = omega(M A_j, M A_i) = omega(A_j, A_i) =
+    omega(B_j, B_i); as B_1..B_2n is a basis, M A_j = B_j, and the whole
+    tables agree.
     """
     if (A.n, A.m) != (B.n, B.m):
         raise ValueError("configurations must share (n, m)")
@@ -177,7 +205,7 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
     if m < 2 * n:
         raise ValueError("underdetermined: fewer than 2n points leave a nontrivial stabilizer")
     (us, d_a), (vs, d_b) = A._ints, B._ints
-    tables = _gram_of(us, d_a), _gram_of(vs, d_b)
+    tables = _gram_of(us, d_a, 2 * n), _gram_of(vs, d_b, 2 * n)
     for label, g in zip(("first", "second"), tables):
         _require_generic(g, n, f"{label} configuration non-generic")
     if tables[0] != tables[1]:
@@ -215,21 +243,16 @@ def _relations(points, n, spanning):
     return tuple([x for v in basis for x in v])
 
 
-def _csp_values(g: GramTable, n):
-    """The conformal row over a12: |a12| (so sign(a12) = |a12| / a12), then
-    the ints of the basic set after (1, 2), whose values are a_ij / a12."""
-    if g.m < 2:
+def _csp_values(row):
+    """The conformal row over a12 of the basic-set ints `row`, a12 first:
+    |a12| (so sign(a12) = |a12| / a12), then the ints after a12, whose values
+    are a_ij / a12."""
+    if not row:
         raise ValueError("conformal signature needs at least two points")
-    ints = g.ints
-    a12 = ints[1, 2]
+    a12 = row[0]
     if a12 == 0:
         raise GenericityError("a12 = 0")
-    return [abs(a12)] + [ints[p] for p in basic_set(g.m, n).pairs[1:]], a12
-
-
-def _eliminated_pairs(m, n):
-    """The pairs outside the basic set: those with i > 2n."""
-    return [(i, j) for i in range(2 * n + 1, m + 1) for j in range(i + 1, m + 1)]
+    return [abs(a12)] + row[1:], a12
 
 
 def _absolute_values(planes, refs, d, n):
@@ -240,16 +263,16 @@ def _absolute_values(planes, refs, d, n):
     m, rm = len(refs), refs[-1]
     if rm == 0:
         raise GenericityError(f"R_{m} = 0")
-    R = _gram_of(planes, d)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
-    ints = R.ints
-    row = refs[:-1] + [ints[p] for p in basic_set(m, n).pairs]
+    R = _gram_of(planes, d, 2 * n)  # T = R / R_m, and b_{1..2k}(T) = b_{1..2k}(R) / R_m^k
+    row = refs[:-1] + list(R.ints.values())
     # the elimination divides by every link b_{1..2k}(T) of the leading
     # chain; unless all n links pass, the basic set does not determine the
-    # eliminated T_ij, so they join the signature (each is invariant), and
-    # the plane parts may not span, so their linear relations join too
+    # eliminated T_ij (the pairs i > 2n, the table of the points past 2n),
+    # so they join the signature (each is invariant), and the plane parts
+    # may not span, so their linear relations join too
     spanning = m >= 2 * n and not _failed(R, n)
     if not spanning:
-        row += [ints[p] for p in _eliminated_pairs(m, n)]
+        row += list(_gram_of(planes[2 * n :], d).ints.values())
     return row, rm, _relations(planes, n, spanning)
 
 
@@ -264,9 +287,10 @@ def _normalize(group, config, relabel=None):
     (the one fallback of `_genericize`; for contact [2, ..., m, 1] iff R_m = 0)
     and applied unchanged otherwise; a given relabeling is always the first
     configuration's, applied to the second, which must then be generic.
-    Sp: the basic-set ints over den; CSp: the row of `_csp_values` over a12;
-    ASp: the Sp row after translating by -A_1.  Contact: the row of
-    `_absolute_values` over r_m, on the relabeled integer form.
+    Sp: the basic-set ints over den, the ints of `_gram_of` with top 2n in
+    order; CSp: the row of `_csp_values` over a12; ASp: the Sp row after
+    translating by -A_1.  Contact: the row of `_absolute_values` over r_m,
+    on the relabeled integer form.
     """
     key = _GROUPS.get(str(group).lower())
     if key is None:
@@ -292,13 +316,11 @@ def _normalize(group, config, relabel=None):
     else:
         if relabel:
             pts = [pts[k - 1] for k in relabel]
-        g = _gram_of(pts, d)
+        g = _gram_of(pts, d, 2 * n)
         _require_generic(g, n, "second configuration non-generic")
+    row, D = list(g.ints.values()), g.den
     if key == "CSp":
-        row, D = _csp_values(g, n)
-    else:
-        ints = g.ints
-        row, D = [ints[p] for p in basic_set(g.m, n).pairs], g.den
+        row, D = _csp_values(row)
     return (key, row, D, _relations(pts, n, g.m >= 2 * n)), relabel
 
 

@@ -280,6 +280,8 @@ def q_sequence(m, n, seed=0):
     `_random_points`, and the chain rule applied by `_chain_rows`.  The cost
     guard admits calls of about a second: (7, 2) and (8, 1) take 0.6 s.
     """
+    _check_int(m, "m")
+    _check_int(n, "n")
     if not (m <= 7 and n <= 3 or m == 8 and n == 1):
         raise ValueError("cost guard: need m <= 7 and n <= 3, or m = 8 and n = 1")
     d = dim_d(m, n)

@@ -25,7 +25,7 @@ import json
 
 from . import normal_form
 from .exact import ExactMatrix, Rat, _check_n, rat_str
-from .field_generators import dim_bbar
+from .field_generators import basic_set, dim_bbar
 from .invariants import ContactConfig, ContactPoint, _gram_of, _point_list, gram
 
 
@@ -35,7 +35,9 @@ def csp_signature(g, n) -> "Signature":
     The conformal factor is positive, so a12 keeps its sign while every ratio
     a_ij/a12 is an absolute invariant; there are d(m, n) - 1 of them.
     """
-    return normal_form.Signature("CSp", normal_form._values(*normal_form._csp_values(g, n)))
+    ints = g.ints
+    row = normal_form._csp_values([ints[p] for p in basic_set(g.m, n).pairs])
+    return normal_form.Signature("CSp", normal_form._values(*row))
 
 
 def asp_invariants(config) -> list:
@@ -109,9 +111,9 @@ def contact_absolute(config: ContactConfig) -> "Signature":
 
     Cardinality is (2n+1)m - n(2n+1) - 1 for m >= 2n (3m - 4 when n = 1).
     When a leading Pfaffian b_{1..2k}(T) vanishes, the basic set does not
-    determine the eliminated T_ij, and they follow in `_eliminated_pairs`
-    order.  Unless the plane parts (x, y) span R^{2n}, their linear relations
-    follow (Witt's rule, `_relations`).  The last point's R is the reference
+    determine the eliminated T_ij (the pairs with i > 2n), and they follow
+    in (i, j) order.  Unless the plane parts (x, y) span R^{2n}, their
+    linear relations follow (Witt's rule, `_relations`).  The last point's R is the reference
     denominator; when it vanishes a single cyclic relabeling is attempted
     before rejecting.  The values are `normal_form`'s, as for `signature`.
     """

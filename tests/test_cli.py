@@ -388,6 +388,8 @@ SYMBOLIC_LAYERS = {"sympjoint.poly", "sympjoint.symmetric", "sympjoint.discretiz
 # `dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`: no command needs them
 RECORD_MACHINERY = {"dataclasses", "inspect"}
 NO_VARIANTS = SYMBOLIC_LAYERS | RECORD_MACHINERY | {"sympjoint.variants"}
+# an ordered decision reads the basic set off `_gram_of`, with no `basic_set` record
+NO_BASIC_SET_RECORD = {"sympjoint.field_generators"}
 CONTACT = {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [0], "y": [1], "u": 2}, {"x": [2], "y": [3], "u": 3}]}
 
 
@@ -397,9 +399,9 @@ CONTACT = {"n": 1, "points": [{"x": [1], "y": [0], "u": 1}, {"x": [0], "y": [1],
         (["discretize", "--case", "planar-i2"], 0, EXACT_LAYER | RECORD_MACHINERY),
         (["equiv", "CONFIG"], 64, EXACT_LAYER),  # usage error
         (["invariants", "CONFIG"], 0, NO_VARIANTS | {"sympjoint.normal_form"}),
-        (["equiv", "CONFIG", "CONFIG"], 0, NO_VARIANTS),
-        (["equiv", "CONFIG", "CONFIG", "--group", "csp"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
-        (["equiv", "CONFIG", "CONFIG", "--group", "asp"], 0, NO_VARIANTS),
+        (["equiv", "CONFIG", "CONFIG"], 0, NO_VARIANTS | NO_BASIC_SET_RECORD),
+        (["equiv", "CONFIG", "CONFIG", "--group", "csp"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY | NO_BASIC_SET_RECORD),
+        (["equiv", "CONFIG", "CONFIG", "--group", "asp"], 0, NO_VARIANTS | NO_BASIC_SET_RECORD),
         (["equiv", "CONTACT", "CONTACT", "--group", "contact"], 0, SYMBOLIC_LAYERS | RECORD_MACHINERY),
         (["dims", "--max-m", "3", "--max-n", "1"], 0, NO_VARIANTS | {"sympjoint.normal_form"}),
         (["symmetrize", "--m", "3", "--n", "1", "--maxdeg", "2"], 0, RECORD_MACHINERY),

@@ -59,6 +59,23 @@ def test_generic_jacobian_rank_refuses_an_n_that_only_looks_like_an_int(n):
         generic_jacobian_rank(3, n)
 
 
+@pytest.mark.parametrize("m,n", [(3, 0), (0, 1), (-2, 1), (3, -1)])
+def test_generic_jacobian_rank_refuses_sizes_below_one(m, n):
+    # each of these once returned 0, where dim_d refuses the same sizes
+    with pytest.raises(ValueError, match="^need m >= 1 and n >= 1$"):
+        generic_jacobian_rank(m, n)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_generic_jacobian_rank_refuses_no_samples(samples):
+    # no sample once gave rank 0 by the max's default
+    with pytest.raises(ValueError, match="^need samples >= 1$"):
+        generic_jacobian_rank(3, 1, samples=samples)
+    with pytest.raises(ValueError, match=r"^'samples' must be an integer, got 1\.0$"):
+        generic_jacobian_rank(3, 1, samples=1.0)
+    assert generic_jacobian_rank(3, 1, samples=1) == dim_d(3, 1)
+
+
 def test_basic_set_layout():
     bs = basic_set(4, 1)
     assert bs.pairs == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4))

@@ -246,7 +246,7 @@ def test_one_gram_table_per_configuration(monkeypatch, call, tables):
     b = a.transform(random_symplectic(2, 6, seed=5))
     calls = []
     build = nf._gram_of
-    monkeypatch.setattr(nf, "_gram_of", lambda pts, d: calls.append(pts) or build(pts, d))
+    monkeypatch.setattr(nf, "_gram_of", lambda pts, d, top=None: calls.append(pts) or build(pts, d, top))
     call(a, b)
     assert len(calls) == tables
 
@@ -573,7 +573,7 @@ def test_recover_transform_checks_every_point(monkeypatch):
     a = generic_sample(1, 4, random.Random(46))
     b = PointConfig(1, a.points[:-1] + ((a.points[-1][0] + 1, a.points[-1][1]),))
     table = gram(a)
-    monkeypatch.setattr(nf, "_gram_of", lambda pts, d: table)  # hides that the tables differ
+    monkeypatch.setattr(nf, "_gram_of", lambda pts, d, top=None: table)  # hides that the tables differ
     with pytest.raises(RuntimeError, match="fails to move point 4"):
         recover_transform(a, b)
 

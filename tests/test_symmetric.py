@@ -588,6 +588,14 @@ def test_sizes_refuse_an_m_that_only_looks_like_an_int(call, m):
         call(m)
 
 
+@pytest.mark.parametrize("m,n,name", [("3", 1, "m"), (8, "1", "n"), (3, "1", "n"), (3, 1.0, "n")])
+def test_q_sequence_checks_types_before_its_cost_guard(m, n, name):
+    # "3" once reached the guard's comparison and raised a bare TypeError
+    bad = m if name == "m" else n
+    with pytest.raises(ValueError, match=f"^'{name}' must be an integer, got {re.escape(repr(bad))}$"):
+        q_sequence(m, n)
+
+
 @pytest.mark.parametrize("k", [2.0, True])
 def test_sizes_refuse_a_degree_that_only_looks_like_an_int(k):
     # 2.0 once raised a bare TypeError from the series
