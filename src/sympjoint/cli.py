@@ -144,7 +144,7 @@ def _unordered_equivalent(a, b, group):
 
 def cmd_equiv(args):
     from .invariants import load_config
-    from .normal_form import _relabel_compare, _same, recover_transform
+    from .normal_form import _relabel_compare, _same, _witness
 
     group = args.group
     if group == "contact":
@@ -167,10 +167,12 @@ def cmd_equiv(args):
         equivalent=result, signature_a=_sig_json(sig_a, "signature_a"), signature_b=_sig_json(sig_b, "signature_b")
     )
     if result and group == "sp" and a.m >= 2 * a.n:
-        # a map taking the relabeled A onto the relabeled B takes each A_i to B_i
+        # a map taking the relabeled A onto the relabeled B takes each A_i to B_i;
+        # _relabel_compare has checked both basic sets, so only the elimination is left
+        (us, d_a), (vs, d_b) = a._ints, b._ints
         if perm:
-            a, b = a.permute(perm), b.permute(perm)
-        witness = recover_transform(a, b)
+            us, vs = [us[k - 1] for k in perm], [vs[k - 1] for k in perm]
+        witness = _witness(us, d_a, vs, d_b, a.n)
         out["witness"] = [
             [_rat_json(f"witness[{r}][{c}]", x) for c, x in enumerate(row)] for r, row in enumerate(witness.data)
         ]

@@ -210,6 +210,15 @@ def recover_transform(A: PointConfig, B: PointConfig) -> ExactMatrix:
         _require_generic(g, n, f"{label} configuration non-generic")
     if tables[0] != tables[1]:
         raise ValueError("not equivalent: Gram tables differ")
+    return _witness(us, d_a, vs, d_b, n)
+
+
+def _witness(us, d_a, vs, d_b, n):
+    """The M with M u_i / d_a = v_i / d_b for all i, from integer points whose
+    basic-set tables are already checked equal, with passing chains (as
+    `recover_transform` and `_relabel_compare` do): the rows
+    [u_i d_b | v_i d_a] of the first 2n points eliminated in ints to M = N / D,
+    checked symplectic and checked to move every point, N u_i d_b = D d_a v_i."""
     augmented = [[x * d_b for x in u] + [y * d_a for y in v] for u, v in zip(us[: 2 * n], vs[: 2 * n])]
     reduced = _IntRowSpace(augmented).reduced()
     if [p for p, _ in reduced] != list(range(2 * n)):

@@ -19,7 +19,10 @@ pairs; two point-cycles of lengths a and b give gcd(a, b) cycles
 recovers a generating set without any Groebner machinery, by exact
 evaluation ranks at random integer configurations: every monomial in an S_m
 orbit symmetrizes to the same polynomial up to sign, so each orbit gives one
-integer row, and ranks are taken by fraction-free integer elimination.
+integer row, and ranks are taken by fraction-free integer elimination.  The
+series bounds each degree: a sampled rank never exceeds the dimension H_k,
+so a degree's scan stops once its rank reaches H_k, and a rank short of
+H_k is raised, never returned.
 """
 
 import random
@@ -224,9 +227,12 @@ def graded_dims(m, n, maxdeg):
     should come from here rather than from a call per degree.
     """
     _check_sizes(m, n, maxdeg)
-    if maxdeg > _MAX_GRADED_DEGREE or m > min(_MAX_GRADED_POINTS, 2 * n + 2):
+    if maxdeg > _MAX_GRADED_DEGREE or m > _MAX_GRADED_POINTS:
+        raise ValueError(f"cost guard: need k <= {_MAX_GRADED_DEGREE} and m <= {_MAX_GRADED_POINTS}")
+    if m > 2 * n + 2:
         raise ValueError(
-            f"cost guard: need k <= {_MAX_GRADED_DEGREE}, m <= {_MAX_GRADED_POINTS} and m <= 2n+2"
+            f"graded dimensions are derived only for m <= 2n+2, where at most one Pfaffian relation holds;"
+            f" got m={m}, n={n}"
         )
     return _molien_coeffs(m, n, maxdeg)
 
@@ -314,15 +320,26 @@ def generator_search(m, n, maxdeg, seed=0):
     evaluation rank at 3 * (#monomials + 5) random integer configurations per
     degree.  Only the first monomial of each S_m orbit is tested (the others
     symmetrize to the same image up to sign), as one integer row, with
-    fraction-free elimination.  Every scanned degree ends up saturated by
-    construction; no claim is made beyond maxdeg.  The configurations lie in
-    R^{2n'}, n' = min(n, max(1, m // 2)): the a_ij of m <= 2n'+1 points are
-    algebraically independent, so each such n' samples the same algebra.
+    fraction-free elimination.  The configurations lie in R^{2n'},
+    n' = min(n, max(1, m // 2)): the a_ij of m <= 2n'+1 points are
+    algebraically independent, so each such n' samples the same algebra, and
+    m <= 3 <= 2n'+2 puts it in the scope of `_molien_coeffs`.
+
+    The series gives the dimension H_k of each degree.  A sampled rank never
+    exceeds it (evaluation is linear: a vanishing combination stays zero at
+    every sample), and falls below it only with small probability (Schwartz
+    1980; Zippel 1979).  So the orbits of degree k are walked only while the
+    rank is below H_k, and the walk stops at the insert that reaches it: the
+    orbits after it fall in the span at every sample, and the scan would keep
+    none of them.  A degree whose rank ends short of H_k raises RuntimeError,
+    so every returned degree is certified complete; no claim is made beyond
+    maxdeg.
     """
     _check_sizes(m, n, maxdeg)
     if m > _MAX_SEARCH_POINTS or maxdeg > _MAX_SEARCH_DEGREE:
         raise ValueError(f"cost guard: need m <= {_MAX_SEARCH_POINTS} and maxdeg <= {_MAX_SEARCH_DEGREE}")
     rng, n = random.Random(seed), min(n, max(1, m // 2))
+    dims = _molien_coeffs(m, n, maxdeg)  # H_0..H_maxdeg
     kept = []  # (poly with int coefficients, degree)
     for k in range(1, maxdeg + 1):
         monos = _degree_monomials(m, k)
@@ -333,7 +350,14 @@ def generator_search(m, n, maxdeg, seed=0):
             for product in combinations_with_replacement(range(len(kept)), size):
                 if sum(kept[i][1] for i in product) == k:
                     space.insert([prod(col) for col in zip(*(values[i] for i in product))])
-        for _, orbit in _orbit_sums(monos, m):
-            if space.insert([_value(orbit, t) for t in tables]):
-                kept.append((_content_normalized(MultiPoly(orbit)), k))
+        if space.rank < dims[k]:
+            for _, orbit in _orbit_sums(monos, m):
+                if space.insert([_value(orbit, t) for t in tables]):
+                    kept.append((_content_normalized(MultiPoly(orbit)), k))
+                    if space.rank == dims[k]:
+                        break
+        if space.rank != dims[k]:
+            raise RuntimeError(
+                f"degree {k}: sampled rank {space.rank}, not H_{k} = {dims[k]}; the sample does not certify the degree"
+            )
     return [p for p, _ in kept]

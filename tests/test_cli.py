@@ -553,6 +553,18 @@ def test_symmetrize_bad_sizes_are_input_errors(capsys, args):
     assert "Traceback" not in captured.err
 
 
+def test_symmetrize_past_2n_plus_2_is_out_of_scope_not_a_cost(capsys):
+    # five points in R^2 cost microseconds: the refusal names the scope, not a cost guard
+    code = main(["symmetrize", "--m", "5", "--n", "1", "--maxdeg", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: graded dimensions are derived only for m <= 2n+2, where at most one Pfaffian relation holds;"
+        " got m=5, n=1\n"
+    )
+
+
 @pytest.mark.parametrize("case,name", [("contact", "contact_estimates"), ("function", "function_estimates")])
 @pytest.mark.parametrize("with_csv", [False, True])
 def test_discretize_evaluates_each_step_once(tmp_path, capsys, monkeypatch, case, name, with_csv):
@@ -606,6 +618,28 @@ def test_equiv_witness_after_relabeling(tmp_path, capsys):
     witness = ExactMatrix([[rat(x) for x in row] for row in data["witness"]])
     for i in range(1, RELABELED.m + 1):
         assert witness.apply(RELABELED.point(i)) == b.point(i)
+
+
+def test_equiv_sp_builds_each_basic_set_once(tmp_path, capsys, monkeypatch):
+    # the witness reuses the basic sets the signatures checked: two tables, not four
+    from sympjoint import normal_form
+    from sympjoint.normal_form import recover_transform
+
+    a = random_config(2, 7, seed=5)
+    b = a.transform(random_symplectic(2, 6, seed=9))
+    pa = write_json(tmp_path / "a.json", config_to_dict(a))
+    pb = write_json(tmp_path / "b.json", config_to_dict(b))
+    calls, build = [], normal_form._gram_of
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(normal_form, "_gram_of", counting)
+    code, out = run(capsys, "equiv", "--group", "sp", pa, pb)
+    assert code == 0 and len(calls) == 2
+    witness = ExactMatrix([[rat(x) for x in row] for row in json.loads(out)["witness"]])
+    assert witness == recover_transform(a, b)
 
 
 def test_equiv_unordered_nongeneric_first_is_input_error(tmp_path, capsys):

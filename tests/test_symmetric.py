@@ -1,8 +1,8 @@
 import random
 import re
 from fractions import Fraction
-from itertools import permutations
-from math import factorial, gcd
+from itertools import combinations_with_replacement, permutations
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -435,6 +435,60 @@ def test_generator_search_reads_generators_off_the_orbit_sums(monkeypatch):
     assert generator_search(3, 1, 6) == expected
 
 
+def _full_scan_oracle(m, n, maxdeg, seed=0):
+    """The generator search without its H_k stop: every orbit of every degree
+    is walked and inserted, on the same sample stream."""
+    rng, n = random.Random(seed), min(n, max(1, m // 2))
+    kept = []
+    for k in range(1, maxdeg + 1):
+        monos = _degree_monomials(m, k)
+        tables = _integer_tables(m, n, 3 * (len(monos) + 5), rng)
+        values = [[_value(p.terms, t) for t in tables] for p, _ in kept]
+        space = _IntRowSpace()
+        for size in range(1, k + 1):
+            for product in combinations_with_replacement(range(len(kept)), size):
+                if sum(kept[i][1] for i in product) == k:
+                    space.insert([prod(col) for col in zip(*(values[i] for i in product))])
+        for _, orbit in _orbit_sums(monos, m):
+            if space.insert([_value(orbit, t) for t in tables]):
+                kept.append((_content_normalized(MultiPoly(orbit)), k))
+    return kept
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generator_search_stops_at_H_k_with_the_full_scan_s_generators(seed):
+    # the orbits after the one reaching H_k fall in the span: stopping there keeps what the full scan keeps
+    for m in (1, 2, 3):
+        kept = _full_scan_oracle(m, 1, 8, seed)
+        for n in (1, 2, 3):
+            for maxdeg in range(9):
+                assert generator_search(m, n, maxdeg, seed) == [p for p, k in kept if k <= maxdeg]
+
+
+def test_generator_search_walks_orbits_only_below_H_k(monkeypatch):
+    # at (3, 1, 6) the products of I2a, I2b, I3 and I4 already span degrees 5 and 6 (H = 2 and 7)
+    degrees, walk = [], symmetric._orbit_sums
+
+    def spy(monos, m):
+        degrees.append(sum(e for _, e in monos[0]))
+        return walk(monos, m)
+
+    monkeypatch.setattr(symmetric, "_orbit_sums", spy)
+    assert [g.degree() for g in generator_search(3, 1, 6)] == [2, 2, 3, 4]
+    assert degrees == [2, 3, 4]
+
+
+def test_generator_search_refuses_a_rank_short_of_H_k(monkeypatch):
+    # a degenerate sample (every table zero) certifies nothing: no short set is returned
+    def zero_tables(m, n, count, rng):
+        return [dict.fromkeys([avar(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)], 0)] * count
+
+    monkeypatch.setattr(symmetric, "_integer_tables", zero_tables)
+    with pytest.raises(RuntimeError, match=r"degree 2: sampled rank 0, not H_2 = 2"):
+        generator_search(3, 1, 6)
+    assert generator_search(3, 1, 1) == []  # H_1 = 0: degree 1 is certified by the empty span
+
+
 def test_generator_search_cost_guard():
     with pytest.raises(ValueError):
         generator_search(4, 1, 4)
@@ -531,7 +585,9 @@ def test_graded_dim_never_samples(monkeypatch):
 
 @pytest.mark.parametrize("m,n,k", [(5, 1, 2), (6, 1, 2), (5, 1, 0), (25, 12, 1), (4, 1, 101)])
 def test_graded_dim_guard(m, n, k):
-    with pytest.raises(ValueError, match="cost guard"):
+    # m > 2n+2 is out of scope (more than one Pfaffian relation), not a cost
+    match = "cost guard" if k > 100 or m > 24 else r"derived only for m <= 2n\+2"
+    with pytest.raises(ValueError, match=match):
         graded_dim(m, n, k)
 
 
@@ -546,7 +602,7 @@ def test_graded_dims_is_the_per_degree_table(m, n, top):
     assert graded_dims(m, n, top) == [graded_dim(m, n, k) for k in range(top + 1)]
 
 
-@pytest.mark.parametrize("m,n,top,match", [(5, 1, 0, "cost guard"), (4, 1, 101, "cost guard"), (0, 1, 2, "need m >= 1"), (3, 1, -1, "need m >= 1")])
+@pytest.mark.parametrize("m,n,top,match", [(5, 1, 0, "derived only for"), (4, 1, 101, "cost guard"), (0, 1, 2, "need m >= 1"), (3, 1, -1, "need m >= 1")])
 def test_graded_dims_keeps_the_guards(m, n, top, match):
     with pytest.raises(ValueError, match=match):
         graded_dims(m, n, top)
